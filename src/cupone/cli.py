@@ -44,6 +44,33 @@ def parse_ring(text: str) -> RingSpec:
     raise CliError(2, f"bad ring {text!r} (expected Z or Zp:<p>)")
 
 
+def at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def parse_group(spec: str) -> tuple[int, ...]:
+    """Moduli of the cyclic factors named by ``Zp:<p>[^m]``."""
+    usage = f"bad group {spec!r} (expected Zp:<p>[^m] with p >= 2, m >= 1)"
+    if not spec.startswith("Zp:"):
+        raise CliError(2, usage)
+    base, caret, exp = spec[3:].partition("^")
+    try:
+        modulus, count = int(base), int(exp) if caret else 1
+    except ValueError:
+        raise CliError(2, usage)
+    if modulus < 2 or count < 1:
+        raise CliError(2, usage)
+    return (modulus,) * count
+
+
 class LoadedInput:
     def __init__(self, path: str, ring_flag: str | None):
         try:
@@ -170,15 +197,7 @@ def cmd_group_realize(args) -> int:
 
 
 def cmd_bar(args) -> int:
-    spec = args.group
-    if not spec.startswith("Zp:"):
-        raise CliError(2, f"bad group {spec!r} (expected Zp:<p>[^m])")
-    body = spec[3:]
-    if "^" in body:
-        base, _, exp = body.partition("^")
-        moduli = (int(base),) * int(exp)
-    else:
-        moduli = (int(body),)
+    moduli = parse_group(args.group)
     ring = parse_ring(args.ring) if args.ring else RingSpec.Z()
     mc = bar_construction(cyclic_group_magma(moduli), args.max_dim)
     counts = {d: len(mc.delta.cells[d]) for d in range(args.max_dim + 1)}
@@ -209,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ring", default=None,
                         help="Z or Zp:<p> (default: from file, else Z)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--weight-cap", type=int, default=6,
+        sp.add_argument("--weight-cap", type=at_least(0), default=6,
                         help="weight cap for basis enumerations")
         sp.add_argument("--jobs", type=int, default=1,
                         help="opt-in parallelism where supported")
@@ -221,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimal-model",
                         help="stage-wise 1-minimal model report")
     common(sp)
-    sp.add_argument("--stages", type=int, default=2)
+    sp.add_argument("--stages", type=at_least(1), default=2)
     sp.set_defaults(fn=cmd_minimal_model)
 
     sp = sub.add_parser("kappa", help="coker H^2(rho_n) and kappa_n")
     common(sp)
-    sp.add_argument("--stages", type=int, default=2)
+    sp.add_argument("--stages", type=at_least(1), default=2)
     sp.set_defaults(fn=cmd_kappa)
 
     sp = sub.add_parser("compare",
@@ -235,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("right")
     sp.add_argument("--ring", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--weight-cap", type=int, default=6)
+    sp.add_argument("--weight-cap", type=at_least(0), default=6)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--stages", type=int, default=2)
+    sp.add_argument("--stages", type=at_least(1), default=2)
     sp.add_argument("--forget-torsion", action="store_true",
                     help="rational analog: compare free ranks only")
     sp.set_defaults(fn=cmd_compare)
@@ -251,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("group-realize",
                         help="nilpotent group law of the stage model")
     common(sp)
-    sp.add_argument("--stages", type=int, default=2)
+    sp.add_argument("--stages", type=at_least(1), default=2)
     sp.set_defaults(fn=cmd_group_realize)
 
     sp = sub.add_parser("bar", help="bar construction cell counts")

@@ -3,7 +3,13 @@
 Smith normal form with unimodular transforms drives everything over Z:
 kernels, cokernels, particular solutions, and the cohomology of
 three-term complexes with labeled bases.  Over Z_p the same interfaces
-are served by sparse Gaussian elimination with combination tracking.
+are served by Gaussian elimination with combination tracking
+(``ZpEliminator``).  Its rows are dicts column -> value, or, for p <= 13,
+Python ints with one fixed-width field per column (1 bit for p = 2, one
+byte for odd p).  Each eliminator picks its format from the shape its
+caller announces: packed while a fully dense echelon, vectors x width
+fields, fits in 16 MiB (``PACK_LIMIT_BYTES``), dict rows otherwise.  Both
+formats store the same pivot rows, so results do not depend on the choice.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -394,17 +400,86 @@ def kernel_into_presented(img_cols: list[list[int]],
 # ---------------------------------------------------------------------------
 # GF(p) elimination with combination tracking
 
-class ZpEliminator:
-    """Sparse row space over GF(p).
+# A packed eliminator may hold a fully dense echelon of its announced
+# shape; this caps that size, so also the memory packed rows can take.
+PACK_LIMIT_BYTES = 16 << 20
 
-    Rows are dicts column -> value.  Tagged insertions track how each
-    stored pivot row decomposes over the tagged originals, which yields
-    coordinate functionals on quotients.
+
+class ZpEliminator:
+    """Row space over GF(p) with combination tracking.
+
+    Each row is reduced on its leading (lowest) column only and stored
+    with leading coefficient 1 under that column.  Tagged insertions track
+    how each stored pivot row decomposes over the tagged originals, which
+    yields coordinate functionals on quotients.
+
+    Dict rows map column -> value.  A packed row and its combination are
+    each one int with a field per column (per tag).  For p = 2 a field is
+    one bit and a row operation is XOR; for odd p a field is one byte,
+    ``v + (p-f) row`` cannot carry between fields since p(p-1) < 256, and
+    one ``bytes.translate`` pass reduces every field mod p.  Packing pays
+    per column, dict rows per nonzero entry: tall problems whose pivot
+    rows stay sparse are faster and far smaller as dicts, which is why the
+    format follows the announced ``vectors`` x ``width`` shape.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, vectors: int, width: int):
         self.p = p
-        self.pivots: dict[int, tuple[dict[int, int], dict]] = {}
+        self.pivots: dict[int, tuple] = {}
+        bits = 1 if p == 2 else 8 if p * (p - 1) < 256 else 0
+        self.packed = 0 < bits and \
+            vectors * width * bits <= PACK_LIMIT_BYTES * 8
+        if self.packed:
+            self._shift = bits.bit_length() - 1  # log2 of the field width
+            self._slots: dict = {}  # tag -> field of the combination int
+            self._tags: list = []
+            self._table = bytes(i % p for i in range(256))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, vec: dict[int, int], tag=None) -> bool:
+        """Insert a row; returns True when it enlarged the space."""
+        p = self.p
+        if self.packed:
+            v, e = self._reduce_packed(self._pack(vec), self._tag_field(tag))
+            if not v:
+                return False
+            lead = ((v & -v).bit_length() - 1) >> self._shift
+            if p != 2:
+                inv = pow((v >> (lead << 3)) & 255, p - 2, p)
+                v, e = self._mod(v * inv), self._mod(e * inv)
+            self.pivots[lead] = (v, e)
+            return True
+        vec, expr = self._reduce(vec, {} if tag is None else {tag: 1})
+        if not vec:
+            return False
+        lead = min(vec)
+        inv = pow(vec[lead], p - 2, p)
+        vec = {j: (v * inv) % p for j, v in vec.items()}
+        expr = {t: (c * inv) % p for t, c in expr.items()}
+        self.pivots[lead] = (vec, expr)
+        return True
+
+    def express(self, vec: dict[int, int]) -> dict | None:
+        """Write vec as a combination of tagged rows modulo untagged ones.
+
+        Returns tag -> coefficient, negated to solve  vec = sum c_t row_t,
+        or None when vec is not in the row space.
+        """
+        p = self.p
+        if self.packed:
+            v, e = self._reduce_packed(self._pack(vec), 0)
+            if v:
+                return None
+            return {self._tags[s]: p - c for s, c in self._fields(e)}
+        out, expr = self._reduce(vec, {})
+        if out:
+            return None
+        return {t: (-c) % p for t, c in expr.items()}
+
+    # dict rows
 
     def _reduce(self, vec: dict[int, int], expr: dict) -> tuple[dict, dict]:
         p = self.p
@@ -430,46 +505,80 @@ class ZpEliminator:
                     expr.pop(tag, None)
         return vec, expr
 
-    def insert(self, vec: dict[int, int], tag=None) -> bool:
-        """Insert a row; returns True when it enlarged the space."""
-        expr = {} if tag is None else {tag: 1}
-        vec, expr = self._reduce(vec, expr)
+    # packed rows
+
+    def _reduce_packed(self, v: int, e: int) -> tuple[int, int]:
+        pivots, p = self.pivots, self.p
+        if p == 2:
+            while v:
+                hit = pivots.get((v & -v).bit_length() - 1)
+                if hit is None:
+                    break
+                v ^= hit[0]
+                e ^= hit[1]
+            return v, e
+        cleared = -1
+        while v:
+            lead = ((v & -v).bit_length() - 1) >> 3
+            if lead <= cleared:
+                raise ArithmeticError(
+                    f"packed row operation mod {p} carried between fields")
+            hit = pivots.get(lead)
+            if hit is None:
+                break
+            prow, pexpr = hit
+            m = p - ((v >> (lead << 3)) & 255)
+            v = self._mod(v + m * prow)
+            if pexpr:
+                e = self._mod(e + m * pexpr)
+            cleared = lead
+        return v, e
+
+    def _mod(self, x: int) -> int:
+        """Reduce every byte field of x mod p."""
+        raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(raw.translate(self._table), "little")
+
+    def _pack(self, vec: dict[int, int]) -> int:
         if not vec:
-            return False
-        lead = min(vec)
-        inv = pow(vec[lead], self.p - 2, self.p)
-        vec = {j: (v * inv) % self.p for j, v in vec.items()}
-        expr = {t: (c * inv) % self.p for t, c in expr.items()}
-        self.pivots[lead] = (vec, expr)
-        return True
+            return 0
+        if min(vec) < 0:
+            raise ValueError(f"negative column index {min(vec)}")
+        p = self.p
+        if p == 2:
+            buf = bytearray((max(vec) >> 3) + 1)
+            for j, x in vec.items():
+                if x % 2:
+                    buf[j >> 3] |= 1 << (j & 7)
+        else:
+            buf = bytearray(max(vec) + 1)
+            for j, x in vec.items():
+                buf[j] = x % p
+        return int.from_bytes(buf, "little")
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def _fields(self, x: int) -> list[tuple[int, int]]:
+        """(field index, value) for every nonzero field of x, ascending."""
+        if self.p == 2:
+            return [(i, 1) for i, b in enumerate(reversed(format(x, "b")))
+                    if b == "1"]
+        raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+        return [(i, c) for i, c in enumerate(raw) if c]
 
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        out, _ = self._reduce(dict(vec), {})
-        return out
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        return not self.reduce(vec)
-
-    def express(self, vec: dict[int, int]) -> dict | None:
-        """Write vec as a combination of tagged rows modulo untagged ones.
-
-        Returns tag -> coefficient, negated to solve  vec = sum c_t row_t,
-        or None when vec is not in the row space.
-        """
-        out, expr = self._reduce(dict(vec), {})
-        if out:
-            return None
-        return {t: (-c) % self.p for t, c in expr.items()}
+    def _tag_field(self, tag) -> int:
+        if tag is None:
+            return 0
+        slot = self._slots.get(tag)
+        if slot is None:
+            slot = self._slots[tag] = len(self._tags)
+            self._tags.append(tag)
+        return 1 << (slot << self._shift)
 
 
 def solve_mod_p(cols: list[dict[int, int]], b: dict[int, int],
                 p: int) -> list[int] | None:
     """Solve sum_i x_i col_i = b over GF(p); columns are sparse dicts."""
-    elim = ZpEliminator(p)
+    width = 1 + max((max(c) for c in cols + [b] if c), default=-1)
+    elim = ZpEliminator(p, len(cols), width)
     for i, col in enumerate(cols):
         elim.insert(col, tag=i)
     coeffs = elim.express(b)
@@ -618,7 +727,8 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     ker: list[list[int]] = []
     if b_cols is not None:
         # A column expressible in earlier columns yields a kernel vector.
-        elim = ZpEliminator(p)
+        n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
+        elim = ZpEliminator(p, n_mid, n_upper)
         for j in range(n_mid):
             col = {i: v % p for i, v in b_cols[j].items() if v % p}
             combo = elim.express(col)
@@ -633,7 +743,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     else:
         ker = [[1 if i == j else 0 for i in range(n_mid)]
                for j in range(n_mid)]
-    quotient = ZpEliminator(p)
+    quotient = ZpEliminator(p, len(a_cols) + len(ker), n_mid)
     for col in a_cols:
         quotient.insert({i: v % p for i, v in col.items() if v % p})
     gens = []

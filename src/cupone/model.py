@@ -294,7 +294,7 @@ def stage1(X: DeltaSet, ring: RingSpec,
         if len(reps) != k:
             raise PreconditionError("wrong number of H^1 representatives")
         if ring.is_modular:
-            elim = ZpEliminator(ring.p)
+            elim = ZpEliminator(ring.p, len(coords), k)
             for v in coords:
                 elim.insert({i: x for i, x in enumerate(v) if x % ring.p})
             ok = elim.rank == k
@@ -341,7 +341,7 @@ def _compute_kernel(stage: "ModelStage"):
     m = len(stage.h2x.generators)
     if ring.is_modular:
         p = ring.p
-        elim = ZpEliminator(p)
+        elim = ZpEliminator(p, len(img), m)
         ker_vecs = []
         for j, col in enumerate(img):
             sparse = {i: v % p for i, v in enumerate(col) if v % p}
@@ -691,7 +691,7 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
         bar = segment_cohomology(X, ring, degree)
         dims_model[degree] = len(data.generators)
         dims_bar[degree] = len(bar.generators)
-        elim = ZpEliminator(ring.p)
+        elim = ZpEliminator(ring.p, len(reps), dims_bar[degree])
         full = True
         for rep in reps:
             c = psi_embed(rep, mc, list(names), deg=degree)
@@ -725,7 +725,7 @@ def kappa(stage: "ModelStage") -> KappaInvariant:
         for g in stage.h2_model]
     m = len(stage.h2x.generators)
     if ring.is_modular:
-        elim = ZpEliminator(ring.p)
+        elim = ZpEliminator(ring.p, len(img), m)
         for col in img:
             elim.insert({i: v for i, v in enumerate(col) if v % ring.p})
         dim = m - elim.rank

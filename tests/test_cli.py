@@ -181,3 +181,55 @@ def test_cli_kappa_stage1(capsys):
                            str(FIXTURES / "cyclic4.pres"))
     assert code == 0
     assert "kappa_1 = Z/4" in out
+
+
+@pytest.mark.parametrize("group", ["Zp:0", "Zp:1", "Zp:-3", "Zp:3^0",
+                                   "Zp:2^-1", "Zp:abc", "Zp:3^", "Zp:^2",
+                                   "Z:3"])
+def test_cli_bar_rejects_bad_group(capsys, group):
+    code, out, err = run_cli(capsys, "bar", "--group", group)
+    assert code == 2
+    assert out == ""
+    assert "bad group" in err
+
+
+def test_cli_bar_group_powers(capsys):
+    code, out, _ = run_cli(capsys, "bar", "--group", "Zp:2^2",
+                           "--max-dim", "1")
+    assert code == 0
+    assert "cells: 1 4" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal-model", "--stages", "0"),
+    ("minimal-model", "--stages", "-3"),
+    ("kappa", "--stages", "0"),
+    ("group-realize", "--stages", "-1"),
+    ("minimal-model", "--weight-cap", "-1"),
+    ("massey", "--weight-cap", "-2"),
+    ("kappa", "--stages", "two"),
+])
+def test_cli_rejects_bad_counts_at_parse(capsys, argv):
+    path = str(FIXTURES / "torus.pres")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[1] in err
+
+
+def test_cli_compare_rejects_bad_counts_at_parse(capsys):
+    left = str(FIXTURES / "borromean_n1.pres")
+    right = str(FIXTURES / "borromean_n2.pres")
+    for flag, value in (("--stages", "0"), ("--weight-cap", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", flag, value, left, right])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+
+def test_cli_weight_cap_zero_accepted(capsys):
+    code, out, _ = run_cli(capsys, "kappa", "--stages", "1", "--weight-cap",
+                           "0", str(FIXTURES / "cyclic4.pres"))
+    assert code == 0
+    assert "kappa_1 = Z/4" in out

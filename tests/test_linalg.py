@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from cupone import linalg
 from cupone.linalg import (
     AbelianInvariants,
     ComplexSegment,
     ZpEliminator,
     cohomology_at,
+    cohomology_sparse_zp,
     identity,
     kernel_basis_Z,
     kernel_into_presented,
@@ -207,16 +209,154 @@ def test_cohomology_random_consistency():
                 assert all(x == 0 for x in mat_vec(B, rep))
 
 
-def test_zp_eliminator_express():
-    elim = ZpEliminator(5)
-    elim.insert({0: 1, 1: 2}, tag="a")
-    elim.insert({1: 1, 2: 1}, tag="b")
-    combo = elim.express({0: 2, 1: 4, 2: 0})
-    assert combo == {"a": 2}
-    combo = elim.express({0: 1, 1: 3, 2: 1})
-    assert combo == {"a": 1, "b": 1}
-    assert elim.express({2: 1}) is not None or True  # in span check below
-    assert elim.express({0: 0, 3: 1}) is None
+def make_eliminator(p, vectors, width, packed, monkeypatch):
+    """A ZpEliminator in the requested row format (dict rows by a zero
+    packing limit)."""
+    if not packed:
+        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
+    elim = ZpEliminator(p, vectors, width)
+    monkeypatch.undo()
+    assert elim.packed == packed
+    return elim
+
+
+def test_zp_eliminator_express(monkeypatch):
+    for packed in (False, True):
+        elim = make_eliminator(5, 2, 4, packed, monkeypatch)
+        elim.insert({0: 1, 1: 2}, tag="a")
+        elim.insert({1: 1, 2: 1}, tag="b")
+        combo = elim.express({0: 2, 1: 4, 2: 0})
+        assert combo == {"a": 2}
+        combo = elim.express({0: 1, 1: 3, 2: 1})
+        assert combo == {"a": 1, "b": 1}
+        # (0, 0, 1) = a (1, 2, 0) + b (0, 1, 1) needs a = 0, b = 0, b = 1.
+        assert elim.express({2: 1}) is None
+        assert elim.express({0: 0, 3: 1}) is None
+
+
+def random_sparse_vectors(rng, p, count, width):
+    density = rng.choice([0.05, 0.2, 0.6])
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.3:
+            # A combination of earlier vectors, so some inserts are useless.
+            vec: dict = {}
+            for src in rng.sample(vecs, min(len(vecs), 3)):
+                c = rng.randrange(p)
+                for j, x in src.items():
+                    vec[j] = vec.get(j, 0) + c * x
+        else:
+            vec = {j: rng.randrange(-p, 2 * p) for j in range(width)
+                   if rng.random() < density}
+        vecs.append(vec)
+    return vecs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_zp_eliminator_formats_agree(p, monkeypatch):
+    rng = random.Random(4000 + p)
+    for _ in range(40):
+        count, width = rng.randint(1, 14), rng.randint(1, 40)
+        vecs = random_sparse_vectors(rng, p, count, width)
+        tags = [i if rng.random() < 0.7 else None for i in range(count)]
+        elims = [make_eliminator(p, count, width, packed, monkeypatch)
+                 for packed in (False, p < 17)]
+        untagged = make_eliminator(p, count, width, False, monkeypatch)
+        for vec, tag in zip(vecs, tags):
+            assert len({e.insert(vec, tag) for e in elims}) == 1
+            assert len({e.rank for e in elims}) == 1
+            if tag is None:
+                untagged.insert(vec)
+        queries = random_sparse_vectors(rng, p, 10, width)
+        queries += vecs
+        for q in queries:
+            combo, other = (e.express(q) for e in elims)
+            assert combo == other
+            if combo is None:
+                continue
+            # q = sum c_t vecs[t] modulo the span of the untagged vectors.
+            residual = {j: x % p for j, x in q.items()}
+            for t, c in combo.items():
+                for j, x in vecs[t].items():
+                    residual[j] = (residual.get(j, 0) - c * x) % p
+            assert untagged.express(residual) == {}
+
+
+def test_zp_eliminator_pack_rule():
+    # 16 MiB of fields: 1 bit each for p = 2, one byte for 3 <= p <= 13.
+    assert ZpEliminator(2, 16384, 8192).packed
+    assert not ZpEliminator(2, 16384, 8193).packed
+    assert ZpEliminator(3, 2048, 8192).packed
+    assert not ZpEliminator(3, 2048, 8193).packed
+    assert ZpEliminator(13, 1, 1).packed
+    assert not ZpEliminator(17, 1, 1).packed
+    # H^2(B(Z_3^3); Z_3): 729 cochains, 19683 upper cells.
+    assert ZpEliminator(3, 729, 19683).packed
+
+
+def test_packed_rows_reject_negative_columns():
+    # A negative index would wrap around the packing buffer silently.
+    for p in (2, 3):
+        elim = ZpEliminator(p, 2, 4)
+        with pytest.raises(ValueError):
+            elim.insert({-1: 1, 2: 1})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p, monkeypatch):
+    rng = random.Random(70 + p)
+    ring = RingSpec.Zp(p)
+    mid, up, low = 24, 16, 6
+    B = [[rng.choice([0, 0, 1, p - 1]) for _ in range(mid)]
+         for _ in range(up - 1)]
+    B.append([1] * mid)  # a nonzero last row: the eliminator is up wide
+    kb = ZpEliminator(p, mid, up)
+    basis = []
+    for j in range(mid):  # kernel of B from dependent columns
+        col = {i: B[i][j] for i in range(up) if B[i][j] % p}
+        combo = kb.express(col)
+        if combo is None:
+            kb.insert(col, tag=j)
+        else:
+            vec = {j: 1}
+            vec.update({t: -c for t, c in combo.items()})
+            basis.append(vec)
+    b_cols = [{i: B[i][j] for i in range(up) if B[i][j]} for j in range(mid)]
+    a_cols = []
+    for _ in range(low):
+        col: dict = {}
+        for vec in rng.sample(basis, min(2, len(basis))):
+            for i, x in vec.items():
+                col[i] = (col.get(i, 0) + x) % p
+        a_cols.append(col)
+
+    made = []
+
+    class Recording(ZpEliminator):
+        def __init__(self, *shape):
+            super().__init__(*shape)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "ZpEliminator", Recording)
+    dense_bytes = mid * up * (1 if p == 2 else 8) // 8
+    results = []
+    for limit, packed in ((dense_bytes, True), (dense_bytes - 1, False)):
+        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", limit)
+        made.clear()
+        data = cohomology_sparse_zp(ring, mid, a_cols, b_cols)
+        assert made[0].packed == packed
+        sums = [[sum(c * rep[i] for c, (_, rep) in
+                     zip(coeffs, data.generators)) for i in range(mid)]
+                for coeffs in ([1] * len(data.generators),
+                               list(range(len(data.generators))))]
+        results.append((data.generators, [data.class_coords(v) for v in sums]))
+    assert results[0] == results[1]
+    n = len(results[0][0])
+    assert results[0][1] == [[1] * n, [i % p for i in range(n)]]
+    image = ZpEliminator(p, low, mid)
+    for col in a_cols:
+        image.insert(col)
+    assert n == len(basis) - image.rank > 0
 
 
 def test_cohomology_zp():
@@ -256,11 +396,11 @@ def test_cohomology_mod_p_dimension_oracle():
         seg = ComplexSegment(ring, list(range(low)), list(range(mid)),
                              list(range(up)), A, B)
         data = cohomology_at(seg)
-        elim_b = ZpEliminator(p)
+        elim_b = ZpEliminator(p, up, mid)
         for row in (B or []):
             elim_b.insert({j: v % p for j, v in enumerate(row) if v % p})
         dim_ker = mid - elim_b.rank
-        elim_a = ZpEliminator(p)
+        elim_a = ZpEliminator(p, low, mid)
         for col in cols:
             elim_a.insert({i: v % p for i, v in enumerate(col) if v % p})
         assert len(data.generators) == dim_ker - elim_a.rank

@@ -548,7 +548,7 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
                        h1_names=["x1", "x2"], h2x=None)
     model_h2 = h2_stage_Zp(stage)
     assert len(model_h2) == len(bar_h2.generators) == 4
-    elim = ZpEliminator(3)
+    elim = ZpEliminator(3, len(model_h2), len(bar_h2.generators))
     for g in model_h2:
         c = psi_embed(g.rep, mc, gens.names, deg=2)
         coords = bar_h2.class_coords(c.vector(mc.delta.cells[2]))
