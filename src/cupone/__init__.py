@@ -42,7 +42,6 @@ from .interval import (
 from .linalg import (
     AbelianInvariants,
     cohomology_at,
-    map_analysis,
     smith_normal_form,
     solve_Z,
     solve_in_image,
@@ -100,7 +99,7 @@ __all__ = [
     "delta_from_magma", "extend_stage", "extension_magma",
     "h2_free_d0", "h2_stage2_Z", "h2_stage_Zp", "heisenberg_presentation",
     "interval_algebra", "kappa", "magma_from_tau", "magnus_expand",
-    "magnus_gate", "magnus_pairings", "map_analysis", "minimal_model",
+    "magnus_gate", "magnus_pairings", "minimal_model",
     "n_step_compare", "presentation_complex", "psi_cohomology_comparison",
     "psi_embed", "realize_group", "segment_cohomology",
     "smith_normal_form", "solve_Z", "solve_in_image", "stage1",

@@ -1,15 +1,22 @@
 """Exact linear algebra over Z and Z_p.
 
-Smith normal form with unimodular transforms drives everything over Z:
-kernels, cokernels, particular solutions, and the cohomology of
-three-term complexes with labeled bases.  Over Z_p the same interfaces
-are served by Gaussian elimination with combination tracking
-(``ZpEliminator``).  Its rows are dicts column -> value, or, for p <= 13,
-Python ints with one fixed-width field per column (1 bit for p = 2, one
-byte for odd p).  Each eliminator picks its format from the shape its
-caller announces: packed while a fully dense echelon, vectors x width
-fields, fits in 16 MiB (``PACK_LIMIT_BYTES``), dict rows otherwise.  Both
-formats store the same pivot rows, so results do not depend on the choice.
+Factor once, query many.  Over Z one ``smith_normal_form`` call returns
+the factor U M V = D of a matrix M (an ``SNFResult``, keeping U, V and
+Uinv as asked); the same factor then serves every ``solve`` (through
+``solve_Z``, with the SNF-residue certificate of ``solve_in_image``),
+``kernel`` and the ``class_coords`` of the cohomology of three-term
+complexes with labeled bases.  A query touches only the nonzero entries
+of its vector (``mat_vec``) and only the transform rows its answer needs.
+``image_solver`` gives each call site one factor per matrix for either
+ring; over Z_p that factor is one tagged ``ZpEliminator``.
+
+``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
+rows are dicts column -> value, or, for p <= 13, Python ints with one
+fixed-width field per column (1 bit for p = 2, one byte for odd p).  Each
+eliminator picks its format from the shape its caller announces: packed
+while a fully dense echelon, vectors x width fields, fits in 16 MiB
+(``PACK_LIMIT_BYTES``), dict rows otherwise.  Both formats store the same
+pivot rows, so results do not depend on the choice.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -31,19 +38,15 @@ def identity(n: int) -> list[list[int]]:
 
 
 def mat_vec(m: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in m]
+    """m v, touching only the nonzero entries of v."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(r[j] * x for j, x in nz) for r in m]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = len(b[0]) if b else 0
     return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)]
             for ra in a]
-
-
-def transpose(m: list[list[int]], ncols: int | None = None) -> list[list[int]]:
-    if not m:
-        return [[] for _ in range(ncols or 0)]
-    return [list(col) for col in zip(*m)]
 
 
 def rank_over_Q(rows: list[list[int]]) -> int:
@@ -71,7 +74,23 @@ def rank_over_Q(rows: list[list[int]]) -> int:
 # Smith normal form
 
 @dataclass
+class SolveResult:
+    solution: list[int] | None
+    certificate: dict | None  # SNF residue witnessing unsolvability
+
+    @property
+    def ok(self) -> bool:
+        return self.solution is not None
+
+
+@dataclass
 class SNFResult:
+    """U M V = D, and the factor of M that every later query reuses.
+
+    ``kernel`` needs V; ``solve`` needs U and V.  The row and column
+    operations do not depend on a right-hand side, so U b is exactly what
+    carrying b through the elimination would give.
+    """
     diag: list[int]
     rank: int
     nrows: int
@@ -81,6 +100,31 @@ class SNFResult:
     Uinv: list[list[int]] | None = None
     Vinv: list[list[int]] | None = None
     carry: list[list[int]] | None = None  # U*vec for each input carry vector
+
+    def kernel(self) -> list[list[int]]:
+        """Basis of the integer kernel lattice {v : M v = 0} (as columns)."""
+        return [[row[j] for row in self.V] for j in range(self.rank, self.ncols)]
+
+    def solve(self, b: list[int]) -> SolveResult:
+        """Particular solution of M x = b, or a certificate.
+
+        The certificate records the first Smith-normal-form residue:
+        either a diagonal entry that fails to divide U b, or a nonzero
+        coordinate of U b beyond the rank (divisor 0).
+        """
+        c = mat_vec(self.U, b)
+        y = [0] * self.ncols
+        for i, d in enumerate(self.diag):
+            q, r = divmod(c[i], d)
+            if r:
+                return SolveResult(None, {"index": i, "divisor": d,
+                                          "residue": r})
+            y[i] = q
+        for i in range(self.rank, len(c)):
+            if c[i]:
+                return SolveResult(None, {"index": i, "divisor": 0,
+                                          "residue": c[i]})
+        return SolveResult(mat_vec(self.V, y), None)
 
 
 def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
@@ -103,13 +147,23 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
                 work.setdefault(i, {})[j] = v
                 colidx.setdefault(j, set()).add(i)
 
-    need_u = want_u or want_uinv
-    need_v = want_v or want_vinv
-    U = identity(nrows) if need_u else None
-    Uinv = identity(nrows) if want_uinv else None
-    V = identity(ncols) if need_v else None
-    Vinv = identity(ncols) if want_vinv else None
+    # Transforms are sparse: U and Vinv by rows, Uinv and V by columns,
+    # so that every update is one sparse row operation.
+    U = [{i: 1} for i in range(nrows)] if want_u else None
+    Uinv_cols = [{i: 1} for i in range(nrows)] if want_uinv else None
+    V_cols = [{j: 1} for j in range(ncols)] if want_v else None
+    Vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
     carried = [list(v) for v in carry] if carry else None
+
+    def axpy(m, i, t, q):
+        # m[i] += q * m[t]
+        mi = m[i]
+        for j, x in m[t].items():
+            v = mi.get(j, 0) + q * x
+            if v:
+                mi[j] = v
+            else:
+                del mi[j]
 
     def get(i, j):
         return work.get(i, {}).get(j, 0)
@@ -130,18 +184,24 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
         # row_i += q * row_t
         if not q:
             return
-        for j, v in list(work.get(t, {}).items()):
-            setval(i, j, get(i, j) + q * v)
+        dst = work.setdefault(i, {})
+        for j, v in work.get(t, {}).items():
+            nv = dst.get(j, 0) + q * v
+            if nv:
+                dst[j] = nv
+                colidx.setdefault(j, set()).add(i)
+            else:
+                del dst[j]
+                colidx[j].discard(i)
+        if not dst:
+            del work[i]
         if U is not None:
-            Ui, Ut = U[i], U[t]
-            for j in range(nrows):
-                Ui[j] += q * Ut[j]
+            axpy(U, i, t, q)
         if carried is not None:
             for v in carried:
                 v[i] += q * v[t]
-        if Uinv is not None:
-            for r in Uinv:
-                r[t] -= q * r[i]
+        if Uinv_cols is not None:
+            axpy(Uinv_cols, t, i, -q)
 
     def row_swap(i, t):
         if i == t:
@@ -163,21 +223,19 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
         if carried is not None:
             for v in carried:
                 v[i], v[t] = v[t], v[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[t] = r[t], r[i]
+        if Uinv_cols is not None:
+            Uinv_cols[i], Uinv_cols[t] = Uinv_cols[t], Uinv_cols[i]
 
     def row_negate(i):
         for j, v in list(work.get(i, {}).items()):
             work[i][j] = -v
         if U is not None:
-            U[i] = [-x for x in U[i]]
+            U[i] = {j: -x for j, x in U[i].items()}
         if carried is not None:
             for v in carried:
                 v[i] = -v[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        if Uinv_cols is not None:
+            Uinv_cols[i] = {j: -x for j, x in Uinv_cols[i].items()}
 
     def col_add(j, t, q):
         # col_j += q * col_t
@@ -185,13 +243,10 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
             return
         for i in list(colidx.get(t, ())):
             setval(i, j, get(i, j) + q * get(i, t))
-        if V is not None:
-            for r in V:
-                r[j] += q * r[t]
+        if V_cols is not None:
+            axpy(V_cols, j, t, q)
         if Vinv is not None:
-            Vt, Vj = Vinv[t], Vinv[j]
-            for kk in range(ncols):
-                Vt[kk] -= q * Vj[kk]
+            axpy(Vinv, t, j, -q)
 
     def col_swap(j, t):
         if j == t:
@@ -210,9 +265,8 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
             else:
                 row.pop(t, None)
         colidx[j], colidx[t] = rows_t, rows_j
-        if V is not None:
-            for r in V:
-                r[j], r[t] = r[t], r[j]
+        if V_cols is not None:
+            V_cols[j], V_cols[t] = V_cols[t], V_cols[j]
         if Vinv is not None:
             Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
@@ -220,16 +274,19 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
     t = 0
     while t < limit:
         # Deterministic pivot: smallest magnitude, ties by (row, col).
+        # Rows are scanned in order, so a unit ends the search.
         best = None
-        for i, row in work.items():
+        for i in sorted(work):
             if i < t:
                 continue
-            for j, v in row.items():
+            for j, v in work[i].items():
                 if j < t:
                     continue
                 key = (abs(v), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j)
+            if best is not None and best[0][0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -294,76 +351,73 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
         if get(i, i) < 0:
             row_negate(i)
     diag = [get(i, i) for i in range(ndiag)]
-    assert all(diag[i] > 0 for i in range(ndiag))
-    for i in range(ndiag - 1):
-        assert diag[i + 1] % diag[i] == 0
+    if any(d <= 0 for d in diag) or any(b % a for a, b in zip(diag, diag[1:])):
+        raise ArithmeticError(f"Smith normal form diagonal {diag} is not a "
+                              f"positive divisibility chain")
+
+    def dense(m, n, by_cols=False):
+        if m is None:
+            return None
+        if by_cols:
+            return [[c.get(i, 0) for c in m] for i in range(n)]
+        return [[r.get(j, 0) for j in range(n)] for r in m]
+
     return SNFResult(diag=diag, rank=ndiag, nrows=nrows, ncols=ncols,
-                     U=U if want_u else None, V=V if want_v else None,
-                     Uinv=Uinv, Vinv=Vinv, carry=carried)
+                     U=dense(U, nrows), V=dense(V_cols, ncols, True),
+                     Uinv=dense(Uinv_cols, nrows, True),
+                     Vinv=dense(Vinv, ncols), carry=carried)
 
 
 def kernel_basis_Z(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the integer kernel lattice {v : M v = 0} (as columns)."""
-    snf = smith_normal_form(rows, ncols, want_v=True)
-    return [[snf.V[i][j] for i in range(ncols)]
-            for j in range(snf.rank, ncols)]
+    return smith_normal_form(rows, ncols, want_v=True).kernel()
 
 
-def solve_Z(rows: list[list[int]], b: list[int],
-            ncols: int) -> list[int] | None:
-    """Particular integer solution of M x = b, or None (SNF residue fails)."""
-    snf = smith_normal_form(rows, ncols, want_v=True, carry=[b])
-    c = snf.carry[0]
-    y = [0] * ncols
-    for i, d in enumerate(snf.diag):
-        q, r = divmod(c[i], d)
-        if r:
+def solve_Z(factor: SNFResult, b: list[int]) -> list[int] | None:
+    """Particular integer solution of M x = b, or None (SNF residue fails).
+
+    ``factor`` is ``smith_normal_form(M, ncols, want_u=True, want_v=True)``,
+    built once and shared by every right-hand side.
+    """
+    return factor.solve(b).solution
+
+
+def image_solver(rows: list[list[int]], ncols: int,
+                 ring: RingSpec | None = None):
+    """Factor M once over the ring; returns b -> x with M x = b, or None
+    when b is not in the image of M.
+
+    Over Z the factor is M's Smith normal form and each solve goes through
+    ``solve_Z``; over GF(p) it is one ZpEliminator holding the columns of
+    M tagged by index, and each solve is one ``express``.
+    """
+    if ring is None or not ring.is_modular:
+        factor = smith_normal_form(rows, ncols, want_u=True, want_v=True)
+        return lambda b: solve_Z(factor, b)
+    p = ring.p
+    elim = ZpEliminator(p, ncols, len(rows))
+    for j in range(ncols):
+        elim.insert({i: row[j] % p for i, row in enumerate(rows)
+                     if row[j] % p}, tag=j)
+
+    def solve(b: list[int]) -> list[int] | None:
+        coeffs = elim.express({i: v % p for i, v in enumerate(b) if v % p})
+        if coeffs is None:
             return None
-        y[i] = q
-    if any(c[i] for i in range(snf.rank, len(c))):
-        return None
-    return mat_vec(snf.V, y)
+        return [coeffs.get(j, 0) for j in range(ncols)]
 
-
-@dataclass
-class SolveResult:
-    solution: list[int] | None
-    certificate: dict | None  # SNF residue witnessing unsolvability
-
-    @property
-    def ok(self) -> bool:
-        return self.solution is not None
+    return solve
 
 
 def solve_in_image(rows: list[list[int]], b: list[int], ncols: int,
                    ring: RingSpec | None = None) -> SolveResult:
-    """Particular solution of M x = b over the ring, or a certificate.
-
-    Over Z the certificate records the first Smith-normal-form residue:
-    either a diagonal entry that fails to divide the transformed
-    right-hand side, or a nonzero coordinate beyond the rank.
-    """
+    """Particular solution of M x = b over the ring, or a certificate
+    (over Z the Smith-normal-form residue of ``SNFResult.solve``)."""
     if ring is not None and ring.is_modular:
-        p = ring.p
-        cols = [{i: row[j] % p for i, row in enumerate(rows) if row[j] % p}
-                for j in range(ncols)]
-        x = solve_mod_p(cols, {i: v % p for i, v in enumerate(b) if v % p}, p)
+        x = image_solver(rows, ncols, ring)(b)
         cert = None if x is not None else {"reason": "not in column span"}
         return SolveResult(x, cert)
-    snf = smith_normal_form(rows, ncols, want_v=True, carry=[b])
-    c = snf.carry[0]
-    y = [0] * ncols
-    for i, d in enumerate(snf.diag):
-        q, r = divmod(c[i], d)
-        if r:
-            return SolveResult(None, {"index": i, "divisor": d,
-                                      "residue": r})
-        y[i] = q
-    for i in range(snf.rank, len(c)):
-        if c[i]:
-            return SolveResult(None, {"index": i, "divisor": 0,
-                                      "residue": c[i]})
-    return SolveResult(mat_vec(snf.V, y), None)
+    return smith_normal_form(rows, ncols, want_u=True, want_v=True).solve(b)
 
 
 def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
@@ -441,26 +495,37 @@ class ZpEliminator:
 
     def insert(self, vec: dict[int, int], tag=None) -> bool:
         """Insert a row; returns True when it enlarged the space."""
+        return self.insert_relation(vec, tag) is None
+
+    def insert_relation(self, vec: dict[int, int], tag=None) -> dict | None:
+        """Insert a row, or return the relation that makes it redundant.
+
+        None means the row enlarged the space.  Otherwise nothing is
+        stored and the result maps tag -> c such that the new row plus
+        sum c_t row_t over the earlier tagged rows is 0 modulo the untagged
+        rows; a tagged new row is listed too, under ``tag`` with c = 1.  So
+        one reduction both tests a row and yields its relation.
+        """
         p = self.p
         if self.packed:
             v, e = self._reduce_packed(self._pack(vec), self._tag_field(tag))
             if not v:
-                return False
+                return {self._tags[s]: c for s, c in self._fields(e)}
             lead = ((v & -v).bit_length() - 1) >> self._shift
             if p != 2:
                 inv = pow((v >> (lead << 3)) & 255, p - 2, p)
                 v, e = self._mod(v * inv), self._mod(e * inv)
             self.pivots[lead] = (v, e)
-            return True
+            return None
         vec, expr = self._reduce(vec, {} if tag is None else {tag: 1})
         if not vec:
-            return False
+            return expr
         lead = min(vec)
         inv = pow(vec[lead], p - 2, p)
         vec = {j: (v * inv) % p for j, v in vec.items()}
         expr = {t: (c * inv) % p for t, c in expr.items()}
         self.pivots[lead] = (vec, expr)
-        return True
+        return None
 
     def express(self, vec: dict[int, int]) -> dict | None:
         """Write vec as a combination of tagged rows modulo untagged ones.
@@ -574,17 +639,21 @@ class ZpEliminator:
         return 1 << (slot << self._shift)
 
 
-def solve_mod_p(cols: list[dict[int, int]], b: dict[int, int],
-                p: int) -> list[int] | None:
-    """Solve sum_i x_i col_i = b over GF(p); columns are sparse dicts."""
-    width = 1 + max((max(c) for c in cols + [b] if c), default=-1)
+def kernel_mod_p(p: int, cols: list[dict[int, int]],
+                 width: int) -> list[list[int]]:
+    """Kernel basis over GF(p) of the matrix with sparse columns ``cols``
+    (indices below ``width``): one vector per column that depends on the
+    earlier ones, with coefficient 1 at that column."""
     elim = ZpEliminator(p, len(cols), width)
-    for i, col in enumerate(cols):
-        elim.insert(col, tag=i)
-    coeffs = elim.express(b)
-    if coeffs is None:
-        return None
-    return [coeffs.get(i, 0) for i in range(len(cols))]
+    ker = []
+    for j, col in enumerate(cols):
+        rel = elim.insert_relation(col, tag=j)
+        if rel is not None:
+            vec = [0] * len(cols)
+            for t, c in rel.items():
+                vec[t] = c
+            ker.append(vec)
+    return ker
 
 
 # ---------------------------------------------------------------------------
@@ -666,50 +735,44 @@ class CohomologyData:
 
 def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
     nm, nl = len(seg.mid), len(seg.lower)
-    if seg.upper:
-        K = kernel_basis_Z(seg.B, nm)
-    else:
-        K = [[1 if i == j else 0 for i in range(nm)] for j in range(nm)]
-    k = len(K)
+    K = kernel_basis_Z(seg.B, nm) if seg.upper else None
+    k = nm if K is None else len(K)
     if k == 0:
         return CohomologyData(seg.ring, AbelianInvariants(0, ()), [],
                               lambda v: [], seg.mid)
-    Krows = [[K[j][i] for j in range(k)] for i in range(nm)]
-    ksnf = smith_normal_form(Krows, k, want_u=True, want_v=True)
-    assert all(d == 1 for d in ksnf.diag) and ksnf.rank == k
+    # Coordinates on ker B in the basis K; without an upper term K is the
+    # identity and needs no factor.
+    to_kernel = from_kernel = list
+    if K is not None:
+        Krows = [[v[i] for v in K] for i in range(nm)]
+        kfac = smith_normal_form(Krows, k, want_u=True, want_v=True)
+        if kfac.diag != [1] * k:
+            raise ArithmeticError(f"kernel basis is not primitive: Smith "
+                                  f"normal form diagonal {kfac.diag}")
 
-    def in_kernel_coords(vec):
-        c = mat_vec(ksnf.U, vec)
-        if any(c[i] for i in range(k, nm)):
-            raise ValueError("vector is not a cocycle")
-        return mat_vec(ksnf.V, c[:k])
+        def to_kernel(vec):
+            y = kfac.solve(vec).solution
+            if y is None:
+                raise ValueError("vector is not a cocycle")
+            return y
 
-    cols = [in_kernel_coords([seg.A[i][j] for i in range(nm)])
-            for j in range(nl)]
+        def from_kernel(w):
+            return mat_vec(Krows, w)
+
+    cols = [to_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
     Crows = [[cols[j][i] for j in range(nl)] for i in range(k)]
     csnf = smith_normal_form(Crows, nl, want_u=True, want_uinv=True)
-    diag = csnf.diag
-    gens = []
-    order_slots = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            order_slots.append((i, d))
-    for i in range(csnf.rank, k):
-        order_slots.append((i, 0))
-    for i, d in order_slots:
-        w = [csnf.Uinv[r][i] for r in range(k)]
-        rep = [sum(K[j][r] * w[j] for j in range(k)) for r in range(nm)]
-        gens.append((d, rep))
+    order_slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
+    order_slots += [(i, 0) for i in range(csnf.rank, k)]
+    gens = [(d, from_kernel([row[i] for row in csnf.Uinv]))
+            for i, d in order_slots]
     inv = AbelianInvariants(rank=k - csnf.rank,
                             torsion=tuple(d for _, d in order_slots if d))
+    slot_rows = [csnf.U[i] for i, _ in order_slots]
 
     def coord_fn(vec):
-        y = in_kernel_coords(vec)
-        c = mat_vec(csnf.U, y)
-        out = []
-        for i, d in order_slots:
-            out.append(c[i] % d if d else c[i])
-        return out
+        c = mat_vec(slot_rows, to_kernel(vec))
+        return [x % d if d else x for x, (_, d) in zip(c, order_slots)]
 
     return CohomologyData(seg.ring, inv, gens, coord_fn, seg.mid)
 
@@ -724,25 +787,11 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     means B = 0.  ``a_cols`` are the columns of A in mid-coordinates.
     """
     p = ring.p
-    ker: list[list[int]] = []
-    if b_cols is not None:
-        # A column expressible in earlier columns yields a kernel vector.
-        n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
-        elim = ZpEliminator(p, n_mid, n_upper)
-        for j in range(n_mid):
-            col = {i: v % p for i, v in b_cols[j].items() if v % p}
-            combo = elim.express(col)
-            if combo is not None:
-                vec = [0] * n_mid
-                vec[j] = 1
-                for t, c in combo.items():
-                    vec[t] = (-c) % p
-                ker.append(vec)
-            else:
-                elim.insert(col, tag=j)
+    if b_cols is None:
+        ker = identity(n_mid)
     else:
-        ker = [[1 if i == j else 0 for i in range(n_mid)]
-               for j in range(n_mid)]
+        n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
+        ker = kernel_mod_p(p, b_cols, n_upper)
     quotient = ZpEliminator(p, len(a_cols) + len(ker), n_mid)
     for col in a_cols:
         quotient.insert({i: v % p for i, v in col.items() if v % p})
@@ -783,35 +832,3 @@ def cohomology_at(seg: ComplexSegment) -> CohomologyData:
     if seg.ring.is_modular:
         return _cohomology_Zp(seg)
     return _cohomology_Z(seg)
-
-
-# ---------------------------------------------------------------------------
-# map analysis
-
-def dump_matrix(rows: list[list[int]], ncols: int | None = None) -> str:
-    """Debug dump: `rows cols` then one `r c value` triple per entry."""
-    nrows = len(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    lines = [f"{nrows} {ncols}"]
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                lines.append(f"{i} {j} {v}")
-    return "\n".join(lines) + "\n"
-
-
-@dataclass
-class MapAnalysis:
-    kernel: list[list[int]]
-    image_rank: int
-    cokernel: AbelianInvariants
-
-
-def map_analysis(rows: list[list[int]], nrows: int, ncols: int) -> MapAnalysis:
-    """Kernel basis, image rank, cokernel invariants of f: Z^ncols -> Z^nrows."""
-    snf = smith_normal_form(rows, ncols, want_v=True)
-    kernel = [[snf.V[i][j] for i in range(ncols)]
-              for j in range(snf.rank, ncols)]
-    coker = AbelianInvariants.from_coker(snf.diag, nrows)
-    return MapAnalysis(kernel=kernel, image_rank=snf.rank, cokernel=coker)

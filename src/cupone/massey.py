@@ -27,7 +27,7 @@ from .delta import (
     cup_cochain,
     segment_cohomology,
 )
-from .linalg import CohomologyData, solve_Z, solve_mod_p
+from .linalg import CohomologyData, image_solver
 from .presentation import PresentationComplex, PresentedGroup, presentation_complex
 from .rings import RingSpec
 
@@ -152,25 +152,19 @@ class MasseyResult:
     def indeterminacy_contains(self, delta_coords, orders) -> bool:
         """Is delta_coords in the span of the indeterminacy generators
         (mod the torsion orders of the H^2 generators)?"""
-        from .linalg import kernel_into_presented, smith_normal_form
         if not any(delta_coords):
             return True
         m = len(delta_coords)
         cols = [list(v) for v in self.indeterminacy]
-        rel = []
         for i, o in enumerate(orders):
             if o:
                 col = [0] * m
                 col[i] = o
-                rel.append(col)
-        rows = [[c[i] for c in cols + rel] + [delta_coords[i]]
-                for i in range(m)]
-        if not cols and not rel:
+                cols.append(col)
+        if not cols:
             return False
-        sol = solve_Z(
-            [[r[j] for j in range(len(cols) + len(rel))] for r in rows],
-            [r[-1] for r in rows], len(cols) + len(rel))
-        return sol is not None
+        rows = [[c[i] for c in cols] for i in range(m)]
+        return image_solver(rows, len(cols))(list(delta_coords)) is not None
 
 
 class MasseyContext:
@@ -187,22 +181,15 @@ class MasseyContext:
             h1_reps = [cochain_from_vector(X, ring, 1, rep)
                        for _, rep in h1data.generators]
         self.h1_reps = h1_reps
-        self._delta1 = coboundary_matrix(X, 1)
+        # delta^1 is factored once; every coboundary solve reuses it.
+        self._solve = image_solver(coboundary_matrix(X, 1), len(X.cells[1]),
+                                   ring)
 
     def h2_coords(self, c: Cochain) -> list[int]:
         return self.h2.class_coords(c.vector(self.X.cells[2]))
 
     def solve_coboundary(self, target: Cochain) -> Cochain | None:
-        b = target.vector(self.X.cells[2])
-        n1 = len(self.X.cells[1])
-        if self.ring.is_modular:
-            p = self.ring.p
-            cols = [{i: row[j] % p for i, row in enumerate(self._delta1)
-                     if row[j] % p} for j in range(n1)]
-            x = solve_mod_p(cols, {i: v % p for i, v in enumerate(b) if v % p},
-                            p)
-        else:
-            x = solve_Z(self._delta1, b, n1)
+        x = self._solve(target.vector(self.X.cells[2]))
         if x is None:
             return None
         return Cochain(1, self.ring, dict(zip(self.X.cells[1], x)))

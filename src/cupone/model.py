@@ -46,12 +46,12 @@ from .linalg import (
     CohomologyData,
     ZpEliminator,
     cohomology_at,
+    image_solver,
     kernel_basis_Z,
     kernel_into_presented,
+    kernel_mod_p,
     lattice_basis,
     smith_normal_form,
-    solve_Z,
-    solve_mod_p,
 )
 from .rings import BinomialPoly, MultiIndex, RingSpec, binom_of
 from .tensor import TensorElem, cup
@@ -341,19 +341,9 @@ def _compute_kernel(stage: "ModelStage"):
     m = len(stage.h2x.generators)
     if ring.is_modular:
         p = ring.p
-        elim = ZpEliminator(p, len(img), m)
-        ker_vecs = []
-        for j, col in enumerate(img):
-            sparse = {i: v % p for i, v in enumerate(col) if v % p}
-            combo = elim.express(sparse)
-            if combo is None:
-                elim.insert(sparse, tag=j)
-            else:
-                vec = [0] * len(img)
-                vec[j] = 1
-                for t, c in combo.items():
-                    vec[t] = (-c) % p
-                ker_vecs.append(vec)
+        ker_vecs = kernel_mod_p(
+            p, [{i: v % p for i, v in enumerate(col) if v % p}
+                for col in img], m)
     else:
         cols = [list(v) for v in img]
         sol = kernel_into_presented(cols, _h2x_relation_cols(stage), m) \
@@ -405,20 +395,11 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
     gens = stage.gens.extend(new_names, level)
     tau = dict(stage.diff.tau)
     rho = dict(stage.rho)
-    delta1 = coboundary_matrix(X, 1)
-    n1 = len(X.cells[1])
+    solve = image_solver(coboundary_matrix(X, 1), len(X.cells[1]), ring)
     for name, rep in zip(new_names, stage.ker_basis):
         tau[name] = rep.scale(-1)
         target = rho_push(stage, rep.scale(-1))
-        b = target.vector(X.cells[2])
-        if ring.is_modular:
-            p = ring.p
-            cols = [{i: row[j] % p for i, row in enumerate(delta1)
-                     if row[j] % p} for j in range(n1)]
-            x = solve_mod_p(cols, {i: v % p for i, v in enumerate(b)
-                                   if v % p}, p)
-        else:
-            x = solve_Z(delta1, b, n1)
+        x = solve(target.vector(X.cells[2]))
         if x is None:
             raise AssertionError(
                 "rho-lift unsolvable: kernel representative is not in "
@@ -485,6 +466,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
     # Completion in the weight-3 layer of (T(X_1), d_0).
     src, dst, dmat = d0_weight_matrix(names, 3, 2, ring)
     dst_index = {w: i for i, w in enumerate(dst)}
+    solve = image_solver(dmat, len(src)) if evecs else None
     for v in evecs:
         lead = next((x for x in v if x), 1)
         if lead < 0:
@@ -498,7 +480,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
         target = [0] * len(dst)
         for w, c in dz.terms.items():
             target[dst_index[w]] = -c
-        sol = solve_Z(dmat, target, len(src))
+        sol = solve(target)
         if sol is None:
             raise AssertionError("E-pairing element failed to complete "
                                  "(internal consistency failure)")
@@ -599,19 +581,13 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
         for w, v in z.terms.items():
             b[index[w]] = v
         bs.append(b)
-    snf = smith_normal_form(rows, len(cols), want_v=True, carry=bs)
+    solve = image_solver(rows, len(cols))
     out = []
-    for c in snf.carry:
-        y = [0] * len(cols)
-        for i, d in enumerate(snf.diag):
-            q, r = divmod(c[i], d)
-            if r:
-                raise ValueError("cocycle not expressible at this weight cap")
-            y[i] = q
-        if any(c[i] for i in range(snf.rank, len(c))):
+    for b in bs:
+        x = solve(b)
+        if x is None:
             raise ValueError("cocycle not expressible at this weight cap")
-        from .linalg import mat_vec
-        out.append(mat_vec(snf.V, y)[:len(reps)])
+        out.append(x[:len(reps)])
     return out
 
 
@@ -875,21 +851,11 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
         if c0 != c1:
             raise PreconditionError(
                 f"[phi0({g})] != [phi1({g})]: {c0} vs {c1}")
-    delta0 = coboundary_matrix(X, 0)
-    n0 = len(X.cells[0])
+    solve = image_solver(coboundary_matrix(X, 0), len(X.cells[0]), ring)
     cyl = cylinder_over_complex(X, ring)
     Phi, cs = {}, {}
     for g in names:
-        diff = phi0[g] - phi1[g]
-        b = diff.vector(X.cells[1])
-        if ring.is_modular:
-            p = ring.p
-            cols = [{i: row[j] % p for i, row in enumerate(delta0)
-                     if row[j] % p} for j in range(n0)]
-            x = solve_mod_p(cols, {i: v % p for i, v in enumerate(b)
-                                   if v % p}, p)
-        else:
-            x = solve_Z(delta0, b, n0)
+        x = solve((phi0[g] - phi1[g]).vector(X.cells[1]))
         if x is None:
             raise AssertionError("equal classes must differ by a coboundary")
         c = Cochain(0, ring, dict(zip(X.cells[0], x)))

@@ -411,8 +411,3 @@ def test_zeta_of_indicator_cochain():
     X = mc.delta
     ind = Cochain(1, Z, {X.cells[1][0]: 1, X.cells[1][2]: 1})
     assert zeta_cochain(X, ind, 2).is_zero()
-
-
-def test_matrix_debug_dump():
-    from cupone.linalg import dump_matrix
-    assert dump_matrix([[1, 0], [0, -2]]) == "2 2\n0 0 1\n1 1 -2\n"

@@ -1,8 +1,15 @@
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from cupone import linalg
+from cupone.delta import coboundary_matrix, segment_at
+from cupone.formats import detect_and_parse
 from cupone.linalg import (
     AbelianInvariants,
     ComplexSegment,
@@ -10,25 +17,30 @@ from cupone.linalg import (
     cohomology_at,
     cohomology_sparse_zp,
     identity,
+    image_solver,
     kernel_basis_Z,
     kernel_into_presented,
     lattice_basis,
-    map_analysis,
     mat_mul,
     mat_vec,
     rank_over_Q,
     smith_normal_form,
     solve_Z,
-    solve_mod_p,
 )
+from cupone.presentation import presentation_complex
 from cupone.rings import RingSpec
 
 Z = RingSpec.Z()
 Z5 = RingSpec.Zp(5)
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def random_matrix(rng, r, c, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def factor(m, c):
+    return smith_normal_form(m, c, want_u=True, want_v=True)
 
 
 def is_unimodular(m):
@@ -60,6 +72,24 @@ def test_snf_transforms_exact():
         assert mat_mul(snf.V, snf.Vinv) == identity(c)
 
 
+def test_snf_transforms_frozen():
+    # Generators and class coordinates are read off U, V and Uinv, so the
+    # exact transforms, not only D, are part of every report; this digest
+    # pins every entry of them.
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for _ in range(100):
+        r, c, lo = rng.randint(2, 9), rng.randint(2, 9), rng.choice((1, 2, 9))
+        m = [[rng.randint(-lo, lo) for _ in range(c)] for _ in range(r)]
+        snf = smith_normal_form(m, c, want_u=True, want_v=True,
+                                want_uinv=True, want_vinv=True,
+                                carry=[[1] * r])
+        h.update(repr((snf.diag, snf.U, snf.V, snf.Uinv, snf.Vinv,
+                       snf.carry)).encode())
+    assert h.hexdigest() == \
+        "83c900ef7e63db53c79d11936de9b4c4c9e17b282b559928ad4509f207d6c4fe"
+
+
 def test_snf_divisibility_chain():
     rng = random.Random(9)
     for _ in range(30):
@@ -82,9 +112,9 @@ def test_kernel_basis():
 
 
 def test_solve_in_image_frozen():
-    assert solve_Z([[2]], [4], 1) == [2]
-    assert solve_Z([[2]], [3], 1) is None
-    assert solve_mod_p([{0: 2}], {0: 3}, 5) == [4]
+    assert solve_Z(factor([[2]], 1), [4]) == [2]
+    assert solve_Z(factor([[2]], 1), [3]) is None
+    assert image_solver([[2]], 1, Z5)([3]) == [4]
 
 
 def test_solve_random():
@@ -94,33 +124,202 @@ def test_solve_random():
         m = random_matrix(rng, r, c)
         x0 = [rng.randint(-4, 4) for _ in range(c)]
         b = mat_vec(m, x0)
-        x = solve_Z(m, b, c)
+        x = solve_Z(factor(m, c), b)
         assert x is not None
         assert mat_vec(m, x) == b
 
 
-def test_map_analysis_frozen():
-    ma = map_analysis([[3]], 1, 1)
-    assert ma.kernel == []
-    assert ma.cokernel == AbelianInvariants(0, (3,))
-    ma = map_analysis([[2, 0], [0, 2]], 2, 2)
-    assert ma.cokernel == AbelianInvariants(0, (2, 2))
-    ma = map_analysis([[1, 2]], 1, 2)
-    assert len(ma.kernel) == 1
-    assert mat_vec([[1, 2]], ma.kernel[0]) == [0]
+def fixture_complexes():
+    out = []
+    for path in sorted(FIXTURES.iterdir()):
+        kind, parsed = detect_and_parse(path.read_text(), str(path))
+        out.append(parsed[0] if kind == "delta"
+                   else presentation_complex(parsed).delta)
+    return out
+
+
+def random_test_matrices(rng):
+    """Seeded integer matrices: generic, torsion, rank-deficient, and with a
+    zero row and a zero column."""
+    out = []
+    for _ in range(20):
+        out.append(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+    for _ in range(10):
+        m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), -2, 2)
+        out.append([[rng.choice((2, 3, 4)) * x for x in row] for row in m])
+    for _ in range(10):
+        r, c, k = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 2)
+        out.append(mat_mul(random_matrix(rng, r, k, -3, 3),
+                           random_matrix(rng, k, c, -3, 3)))
+    for _ in range(10):
+        r, c = rng.randint(2, 6), rng.randint(2, 6)
+        m = random_matrix(rng, r, c)
+        m[rng.randrange(r)] = [0] * c
+        j = rng.randrange(c)
+        for row in m:
+            row[j] = 0
+        out.append(m)
+    return out
+
+
+def one_shot_solve(m, b, ncols):
+    """Reference solve: a fresh SNF per right-hand side, carrying b
+    through the elimination, then dense V."""
+    snf = smith_normal_form(m, ncols, want_v=True, carry=[b])
+    c = snf.carry[0]
+    y = [0] * ncols
+    for i, d in enumerate(snf.diag):
+        q, r = divmod(c[i], d)
+        if r:
+            return None
+        y[i] = q
+    if any(c[snf.rank:]):
+        return None
+    return [sum(row[j] * y[j] for j in range(ncols)) for row in snf.V]
+
+
+def test_smith_factor_matches_one_shot_solve():
+    rng = random.Random(2024)
+    mats = [(m, len(m[0])) for m in random_test_matrices(rng)]
+    for X in fixture_complexes():
+        for k in (0, 1):
+            mats.append((coboundary_matrix(X, k), len(X.cells[k])))
+    for m, c in mats:
+        fac = factor(m, c)
+        assert fac.rank == rank_over_Q(m)
+        inside = [mat_vec(m, [rng.randint(-3, 3) for _ in range(c)])
+                  for _ in range(3)]
+        anywhere = [[rng.randint(-3, 3) for _ in m] for _ in range(3)]
+        for b in inside + anywhere:
+            x = solve_Z(fac, b)
+            assert x == one_shot_solve(m, b, c)
+            if b in inside:
+                assert x is not None
+            if x is not None:
+                assert mat_vec(m, x) == b
+
+
+def dense_cohomology(seg):
+    """Reference generators and class coordinates: dense U and V
+    throughout, the identity kernel basis factored too."""
+    def dense_mat_vec(mat, v):
+        return [sum(r[j] * v[j] for j in range(len(v))) for r in mat]
+
+    nm, nl = len(seg.mid), len(seg.lower)
+    K = kernel_basis_Z(seg.B, nm) if seg.upper else identity(nm)
+    k = len(K)
+    ksnf = smith_normal_form([[K[j][i] for j in range(k)] for i in range(nm)],
+                             k, want_u=True, want_v=True)
+
+    def in_kernel(vec):
+        c = dense_mat_vec(ksnf.U, vec)
+        assert not any(c[k:])
+        return dense_mat_vec(ksnf.V, c[:k])
+
+    cols = [in_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
+    csnf = smith_normal_form([[cols[j][i] for j in range(nl)]
+                              for i in range(k)], nl,
+                             want_u=True, want_uinv=True)
+    slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
+    slots += [(i, 0) for i in range(csnf.rank, k)]
+    gens = [(d, [sum(K[j][r] * csnf.Uinv[j][i] for j in range(k))
+                 for r in range(nm)]) for i, d in slots]
+
+    def coords(vec):
+        c = dense_mat_vec(csnf.U, in_kernel(vec))
+        return [c[i] % d if d else c[i] for i, d in slots]
+
+    return gens, coords
+
+
+def random_segment(rng):
+    mid, low, up = rng.randint(1, 6), rng.randint(0, 4), rng.randint(0, 4)
+    B = random_matrix(rng, up, mid, -3, 3) if up else []
+    kb = kernel_basis_Z(B, mid) if up else identity(mid)
+    cols = []
+    for _ in range(low):  # columns in ker B, some scaled for torsion
+        v = [0] * mid
+        for kvec in kb:
+            c = rng.randint(-2, 2)
+            v = [a + c * b for a, b in zip(v, kvec)]
+        scale = rng.choice((1, 2, 3))
+        cols.append([scale * x for x in v])
+    A = [[cols[j][i] for j in range(low)] for i in range(mid)]
+    return ComplexSegment(Z, list(range(low)), list(range(mid)),
+                          list(range(up)), A, B)
+
+
+def test_class_coords_match_dense_computation():
+    rng = random.Random(77)
+    segs = [random_segment(rng) for _ in range(30)]
+    segs += [segment_at(X, Z, k) for X in fixture_complexes()
+             for k in (0, 1, 2)]
+    for seg in segs:
+        data = cohomology_at(seg)
+        gens, coords = dense_cohomology(seg)
+        assert data.generators == gens
+        nm, nl = len(seg.mid), len(seg.lower)
+        for _ in range(4):
+            # a random cocycle: generators plus a coboundary
+            vec = mat_vec(seg.A, [rng.randint(-3, 3) for _ in range(nl)]) \
+                if nl else [0] * nm
+            for _, rep in gens:
+                c = rng.randint(-3, 3)
+                vec = [a + c * b for a, b in zip(vec, rep)]
+            assert data.class_coords(vec) == coords(vec)
+
+
+def test_internal_checks_survive_optimize():
+    # python -O strips assert statements; the unimodular-kernel check of
+    # the Z cohomology must still raise.
+    script = (
+        "from cupone import linalg\n"
+        "from cupone.rings import RingSpec\n"
+        "basis = linalg.kernel_basis_Z\n"
+        "linalg.kernel_basis_Z = lambda rows, n: "
+        "[[2 * x for x in v] for v in basis(rows, n)]\n"
+        "seg = linalg.ComplexSegment(RingSpec.Z(), [], ['a', 'b'], ['c'], "
+        "[], [[1, 1]])\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    linalg.cohomology_at(seg)\n"
+        "except ArithmeticError as e:\n"
+        "    print('ArithmeticError:', e)\n")
+    src = pathlib.Path(linalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("ArithmeticError: kernel basis")
+
+
+def coker(m, nrows, ncols):
+    return AbelianInvariants.from_coker(smith_normal_form(m, ncols).diag,
+                                        nrows)
+
+
+def test_snf_kernel_and_cokernel_frozen():
+    assert smith_normal_form([[3]], 1, want_v=True).kernel() == []
+    assert coker([[3]], 1, 1) == AbelianInvariants(0, (3,))
+    assert coker([[2, 0], [0, 2]], 2, 2) == AbelianInvariants(0, (2, 2))
+    kernel = smith_normal_form([[1, 2]], 2, want_v=True).kernel()
+    assert len(kernel) == 1
+    assert mat_vec([[1, 2]], kernel[0]) == [0]
 
 
 def test_cokernel_stable_under_permutation():
     rng = random.Random(4)
     for _ in range(10):
         m = random_matrix(rng, 4, 3)
-        base = map_analysis(m, 4, 3).cokernel
+        base = coker(m, 4, 3)
         rows = m[:]
         rng.shuffle(rows)
         cols = list(range(3))
         rng.shuffle(cols)
         shuffled = [[row[j] for j in cols] for row in rows]
-        assert map_analysis(shuffled, 4, 3).cokernel == base
+        assert coker(shuffled, 4, 3) == base
 
 
 def test_lattice_basis_and_presented_kernel():
@@ -263,8 +462,20 @@ def test_zp_eliminator_formats_agree(p, monkeypatch):
                  for packed in (False, p < 17)]
         untagged = make_eliminator(p, count, width, False, monkeypatch)
         for vec, tag in zip(vecs, tags):
-            assert len({e.insert(vec, tag) for e in elims}) == 1
+            rels = [e.insert_relation(vec, tag) for e in elims]
+            assert rels[0] == rels[1]
             assert len({e.rank for e in elims}) == 1
+            if rels[0] is not None:
+                # vec (coefficient 1, under its tag) + sum c_t vecs[t] lies
+                # in the span of the untagged vectors.
+                rel = dict(rels[0])
+                if tag is not None:
+                    assert rel.pop(tag) == 1
+                residual = {j: x % p for j, x in vec.items()}
+                for t, c in rel.items():
+                    for j, x in vecs[t].items():
+                        residual[j] = (residual.get(j, 0) + c * x) % p
+                assert untagged.express(residual) == {}
             if tag is None:
                 untagged.insert(vec)
         queries = random_sparse_vectors(rng, p, 10, width)
