@@ -154,8 +154,7 @@ def cmd_compare(args) -> int:
     b = LoadedInput(args.right, args.ring)
     verdict = n_step_compare(a.delta, b.delta, a.ring, args.stages,
                              forget_torsion=args.forget_torsion,
-                             h1_reps_a=a.h1_reps(), h1_reps_b=b.h1_reps(),
-                             jobs=args.jobs)
+                             h1_reps_a=a.h1_reps(), h1_reps_b=b.h1_reps())
     return emit(args, *reports.render_compare(a.ring, verdict, args.stages))
 
 
@@ -230,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--weight-cap", type=at_least(0), default=6,
                         help="weight cap for basis enumerations")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="opt-in parallelism where supported")
 
     sp = sub.add_parser("cohomology", help="H^0..H^2 of the input")
     common(sp)
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ring", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--weight-cap", type=at_least(0), default=6)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--stages", type=at_least(1), default=2)
     sp.add_argument("--forget-torsion", action="store_true",
                     help="rational analog: compare free ranks only")

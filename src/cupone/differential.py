@@ -10,9 +10,12 @@ recursion zeta_{n+1}(x) = (zeta_n(x) cup1 x - n zeta_n(x)) / (n+1)
 (division exact over Z, capped at p-1 over Z_p) and, across disjoint
 variables, by splitting zeta_I into cup-one factors.
 
-Values d(zeta_k(x)) are memoized per generator; d(zeta_I) for composite
-indices is recomputed from the factors on demand (a transient per-call
-memo avoids exponential recomputation inside one evaluation).
+Each Differential keeps one cache of d(zeta_I) keyed by the multi-index,
+for single-variable and composite indices alike: tau is fixed once the
+Differential is built (a new stage builds a new one), so a value never
+changes and every caller (apply_d, the d^2 audit, the brute-force Z_p
+cohomology) computes it at most once.  Callers share the cached elements
+and must not mutate them.
 """
 from __future__ import annotations
 
@@ -61,14 +64,14 @@ class GeneratorSet:
 
 
 class Differential:
-    """tau on generators plus memoized d-values on the zeta basis."""
+    """tau on generators plus the cache of d-values on the zeta basis."""
 
     def __init__(self, ring: RingSpec, gens: GeneratorSet,
                  tau: dict[str, TensorElem]):
         self.ring = ring
         self.gens = gens
         self.tau = dict(tau)
-        self.memo: dict[tuple[str, int], TensorElem] = {}
+        self.cache: dict[MultiIndex, TensorElem] = {}
         for name in gens.names:
             val = self.tau.get(name)
             if val is None or val.is_zero():
@@ -89,30 +92,24 @@ class Differential:
     # -- d on the zeta basis -------------------------------------------
 
     def d_zeta(self, name: str, k: int) -> TensorElem:
-        """d(zeta_k(x)), memoized."""
+        """d(zeta_k(x))."""
+        return self.d_index(MultiIndex.single(name, k))
+
+    def _d_single(self, name: str, k: int) -> TensorElem:
         if name not in self.gens:
             raise KeyError(f"unknown generator {name}")
-        if k == 0:
-            return TensorElem.zero(self.ring)
-        cached = self.memo.get((name, k))
-        if cached is not None:
-            return cached
         if k == 1:
-            val = self.tau[name]
-        else:
-            cap = self.ring.max_zeta
-            if cap is not None and k > cap:
-                raise ValueError(f"zeta_{k} undefined over {self.ring!r}")
-            n = k - 1
-            zn = TensorElem(self.ring,
-                            {(MultiIndex.single(name, n),): 1})
-            x = TensorElem.gen(self.ring, name)
-            d_prod = self._d_cup1(zn, x, self.d_zeta(name, n),
-                                  self.d_zeta(name, 1))
-            num = d_prod - self.d_zeta(name, n).scale(n)
-            val = self._divide(num, n + 1)
-        self.memo[(name, k)] = val
-        return val
+            return self.tau[name]
+        cap = self.ring.max_zeta
+        if cap is not None and k > cap:
+            raise ValueError(f"zeta_{k} undefined over {self.ring!r}")
+        n = k - 1
+        zn = MultiIndex.single(name, n)
+        d_zn = self.d_index(zn)
+        d_prod = self._d_cup1(TensorElem(self.ring, {(zn,): 1}),
+                              TensorElem.gen(self.ring, name),
+                              d_zn, self.tau[name])
+        return self._divide(d_prod - d_zn.scale(n), n + 1)
 
     def _divide(self, t: TensorElem, m: int) -> TensorElem:
         if self.ring.is_modular:
@@ -138,44 +135,35 @@ class Differential:
             out = out - circ_22(da, db)
         return out
 
-    def d_index(self, idx: MultiIndex,
-                _memo: dict | None = None) -> TensorElem:
-        """d(zeta_I) via cup-one splitting across disjoint variables."""
+    def d_index(self, idx: MultiIndex) -> TensorElem:
+        """d(zeta_I), cached; composite indices split off their first
+        variable as a cup-one factor."""
         if idx.is_unit:
             return TensorElem.zero(self.ring)
-        if len(idx.entries) == 1:
-            name, k = idx.entries[0]
-            return self.d_zeta(name, k)
-        if _memo is None:
-            _memo = {}
-        cached = _memo.get(idx)
+        cached = self.cache.get(idx)
         if cached is not None:
             return cached
         name, k = idx.entries[0]
-        head = MultiIndex.single(name, k)
-        rest = idx.drop(name)
-        a = TensorElem(self.ring, {(head,): 1})
-        b = TensorElem(self.ring, {(rest,): 1})
-        val = self._d_cup1(a, b, self.d_zeta(name, k),
-                           self.d_index(rest, _memo))
-        _memo[idx] = val
+        if len(idx.entries) == 1:
+            val = self._d_single(name, k)
+        else:
+            head = MultiIndex.single(name, k)
+            rest = idx.drop(name)
+            a = TensorElem(self.ring, {(head,): 1})
+            b = TensorElem(self.ring, {(rest,): 1})
+            val = self._d_cup1(a, b, self.d_index(head), self.d_index(rest))
+        self.cache[idx] = val
         return val
 
-    def d_poly(self, p: BinomialPoly, _memo: dict | None = None) -> TensorElem:
-        if _memo is None:
-            _memo = {}
+    def d_poly(self, p: BinomialPoly) -> TensorElem:
+        """d of a polynomial in the zeta basis (the canonical-decomposition
+        hook for the mixed-degree maps)."""
         out = TensorElem.zero(self.ring)
         for idx, c in p.terms.items():
             if idx.is_unit:
                 continue
-            out = out + self.d_index(idx, _memo).scale(c)
+            out = out + self.d_index(idx).scale(c)
         return out
-
-    def d_poly_fn(self):
-        """Callable BinomialPoly -> TensorElem with a shared transient memo
-        (the canonical-decomposition hook for the mixed-degree maps)."""
-        memo: dict = {}
-        return lambda p: self.d_poly(p, memo)
 
 
 def build_differential(gens: GeneratorSet,
@@ -194,13 +182,12 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
     """Extend d over words by the graded Leibniz rule
     d(a cup b) = da cup b + (-1)^{|a|} a cup db."""
     ring = d.ring
-    memo: dict = {}
     acc: dict = {}
     for word, c in u.terms.items():
         if len(word) > 3:
             raise ValueError("degree cap exceeded in apply_d")
         for slot in range(len(word)):
-            dv = d.d_index(word[slot], memo)
+            dv = d.d_index(word[slot])
             if dv.is_zero():
                 continue
             sign = -1 if slot % 2 else 1
@@ -227,7 +214,7 @@ def cup1_high(u: TensorElem, v: TensorElem,
     if pair == (2, 2):
         if context is None:
             raise ValueError("degree (2,2) cup-one needs a differential")
-        return cup1_22_words(u, v, context.d_poly_fn())
+        return cup1_22_words(u, v, context.d_poly)
     if pair == (2, 1):
         return cup1_hirsch(u, v)
     raise ValueError(f"unsupported cup-one degrees {pair}")
@@ -246,9 +233,9 @@ def circ(u: TensorElem, v: TensorElem,
     if context is None:
         raise ValueError(f"circle map of degrees {pair} needs a differential")
     if pair == (2, 3):
-        return circ_23_words(u, v, context.d_poly_fn())
+        return circ_23_words(u, v, context.d_poly)
     if pair == (3, 2):
-        return circ_32_words(u, v, context.d_poly_fn())
+        return circ_32_words(u, v, context.d_poly)
     raise ValueError(f"unsupported circle degrees {pair}")
 
 
@@ -291,10 +278,8 @@ def check_d_squared(d: Differential, weight_cap: int = 6,
         checked += 1
         if not val.is_zero():
             failures.append((f"d^2({name})", val))
-    max_exp = d.ring.max_zeta
-    memo: dict = {}
-    for idx in iter_indices(names, weight_cap, max_exp):
-        val = apply_d(d, d.d_index(idx, memo))
+    for idx in iter_indices(names, weight_cap, d.ring.max_zeta):
+        val = apply_d(d, d.d_index(idx))
         checked += 1
         if not val.is_zero():
             failures.append((f"d^2(zeta_{idx!r})", val))

@@ -223,7 +223,9 @@ class Cylinder:
             new_h = self.add(self.scale(x, acc_r), self.scale(acc_h, -i))
             new_h = self.add(new_h, self.cup1(acc_h, x))
             acc_r, acc_h = acc_r * (-i), new_h
-        assert acc_r == 0, "constant part of a falling factorial at 0"
+        if acc_r:
+            raise ArithmeticError(
+                "constant part of a falling factorial must vanish at 0")
         f = factorial(k)
         if self.ring.is_modular:
             return self.scale(acc_h, self.ring.inv(f % self.ring.p))

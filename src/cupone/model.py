@@ -509,41 +509,13 @@ def _t_basis_all(names, ring, degree: int) -> list[tuple]:
 
 
 def h2_stage_Zp(stage: "ModelStage") -> list[H2Gen]:
-    """Brute-force H^2 of the finite truncation T^1 -> T^2 -> T^3.
-
-    All matrices stay sparse; degree-3 words are indexed lazily so only
-    the image of the differential is ever materialized.
-    """
-    ring = stage.ring
-    if not ring.is_modular:
+    """Brute-force H^2 of the finite truncation T^1 -> T^2 -> T^3."""
+    if not stage.ring.is_modular:
         raise PreconditionError("h2_stage_Zp requires a Z_p model")
-    from .linalg import cohomology_sparse_zp
-    names = stage.gens.names
-    b1 = _t_basis_all(names, ring, 1)
-    b2 = _t_basis_all(names, ring, 2)
-    i2 = {w: i for i, w in enumerate(b2)}
-    i3: dict = {}
-    # One shared d-memo: every degree-2 word differential is assembled
-    # from the cached single-index values by the Leibniz rule.
-    memo: dict = {}
-    d1 = {w[0]: stage.diff.d_index(w[0], memo) for w in b1}
-    a_cols = [{i2[wv]: c for wv, c in d1[w[0]].terms.items()} for w in b1]
-    b_cols = []
-    for (idx_a, idx_b) in b2:
-        col: dict = {}
-        for wv, c in d1[idx_a].terms.items():
-            pos = i3.setdefault(wv + (idx_b,), len(i3))
-            col[pos] = (col.get(pos, 0) + c) % ring.p
-        for wv, c in d1[idx_b].terms.items():
-            pos = i3.setdefault((idx_a,) + wv, len(i3))
-            col[pos] = (col.get(pos, 0) - c) % ring.p
-        b_cols.append({k: v for k, v in col.items() if v})
-    data = cohomology_sparse_zp(ring, len(b2), a_cols, b_cols)
-    out = []
-    for order, vec in data.generators:
-        rep = TensorElem(ring, {w: c for w, c in zip(b2, vec) if c})
-        out.append(H2Gen(order, rep, f"[{rep.render()}]"))
-    return out
+    data, _, reps = t_cohomology_Zp(stage.gens.names, stage.ring, 2,
+                                    stage.diff)
+    return [H2Gen(order, rep, f"[{rep.render()}]")
+            for (order, _), rep in zip(data.generators, reps)]
 
 
 def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
@@ -560,9 +532,8 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
     names = stage.gens.names
     reps = [g.rep for g in stage.h2_model]
     cols: list[TensorElem] = list(reps)
-    memo: dict = {}
     for idx in iter_indices(names, weight_cap, ring.max_zeta):
-        cols.append(stage.diff.d_index(idx, memo))
+        cols.append(stage.diff.d_index(idx))
     support = set()
     for z in zs:
         support.update(z.terms)
@@ -598,12 +569,20 @@ def express_in_h2_basis(stage: "ModelStage", z: TensorElem,
 
 def t_cohomology_Zp(names, ring: RingSpec, degree: int,
                     diff: Differential | None = None):
-    """H^degree of (T_{Z_p}(X), d) for degree 1 or 2, brute force."""
+    """H^degree of (T_{Z_p}(X), d) for degree 1 or 2, brute force.
+
+    All matrices stay sparse; degree-3 words are indexed lazily so only
+    the image of the differential is ever materialized.  Returns the
+    cohomology data, the T^degree basis and the generator representatives.
+    """
     from .linalg import cohomology_sparse_zp
+    if degree not in (1, 2):
+        raise ValueError("degrees 1 and 2 only")
     diff = diff or zero_differential(GeneratorSet(names), ring)
-    memo: dict = {}
     b1 = _t_basis_all(names, ring, 1)
-    d1 = {w[0]: diff.d_index(w[0], memo) for w in b1}
+    # Every degree-2 word differential is assembled from the single-index
+    # values by the Leibniz rule.
+    d1 = {w[0]: diff.d_index(w[0]) for w in b1}
     if degree == 1:
         i2: dict = {}
         b_cols = []
@@ -612,30 +591,27 @@ def t_cohomology_Zp(names, ring: RingSpec, degree: int,
             for wv, c in d1[w[0]].terms.items():
                 col[i2.setdefault(wv, len(i2))] = c
             b_cols.append(col)
-        data = cohomology_sparse_zp(ring, len(b1), [], b_cols)
-        reps = [TensorElem(ring, {w: c for w, c in zip(b1, vec) if c})
-                for _, vec in data.generators]
-        return data, b1, reps
-    if degree != 2:
-        raise ValueError("degrees 1 and 2 only")
-    b2 = _t_basis_all(names, ring, 2)
-    i2 = {w: i for i, w in enumerate(b2)}
-    a_cols = [{i2[wv]: c for wv, c in d1[w[0]].terms.items()} for w in b1]
-    i3: dict = {}
-    b_cols = []
-    for (ia, ib) in b2:
-        col: dict = {}
-        for wv, c in d1[ia].terms.items():
-            pos = i3.setdefault(wv + (ib,), len(i3))
-            col[pos] = (col.get(pos, 0) + c) % ring.p
-        for wv, c in d1[ib].terms.items():
-            pos = i3.setdefault((ia,) + wv, len(i3))
-            col[pos] = (col.get(pos, 0) - c) % ring.p
-        b_cols.append({k: v for k, v in col.items() if v})
-    data = cohomology_sparse_zp(ring, len(b2), a_cols, b_cols)
-    reps = [TensorElem(ring, {w: c for w, c in zip(b2, vec) if c})
+        basis, a_cols = b1, []
+    else:
+        basis = _t_basis_all(names, ring, 2)
+        i2 = {w: i for i, w in enumerate(basis)}
+        a_cols = [{i2[wv]: c for wv, c in d1[w[0]].terms.items()}
+                  for w in b1]
+        i3: dict = {}
+        b_cols = []
+        for (ia, ib) in basis:
+            col: dict = {}
+            for wv, c in d1[ia].terms.items():
+                pos = i3.setdefault(wv + (ib,), len(i3))
+                col[pos] = (col.get(pos, 0) + c) % ring.p
+            for wv, c in d1[ib].terms.items():
+                pos = i3.setdefault((ia,) + wv, len(i3))
+                col[pos] = (col.get(pos, 0) - c) % ring.p
+            b_cols.append({k: v for k, v in col.items() if v})
+    data = cohomology_sparse_zp(ring, len(basis), a_cols, b_cols)
+    reps = [TensorElem(ring, {w: c for w, c in zip(basis, vec) if c})
             for _, vec in data.generators]
-    return data, b2, reps
+    return data, basis, reps
 
 
 @dataclass
@@ -740,22 +716,11 @@ class CompareVerdict:
 
 def n_step_compare(Xa: DeltaSet, Xb: DeltaSet, ring: RingSpec, n: int = 2,
                    forget_torsion: bool = False, h1_reps_a=None,
-                   h1_reps_b=None, jobs: int = 1) -> CompareVerdict:
+                   h1_reps_b=None) -> CompareVerdict:
     """Certify non-equivalence via coker H^2(rho_n); never certifies
     equivalence."""
-
-    def side(X, reps):
-        st = minimal_model(X, ring, n, reps)[-1]
-        return kappa(st)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            fa = ex.submit(side, Xa, h1_reps_a)
-            fb = ex.submit(side, Xb, h1_reps_b)
-            ka, kb = fa.result(), fb.result()
-    else:
-        ka, kb = side(Xa, h1_reps_a), side(Xb, h1_reps_b)
+    ka = kappa(minimal_model(Xa, ring, n, h1_reps_a)[-1])
+    kb = kappa(minimal_model(Xb, ring, n, h1_reps_b)[-1])
     if forget_torsion:
         different = ka.cokernel.rank != kb.cokernel.rank
     else:

@@ -104,7 +104,8 @@ def binom_of(a: int, n: int, ring: RingSpec = ZZ) -> int:
     for i in range(n):
         num *= a - i
     q, r = divmod(num, factorial(n))
-    assert r == 0, "falling factorial must be divisible by n!"
+    if r:
+        raise ArithmeticError("falling factorial must be divisible by n!")
     return ring.normalize(q)
 
 
@@ -208,7 +209,9 @@ def zeta_structure_constants(m: int, n: int) -> dict[int, int]:
         if c:
             coeffs[t] = c
     for t in range(top + 1):
-        assert sum(ck * comb(t, k) for k, ck in coeffs.items()) == values[t]
+        if sum(ck * comb(t, k) for k, ck in coeffs.items()) != values[t]:
+            raise ArithmeticError(
+                f"zeta_{m} zeta_{n} interpolation fails at {t}")
     _ZETA_CACHE[key] = coeffs
     return coeffs
 

@@ -149,7 +149,7 @@ def suite_da1b_dadb(cases: int = 200, seed: int = 0,
     rng = random.Random(seed)
     d = _heisenberg_diff(ring, k=3)
     names = ("x1", "x2", "y")
-    dp = d.d_poly_fn()
+    dp = d.d_poly
     res = SuiteResult("da1b-dadb", cases)
     for i in range(cases):
         a = _random_deg1(rng, names, ring)

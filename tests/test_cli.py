@@ -98,14 +98,6 @@ def test_cli_compare(capsys):
     assert out.strip().endswith("not-distinguished-by-kappa")
 
 
-def test_cli_compare_jobs(capsys):
-    code, out, _ = run_cli(capsys, "compare", "--stages", "2", "--jobs", "2",
-                           str(FIXTURES / "borromean_n1.pres"),
-                           str(FIXTURES / "borromean_n2.pres"))
-    assert code == 0
-    assert "distinguished" in out
-
-
 def test_cli_bar(capsys):
     code, out, _ = run_cli(capsys, "bar", "--group", "Zp:3",
                            "--max-dim", "2")

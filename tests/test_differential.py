@@ -1,8 +1,11 @@
+import pathlib
 import random
 
 import pytest
 
+from cupone.cli import LoadedInput
 from cupone.differential import (
+    Differential,
     GeneratorSet,
     apply_d,
     build_differential,
@@ -218,7 +221,7 @@ def test_da1b_identity():
     rng = random.Random(5)
     d = heisenberg_diff(3)
     names = ("x1", "x2", "y")
-    dp = d.d_poly_fn()
+    dp = d.d_poly
     for _ in range(30):
         a = random_deg1(rng, names)
         b = random_deg1(rng, names)
@@ -235,7 +238,7 @@ def test_da1b_identity():
 def test_da1b_identity_closed_case():
     # a = zeta_2(x), b = y under d0.
     d = d0()
-    dp = d.d_poly_fn()
+    dp = d.d_poly
     a, b = zmono("x", 2), g("y")
     da, db = apply_d(d, a), apply_d(d, b)
     lhs = apply_d(d, cup1_hirsch(da, b))
@@ -249,7 +252,7 @@ def test_dadb_identity():
     rng = random.Random(6)
     d = heisenberg_diff(2)
     names = ("x1", "x2", "y")
-    dp = d.d_poly_fn()
+    dp = d.d_poly
     for _ in range(30):
         a = random_deg1(rng, names)
         b = random_deg1(rng, names)
@@ -329,10 +332,63 @@ def test_cup1_high_and_circ_dispatch():
     with pytest.raises(ValueError):
         cup1_high(v2, v2)
     got = cup1_high(v2, v2, d)
-    assert got == cup1_22_words(v2, v2, d.d_poly_fn())
+    assert got == cup1_22_words(v2, v2, d.d_poly)
     assert circ(v2, v2) == circ_22(v2, v2)
     with pytest.raises(ValueError):
         circ(v2, u3)
-    assert circ(v2, u3, d) == circ_23_words(v2, u3, d.d_poly_fn())
+    assert circ(v2, u3, d) == circ_23_words(v2, u3, d.d_poly)
     with pytest.raises(ValueError):
         cup1_high(x, y)
+
+
+# -- the d-value cache ----------------------------------------------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+CACHE_CASES = [("torus", "Z"), ("torus", "Zp:2"), ("torus", "Zp:3"),
+               ("heisenberg_k2", "Z"), ("heisenberg_k2", "Zp:2"),
+               ("heisenberg_k2", "Zp:3"), ("borromean_n1", "Z")]
+
+
+def stage2_differential(fixture, ring):
+    """The stage-2 differential of a fixture's model (tau(y_i) = -rep_i
+    over the stage-1 kernel basis), built without the stage-2 H^2."""
+    s1 = LoadedInput(str(FIXTURES / f"{fixture}.pres"), ring).build_model(1)[0]
+    names = [f"y{i + 1}" for i in range(len(s1.ker_basis or []))]
+    tau = dict(s1.diff.tau)
+    tau.update({n: rep.scale(-1) for n, rep in zip(names, s1.ker_basis or [])})
+    return build_differential(s1.gens.extend(names, 2), tau, s1.ring)
+
+
+def fresh(d):
+    return Differential(d.ring, d.gens, d.tau)
+
+
+@pytest.mark.parametrize("fixture,ring", CACHE_CASES)
+def test_cached_d_index_matches_fresh_differential(fixture, ring):
+    d = stage2_differential(fixture, ring)
+    idxs = list(iter_indices(d.gens.names, 4, d.ring.max_zeta))
+    random.Random(f"{fixture}/{ring}").shuffle(idxs)
+    for idx in idxs:
+        got = d.d_index(idx)
+        want = fresh(d).d_index(idx)
+        # Same terms in the same order, so renderings cannot differ.
+        assert list(got.terms.items()) == list(want.terms.items()), idx
+    cold = check_d_squared(fresh(d), weight_cap=4)
+    warm = check_d_squared(d, weight_cap=4)
+    assert cold.passed and warm.passed
+    assert warm.checked == cold.checked
+
+
+def test_corrupted_tau_fails_d_squared_on_warm_cache():
+    gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
+    tau = {"y": cup(g("x1"), g("x2")) + cup(g("x1"), zmono("x1", 2))}
+    d = build_differential(gens, tau, Z)
+    for idx in iter_indices(gens.names, 2):
+        d.d_index(idx)
+    warm = check_d_squared(d, weight_cap=2)
+    cold = check_d_squared(fresh(d), weight_cap=2)
+    assert not warm.passed
+    assert warm.checked == cold.checked
+    assert [(label, list(w.terms.items())) for label, w in warm.failures] \
+        == [(label, list(w.terms.items())) for label, w in cold.failures]

@@ -271,20 +271,24 @@ def test_class_coords_match_dense_computation():
 
 def test_internal_checks_survive_optimize():
     # python -O strips assert statements; the unimodular-kernel check of
-    # the Z cohomology must still raise.
+    # the Z cohomology and the n!-divisibility check of binom_of must
+    # still raise.
     script = (
-        "from cupone import linalg\n"
+        "from cupone import linalg, rings\n"
         "from cupone.rings import RingSpec\n"
         "basis = linalg.kernel_basis_Z\n"
         "linalg.kernel_basis_Z = lambda rows, n: "
         "[[2 * x for x in v] for v in basis(rows, n)]\n"
         "seg = linalg.ComplexSegment(RingSpec.Z(), [], ['a', 'b'], ['c'], "
         "[], [[1, 1]])\n"
+        "rings.factorial = lambda n: 7\n"
         "print('debug', __debug__)\n"
-        "try:\n"
-        "    linalg.cohomology_at(seg)\n"
-        "except ArithmeticError as e:\n"
-        "    print('ArithmeticError:', e)\n")
+        "for check in (lambda: linalg.cohomology_at(seg),\n"
+        "              lambda: rings.binom_of(5, 2)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ArithmeticError as e:\n"
+        "        print('ArithmeticError:', e)\n")
     src = pathlib.Path(linalg.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -293,6 +297,8 @@ def test_internal_checks_survive_optimize():
     lines = r.stdout.splitlines()
     assert lines[0] == "debug False"
     assert lines[1].startswith("ArithmeticError: kernel basis")
+    assert lines[2] == ("ArithmeticError: falling factorial must be "
+                        "divisible by n!")
 
 
 def coker(m, nrows, ncols):

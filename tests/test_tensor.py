@@ -217,7 +217,7 @@ def test_circ_23_correction_term():
     # subtracts (p v1)(q v2)(a2 v3) for each decomposition pair.
     from cupone.differential import GeneratorSet, apply_d, zero_differential
     d0 = zero_differential(GeneratorSet(["x", "y", "z", "w"]), Z)
-    dp = d0.d_poly_fn()
+    dp = d0.d_poly
     a = cup(zmono("x", 2), g("y"))
     v = cup(cup(g("z"), g("w")), g("z"))
     got = circ_23_words(a, v, dp)
