@@ -4,7 +4,8 @@ Verbs: cohomology, minimal-model, kappa, compare, massey, group-realize,
 bar, verify-axioms.  Inputs are Delta-set or presentation files (the
 format is auto-detected); identical inputs produce byte-identical
 reports.  Exit codes: 0 success, 1 mathematical-precondition failure,
-2 I/O or parse failure.
+2 I/O or parse failure, 3 internal-consistency failure (a defect in
+cupone, never a fault of the input).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .model import (
     realize_group,
 )
 from .presentation import presentation_complex
-from .rings import RingSpec
+from .rings import InternalError, RingSpec
 
 
 class CliError(Exception):
@@ -227,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ring", default=None,
                         help="Z or Zp:<p> (default: from file, else Z)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--weight-cap", type=at_least(0), default=6,
-                        help="weight cap for basis enumerations")
 
     sp = sub.add_parser("cohomology", help="H^0..H^2 of the input")
     common(sp)
@@ -238,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stage-wise 1-minimal model report")
     common(sp)
     sp.add_argument("--stages", type=at_least(1), default=2)
+    sp.add_argument("--weight-cap", type=at_least(0), default=6,
+                    help="weight cap of the d^2 audit")
     sp.set_defaults(fn=cmd_minimal_model)
 
     sp = sub.add_parser("kappa", help="coker H^2(rho_n) and kappa_n")
@@ -251,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("right")
     sp.add_argument("--ring", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--weight-cap", type=at_least(0), default=6)
     sp.add_argument("--stages", type=at_least(1), default=2)
     sp.add_argument("--forget-torsion", action="store_true",
                     help="rational analog: compare free ranks only")
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (PreconditionError, StageCapError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

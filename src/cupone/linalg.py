@@ -458,6 +458,13 @@ def kernel_into_presented(img_cols: list[list[int]],
 # shape; this caps that size, so also the memory packed rows can take.
 PACK_LIMIT_BYTES = 16 << 20
 
+# Largest T^2 word count the brute-force Z_p stage cohomology accepts.
+# Its peak RSS was measured at about 60 kB per word on the largest
+# fixture stage that finishes (3.8 GB for the 65,025 words of
+# heisenberg_k1 over Z_2 at stage 3), so this allows about 4 GiB.  The
+# cost per word grows with the word count, so larger stages cost more.
+T2_WORD_LIMIT = (4 << 30) // 60_000
+
 
 class ZpEliminator:
     """Row space over GF(p) with combination tracking.
@@ -512,8 +519,9 @@ class ZpEliminator:
             if not v:
                 return {self._tags[s]: c for s, c in self._fields(e)}
             lead = ((v & -v).bit_length() - 1) >> self._shift
-            if p != 2:
-                inv = pow((v >> (lead << 3)) & 255, p - 2, p)
+            f = 1 if p == 2 else (v >> (lead << 3)) & 255
+            if f != 1:
+                inv = pow(f, p - 2, p)
                 v, e = self._mod(v * inv), self._mod(e * inv)
             self.pivots[lead] = (v, e)
             return None
@@ -521,9 +529,10 @@ class ZpEliminator:
         if not vec:
             return expr
         lead = min(vec)
-        inv = pow(vec[lead], p - 2, p)
-        vec = {j: (v * inv) % p for j, v in vec.items()}
-        expr = {t: (c * inv) % p for t, c in expr.items()}
+        if vec[lead] != 1:
+            inv = pow(vec[lead], p - 2, p)
+            vec = {j: (v * inv) % p for j, v in vec.items()}
+            expr = {t: (c * inv) % p for t, c in expr.items()}
         self.pivots[lead] = (vec, expr)
         return None
 
@@ -640,19 +649,17 @@ class ZpEliminator:
 
 
 def kernel_mod_p(p: int, cols: list[dict[int, int]],
-                 width: int) -> list[list[int]]:
+                 width: int) -> list[dict[int, int]]:
     """Kernel basis over GF(p) of the matrix with sparse columns ``cols``
-    (indices below ``width``): one vector per column that depends on the
-    earlier ones, with coefficient 1 at that column."""
+    (indices below ``width``): one sparse relation column -> coefficient
+    per column that depends on the earlier ones, with coefficient 1 at
+    that column."""
     elim = ZpEliminator(p, len(cols), width)
     ker = []
     for j, col in enumerate(cols):
         rel = elim.insert_relation(col, tag=j)
         if rel is not None:
-            vec = [0] * len(cols)
-            for t, c in rel.items():
-                vec[t] = c
-            ker.append(vec)
+            ker.append(rel)
     return ker
 
 
@@ -788,7 +795,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     """
     p = ring.p
     if b_cols is None:
-        ker = identity(n_mid)
+        ker = [{i: 1} for i in range(n_mid)]
     else:
         n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
         ker = kernel_mod_p(p, b_cols, n_upper)
@@ -796,10 +803,12 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     for col in a_cols:
         quotient.insert({i: v % p for i, v in col.items() if v % p})
     gens = []
-    for v in ker:
-        vec = {i: x % p for i, x in enumerate(v) if x % p}
-        if quotient.insert(vec, tag=len(gens)):
-            gens.append((p, list(v)))
+    for rel in ker:
+        if quotient.insert(rel, tag=len(gens)):
+            vec = [0] * n_mid
+            for i, x in rel.items():
+                vec[i] = x
+            gens.append((p, vec))
     inv = AbelianInvariants(rank=0, torsion=tuple(p for _ in gens))
 
     def coord_fn(vec):

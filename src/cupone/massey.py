@@ -29,7 +29,7 @@ from .delta import (
 )
 from .linalg import CohomologyData, image_solver
 from .presentation import PresentationComplex, PresentedGroup, presentation_complex
-from .rings import RingSpec
+from .rings import InternalError, RingSpec
 
 MAGNUS_MASSEY_SIGN = -1  # fixed once by cross_validate on torus/Borromean
 
@@ -210,10 +210,10 @@ class MasseyContext:
         c12 = self.solve_coboundary(p12)
         c23 = self.solve_coboundary(p23)
         if c12 is None or c23 is None:
-            raise AssertionError("cup product with zero class must bound")
+            raise InternalError("cup product with zero class must bound")
         rep = cup_cochain(X, u1, c23) + cup_cochain(X, c12, u3)
         if not coboundary(X, rep).is_zero():
-            raise AssertionError("Massey representative is not a cocycle")
+            raise InternalError("Massey representative is not a cocycle")
         coords = self.h2_coords(rep)
         indet = []
         for h in self.h1_reps:

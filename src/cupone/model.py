@@ -44,6 +44,7 @@ from .interval import CylEl, cylinder_over_complex
 from .linalg import (
     AbelianInvariants,
     CohomologyData,
+    T2_WORD_LIMIT,
     ZpEliminator,
     cohomology_at,
     image_solver,
@@ -53,7 +54,7 @@ from .linalg import (
     lattice_basis,
     smith_normal_form,
 )
-from .rings import BinomialPoly, MultiIndex, RingSpec, binom_of
+from .rings import BinomialPoly, InternalError, MultiIndex, RingSpec, binom_of
 from .tensor import TensorElem, cup
 
 
@@ -341,9 +342,11 @@ def _compute_kernel(stage: "ModelStage"):
     m = len(stage.h2x.generators)
     if ring.is_modular:
         p = ring.p
-        ker_vecs = kernel_mod_p(
+        rels = kernel_mod_p(
             p, [{i: v % p for i, v in enumerate(col) if v % p}
                 for col in img], m)
+        ker_vecs = [[rel.get(i, 0) for i in range(len(gens))]
+                    for rel in rels]
     else:
         cols = [list(v) for v in img]
         sol = kernel_into_presented(cols, _h2x_relation_cols(stage), m) \
@@ -401,7 +404,7 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
         target = rho_push(stage, rep.scale(-1))
         x = solve(target.vector(X.cells[2]))
         if x is None:
-            raise AssertionError(
+            raise InternalError(
                 "rho-lift unsolvable: kernel representative is not in "
                 "ker H^2(rho) (internal consistency failure)")
         rho[name] = Cochain(1, ring, dict(zip(X.cells[1], x)))
@@ -482,12 +485,12 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
             target[dst_index[w]] = -c
         sol = solve(target)
         if sol is None:
-            raise AssertionError("E-pairing element failed to complete "
-                                 "(internal consistency failure)")
+            raise InternalError("E-pairing element failed to complete "
+                                "(internal consistency failure)")
         c_elem = TensorElem(ring, {w: cc for w, cc in zip(src, sol) if cc})
         rep = z + c_elem
         if not apply_d(stage.diff, rep).is_zero():
-            raise AssertionError("stage-2 representative is not a cocycle")
+            raise InternalError("stage-2 representative is not a cocycle")
         label = " + ".join(
             f"{coeff}*[{xi} T {y}]"
             for coeff, (xi, y) in zip(v, col_labels) if coeff)
@@ -571,43 +574,55 @@ def t_cohomology_Zp(names, ring: RingSpec, degree: int,
                     diff: Differential | None = None):
     """H^degree of (T_{Z_p}(X), d) for degree 1 or 2, brute force.
 
-    All matrices stay sparse; degree-3 words are indexed lazily so only
-    the image of the differential is ever materialized.  Returns the
-    cohomology data, the T^degree basis and the generator representatives.
+    Words are integer-coded: with n1 degree-1 basis elements, the word
+    (f_1, ..., f_k) is the base-n1 number of their positions, so a
+    degree-2 code is its index in the T^2 basis.  All matrices stay
+    sparse; degree-3 words are numbered lazily so only the image of the
+    differential is ever materialized.  Returns the cohomology data, the
+    T^degree basis and the generator representatives.
     """
     from .linalg import cohomology_sparse_zp
     if degree not in (1, 2):
         raise ValueError("degrees 1 and 2 only")
+    p = ring.p
+    words = (p ** len(names) - 1) ** 2
+    if words > T2_WORD_LIMIT:
+        raise PreconditionError(
+            f"brute-force Z_p cohomology refused: T^2 of {len(names)} "
+            f"generators over Z_{p} has {words:,} words (limit "
+            f"{T2_WORD_LIMIT:,})")
     diff = diff or zero_differential(GeneratorSet(names), ring)
     b1 = _t_basis_all(names, ring, 1)
+    n1 = len(b1)
+    pos = {w[0]: i for i, w in enumerate(b1)}
     # Every degree-2 word differential is assembled from the single-index
     # values by the Leibniz rule.
-    d1 = {w[0]: diff.d_index(w[0]) for w in b1}
+    d1 = [[(pos[a] * n1 + pos[b], c)
+           for (a, b), c in diff.d_index(w[0]).terms.items()] for w in b1]
     if degree == 1:
         i2: dict = {}
-        b_cols = []
-        for w in b1:
-            col = {}
-            for wv, c in d1[w[0]].terms.items():
-                col[i2.setdefault(wv, len(i2))] = c
-            b_cols.append(col)
+        b_cols = [{i2.setdefault(code, len(i2)): c for code, c in dv}
+                  for dv in d1]
         basis, a_cols = b1, []
     else:
         basis = _t_basis_all(names, ring, 2)
-        i2 = {w: i for i, w in enumerate(basis)}
-        a_cols = [{i2[wv]: c for wv, c in d1[w[0]].terms.items()}
-                  for w in b1]
+        a_cols = [dict(dv) for dv in d1]
         i3: dict = {}
+        number = i3.setdefault
         b_cols = []
-        for (ia, ib) in basis:
-            col: dict = {}
-            for wv, c in d1[ia].terms.items():
-                pos = i3.setdefault(wv + (ib,), len(i3))
-                col[pos] = (col.get(pos, 0) + c) % ring.p
-            for wv, c in d1[ib].terms.items():
-                pos = i3.setdefault((ia,) + wv, len(i3))
-                col[pos] = (col.get(pos, 0) - c) % ring.p
-            b_cols.append({k: v for k, v in col.items() if v})
+        # d(a (x) b) = d(a) (x) b - a (x) d(b); within one half the
+        # degree-3 codes are distinct, so only the second half can collide.
+        for a, da in enumerate(d1):
+            head = a * n1 * n1
+            left = [(code * n1, c) for code, c in da]
+            for b, db in enumerate(d1):
+                col = {number(code + b, len(i3)): c for code, c in left}
+                for code, c in db:
+                    row = number(head + code, len(i3))
+                    col[row] = (col.get(row, 0) - c) % p
+                if len(col) < len(da) + len(db):  # the halves met
+                    col = {k: v for k, v in col.items() if v}
+                b_cols.append(col)
     data = cohomology_sparse_zp(ring, len(basis), a_cols, b_cols)
     reps = [TensorElem(ring, {w: c for w, c in zip(basis, vec) if c})
             for _, vec in data.generators]
@@ -749,7 +764,7 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
     verdict = check_admissible(law, box=box, samples=samples, seed=seed)
     audit["associativity"] = verdict.status
     if not verdict.ok:
-        raise AssertionError(
+        raise InternalError(
             f"group axioms fail: counterexample {verdict.counterexample}")
     n = len(stage.gens.names)
     zero = tuple(0 for _ in range(n))
@@ -788,7 +803,7 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
                 central_ok = False
     audit["central_tower"] = central_ok
     if not central_ok:
-        raise AssertionError("central-extension audit failed")
+        raise InternalError("central-extension audit failed")
     return GroupRealization(law=law, law_rendered=rendered, tower=tower,
                             audit=audit)
 
@@ -822,7 +837,7 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
     for g in names:
         x = solve((phi0[g] - phi1[g]).vector(X.cells[1]))
         if x is None:
-            raise AssertionError("equal classes must differ by a coboundary")
+            raise InternalError("equal classes must differ by a coboundary")
         c = Cochain(0, ring, dict(zip(X.cells[0], x)))
         cs[g] = c
         Phi[g] = CylEl(1, phi0[g], phi1[g], c.scale(-1))
@@ -855,5 +870,5 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
                     cyl.restrict(v, 1) != cup1_cochain(X, phi1[g], phi1[h]):
                 audit["cup1"] = False
     if not all(v is True for v in audit.values()):
-        raise AssertionError(f"homotopy audit failed: {audit}")
+        raise InternalError(f"homotopy audit failed: {audit}")
     return HomotopyWitness(Phi=Phi, c=cs, audit=audit)

@@ -15,6 +15,11 @@ from __future__ import annotations
 from math import comb, factorial
 
 
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a defect in cupone, never a
+    fault of the input."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

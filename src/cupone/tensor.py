@@ -10,7 +10,8 @@ decompositions of differentials supplied by the caller.
 """
 from __future__ import annotations
 
-from .rings import BinomialPoly, MultiIndex, RingSpec, UNIT_INDEX
+from .rings import (BinomialPoly, InternalError, MultiIndex, RingSpec,
+                    UNIT_INDEX)
 
 Word = tuple  # tuple of MultiIndex, none of them the unit
 
@@ -194,7 +195,7 @@ def _slot_mul(ring: RingSpec, word: Word, coeff: int, slot: int,
     base = BinomialPoly(ring, {word[slot]: 1}, _validated=True) * p
     for idx, c in base.terms.items():
         if idx.is_unit:
-            raise AssertionError("constant-free product grew a constant")
+            raise InternalError("constant-free product grew a constant")
         w = word[:slot] + (idx,) + word[slot + 1:]
         out[w] = out.get(w, 0) + coeff * c
 

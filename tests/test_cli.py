@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -200,6 +202,10 @@ def test_cli_bar_group_powers(capsys):
     ("minimal-model", "--weight-cap", "-1"),
     ("massey", "--weight-cap", "-2"),
     ("kappa", "--stages", "two"),
+    # Only minimal-model reads a weight cap; the other verbs have none.
+    ("cohomology", "--weight-cap", "3"),
+    ("kappa", "--weight-cap", "3"),
+    ("group-realize", "--weight-cap", "3"),
 ])
 def test_cli_rejects_bad_counts_at_parse(capsys, argv):
     path = str(FIXTURES / "torus.pres")
@@ -213,15 +219,59 @@ def test_cli_rejects_bad_counts_at_parse(capsys, argv):
 def test_cli_compare_rejects_bad_counts_at_parse(capsys):
     left = str(FIXTURES / "borromean_n1.pres")
     right = str(FIXTURES / "borromean_n2.pres")
-    for flag, value in (("--stages", "0"), ("--weight-cap", "-1")):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", flag, value, left, right])
-        assert exc.value.code == 2
-        assert "must be at least" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--stages", "0", left, right])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_cli_weight_cap_zero_accepted(capsys):
-    code, out, _ = run_cli(capsys, "kappa", "--stages", "1", "--weight-cap",
-                           "0", str(FIXTURES / "cyclic4.pres"))
+    code, out, _ = run_cli(capsys, "minimal-model", "--stages", "1",
+                           "--weight-cap", "0",
+                           str(FIXTURES / "cyclic4.pres"))
     assert code == 0
-    assert "kappa_1 = Z/4" in out
+    assert "weight <= 0): 0 checked: pass" in out
+
+
+@pytest.mark.parametrize("fixture, ring, words", [
+    ("heisenberg_k1", "Zp:5", "9,759,376"),
+    ("borromean_n1", "Zp:3", "387,381,124"),
+])
+def test_cli_refuses_oversized_zp_stage(capsys, fixture, ring, words):
+    code, out, err = run_cli(capsys, "kappa", "--ring", ring,
+                             str(FIXTURES / f"{fixture}.pres"))
+    assert code == 1
+    assert out == ""
+    assert f"has {words} words" in err
+
+
+def run_module(*args):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_cupone_matches_main(capsys):
+    path = str(FIXTURES / "cyclic4.pres")
+    code, out, err = run_cli(capsys, "kappa", path)
+    r = run_module("-m", "cupone", "kappa", path)
+    assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_internal_error_exits_3(flags):
+    # A failed internal audit is a defect, not a precondition failure:
+    # exit 3 with a one-line message, also when python -O strips asserts.
+    script = (
+        "import sys\n"
+        "from cupone import cli, model\n"
+        "model.image_solver = lambda *args: lambda b: None\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    r = run_module(*flags, "-c", script, "kappa",
+                   str(FIXTURES / "heisenberg_k1.pres"))
+    assert r.returncode == 3, r.stderr
+    assert r.stdout == ""
+    assert r.stderr == ("internal error: rho-lift unsolvable: kernel "
+                        "representative is not in ker H^2(rho) (internal "
+                        "consistency failure)\n")

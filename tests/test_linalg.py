@@ -20,6 +20,7 @@ from cupone.linalg import (
     image_solver,
     kernel_basis_Z,
     kernel_into_presented,
+    kernel_mod_p,
     lattice_basis,
     mat_mul,
     mat_vec,
@@ -635,3 +636,54 @@ def test_solve_in_image_certificates():
     # unsolvable beyond the rank: b outside the column space
     res = solve_in_image([[1], [0]], [0, 5], 1)
     assert not res.ok and res.certificate["divisor"] == 0
+
+
+def rank_mod_p(rows, p):
+    """Rank over GF(p) by dense Gaussian elimination (test oracle)."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][j], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_kernel_mod_p_relations(packed, monkeypatch):
+    made = []
+
+    class Recording(ZpEliminator):
+        def __init__(self, *shape):
+            super().__init__(*shape)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "ZpEliminator", Recording)
+    if not packed:
+        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
+    rng = random.Random(5100 + packed)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7, 13))
+        ncols, width = rng.randint(1, 14), rng.randint(1, 12)
+        cols = random_sparse_vectors(rng, p, ncols, width)
+        made.clear()
+        ker = kernel_mod_p(p, cols, width)
+        assert made[0].packed == packed
+        for rel in ker:
+            j = max(rel)  # the dependent column, after the earlier ones
+            assert rel[j] == 1
+            assert all(0 < c < p for c in rel.values())
+            for i in range(width):
+                assert sum(c * cols[t].get(i, 0)
+                           for t, c in rel.items()) % p == 0
+        assert len({max(rel) for rel in ker}) == len(ker)
+        dense = [[cols[t].get(i, 0) for t in range(ncols)]
+                 for i in range(width)]
+        assert len(ker) == ncols - rank_mod_p(dense, p)

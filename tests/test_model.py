@@ -569,3 +569,72 @@ def test_h2_free_d0_surface():
 def zero_differential_mod(names):
     from cupone.differential import zero_differential
     return zero_differential(GeneratorSet_mod(names), Z)
+
+
+def stage2_diff(fixture: str, p: int):
+    """The stage-2 differential the CLI builds for a fixture over Z_p,
+    without computing the H^2 of stage 2 itself."""
+    import pathlib
+    from cupone.cli import LoadedInput
+    from cupone.differential import build_differential
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    s1 = LoadedInput(str(path / f"{fixture}.pres"), f"Zp:{p}").build_model(1)[-1]
+    ys = [f"y{i + 1}" for i in range(len(s1.ker_basis))]
+    gens = s1.gens.extend(ys, 2)
+    tau = {y: rep.scale(-1) for y, rep in zip(ys, s1.ker_basis)}
+    return gens.names, build_differential(gens, tau, s1.ring)
+
+
+def test_t_cohomology_Zp_frozen():
+    # Generators, representatives and class coordinates of the brute-force
+    # Z_p cohomology, pinned: every Z_p model report is read off them.
+    import hashlib
+    from cupone.model import t_cohomology_Zp
+    cases = []
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            names = [f"x{i + 1}" for i in range(k)]
+            # Z_p:5 on three names has 15,376 dense degree-2 generators.
+            for degree in (1, 2) if (p, k) != (5, 3) else (1,):
+                cases.append((names, RingSpec.Zp(p), degree, None))
+    for fixture, p, degrees in (("torus", 2, (1, 2)), ("torus", 3, (1, 2)),
+                                ("heisenberg_k2", 2, (1, 2)),
+                                ("heisenberg_k2", 3, (1,))):
+        names, diff = stage2_diff(fixture, p)
+        cases += [(names, RingSpec.Zp(p), d, diff) for d in degrees]
+    h = hashlib.sha256()
+    for names, ring, degree, diff in cases:
+        data, basis, reps = t_cohomology_Zp(names, ring, degree, diff)
+        h.update(repr(data.generators).encode())
+        h.update(repr([sorted(r.terms.items(), key=repr)
+                       for r in reps]).encode())
+        h.update(repr([data.class_coords(v)
+                       for _, v in data.generators]).encode())
+    assert h.hexdigest() == \
+        "47beca378211940c8979241b3c78196b8d11537ca0d14af59701280e4179e276"
+
+
+@pytest.mark.parametrize("k, p, refused", [
+    (8, 2, False),  # heisenberg_k1, Zp:2, stage 3: 65,025 words, finishes
+    (5, 3, False),  # heisenberg_k1, Zp:3, stage 2: 58,564 words, finishes
+    (9, 2, True),   # borromean_n1, Zp:2, stage 2: 261,121 words
+    (4, 5, True),   # torus, Zp:5, stage 2: 389,376 words
+])
+def test_t2_word_limit(monkeypatch, k, p, refused):
+    from cupone import model
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    # The guard runs before any basis is built; stop right there.
+    monkeypatch.setattr(model, "_t_basis_all", reached)
+    names = [f"x{i + 1}" for i in range(k)]
+    with pytest.raises(PreconditionError if refused else Reached) as exc:
+        model.t_cohomology_Zp(names, RingSpec.Zp(p), 2)
+    if refused:
+        words = f"{(p ** k - 1) ** 2:,}"
+        assert f"{k} generators over Z_{p} has {words} words" \
+            in str(exc.value)
