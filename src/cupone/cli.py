@@ -18,6 +18,7 @@ from .formats import ParseError, detect_and_parse
 from .massey import MasseyContext
 from .model import (
     PreconditionError,
+    RepresentativesRejected,
     StageCapError,
     kappa,
     minimal_model,
@@ -72,6 +73,21 @@ def parse_group(spec: str) -> tuple[int, ...]:
     return (modulus,) * count
 
 
+def parse_triples(spec: str, n: int) -> list[tuple[int, ...]]:
+    """Generator-index triples named by ``i,j,k[;i,j,k...]``."""
+    usage = (f"bad --triples {spec!r} (expected i,j,k[;i,j,k...] with "
+             f"1 <= i, j, k <= {n})")
+    try:
+        triples = [tuple(int(t) for t in chunk.split(","))
+                   for chunk in spec.split(";")]
+    except ValueError:
+        raise CliError(2, usage)
+    if any(len(t) != 3 or not all(1 <= i <= n for i in t)
+           for t in triples):
+        raise CliError(2, usage)
+    return triples
+
+
 class LoadedInput:
     def __init__(self, path: str, ring_flag: str | None):
         try:
@@ -113,7 +129,7 @@ class LoadedInput:
         reps = self.h1_reps()
         try:
             return minimal_model(self.delta, self.ring, stages, reps)
-        except PreconditionError:
+        except RepresentativesRejected:
             if reps is None:
                 raise
             return minimal_model(self.delta, self.ring, stages, None)
@@ -164,23 +180,18 @@ def cmd_massey(args) -> int:
     if inp.pc is None:
         raise CliError(1, "massey needs a presentation input "
                           "(generator duals fix the H^1 basis)")
+    n = len(inp.group.generators)
+    if args.triples:
+        triples = parse_triples(args.triples, n)
+    else:
+        triples = [(i, j, k) for i in range(1, n + 1)
+                   for j in range(1, n + 1) for k in range(1, n + 1)]
     reps = inp.h1_reps()
     if reps is None:
         raise CliError(1, "generator duals are not an H^1 basis here")
     ctx = MasseyContext(inp.delta, inp.ring, reps)
-    gens = inp.group.generators
-    triples = []
-    if args.triples:
-        for chunk in args.triples.split(";"):
-            triples.append(tuple(int(t) for t in chunk.split(",")))
-    else:
-        n = len(gens)
-        triples = [(i, j, k) for i in range(1, n + 1)
-                   for j in range(1, n + 1) for k in range(1, n + 1)]
     entries = []
     for t in triples:
-        if not all(1 <= i <= len(gens) for i in t) or len(t) != 3:
-            raise CliError(1, f"bad triple {t}")
         us = [reps[i - 1] for i in t]
         try:
             entries.append((t, ctx.triple_massey(*us)))
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-axioms",
                         help="run the randomized identity suites")
-    sp.add_argument("--cases", type=int, default=200)
+    sp.add_argument("--cases", type=at_least(1), default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ring", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")

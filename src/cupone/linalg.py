@@ -458,13 +458,6 @@ def kernel_into_presented(img_cols: list[list[int]],
 # shape; this caps that size, so also the memory packed rows can take.
 PACK_LIMIT_BYTES = 16 << 20
 
-# Largest T^2 word count the brute-force Z_p stage cohomology accepts.
-# Its peak RSS was measured at about 60 kB per word on the largest
-# fixture stage that finishes (3.8 GB for the 65,025 words of
-# heisenberg_k1 over Z_2 at stage 3), so this allows about 4 GiB.  The
-# cost per word grows with the word count, so larger stages cost more.
-T2_WORD_LIMIT = (4 << 30) // 60_000
-
 
 class ZpEliminator:
     """Row space over GF(p) with combination tracking.
@@ -552,6 +545,30 @@ class ZpEliminator:
         if out:
             return None
         return {t: (-c) % p for t, c in expr.items()}
+
+    def annihilator(self, width: int) -> list[dict[int, int]]:
+        """Basis of the functionals on GF(p)^width that vanish on the row
+        space: one per non-pivot column f, equal to 1 at f and 0 at the
+        other non-pivot columns.  Back-substitution through the pivot rows
+        in descending lead order fixes the value at each pivot column."""
+        p = self.p
+        free = [f for f in range(width) if f not in self.pivots]
+        # at[c]: functional index -> value at column c
+        at: dict[int, dict[int, int]] = {f: {j: 1} for j, f in enumerate(free)}
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead][0]
+            acc: dict[int, int] = {}
+            for c, v in self._fields(row) if self.packed else row.items():
+                if c == lead:
+                    continue
+                for j, y in at.get(c, {}).items():
+                    acc[j] = (acc.get(j, 0) - v * y) % p
+            at[lead] = {j: y for j, y in acc.items() if y}
+        out: list[dict[int, int]] = [{} for _ in free]
+        for c in sorted(at):
+            for j, y in at[c].items():
+                out[j][c] = y
+        return out
 
     # dict rows
 

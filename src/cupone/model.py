@@ -9,9 +9,12 @@ Over Z the degree-2 cohomology of a stage-2 model is assembled from the
 two spectral-sequence pieces: Lambda^2(X_1)/K in Smith normal form and
 the kernel E of the pairing H^1 (x) span(Y) -> Lambda^3(X_1), each
 E-element completed to a cocycle by an exact weight-graded solve; every
-representative is re-verified to be a cocycle.  Over Z_p any stage is
-handled by brute-force linear algebra on the finite truncation
-T^1 -> T^2 -> T^3.
+representative is re-verified to be a cocycle.  Over Z_p the H^2 of any
+stage is that of the finite truncation T^1 -> T^2 -> T^3, the cobar
+complex of (T^1, d): it is read off a minimal resolution of the dual
+algebra A = (T^1)^*, in dimension r (p^n - 1) for n generators and
+r = dim H^1 rather than over the (p^n - 1)^2 words of T^2.  Stages with
+p^n - 1 above ZP_STAGE_LIMIT are refused before any basis is built.
 
 kappa_n pushes an H^2(M_n) generating set through rho simplicially and
 reports the torsion of the cokernel inside H^2(X; R) (the full cokernel
@@ -44,7 +47,6 @@ from .interval import CylEl, cylinder_over_complex
 from .linalg import (
     AbelianInvariants,
     CohomologyData,
-    T2_WORD_LIMIT,
     ZpEliminator,
     cohomology_at,
     image_solver,
@@ -60,6 +62,10 @@ from .tensor import TensorElem, cup
 
 class PreconditionError(ValueError):
     """A mathematical precondition of an operation fails."""
+
+
+class RepresentativesRejected(PreconditionError):
+    """Supplied H^1 representatives are not a basis of H^1."""
 
 
 class StageCapError(RuntimeError):
@@ -293,7 +299,8 @@ def stage1(X: DeltaSet, ring: RingSpec,
         coords = [h1.class_coords(r.vector(X.cells[1])) for r in reps]
         k = len(h1.generators)
         if len(reps) != k:
-            raise PreconditionError("wrong number of H^1 representatives")
+            raise RepresentativesRejected(
+                "wrong number of H^1 representatives")
         if ring.is_modular:
             elim = ZpEliminator(ring.p, len(coords), k)
             for v in coords:
@@ -303,7 +310,8 @@ def stage1(X: DeltaSet, ring: RingSpec,
             snf = smith_normal_form(coords, k)
             ok = snf.diag == [1] * k
         if not ok:
-            raise PreconditionError("supplied cochains are not an H^1 basis")
+            raise RepresentativesRejected(
+                "supplied cochains are not an H^1 basis")
     names = [f"x{i + 1}" for i in range(len(reps))]
     gens = GeneratorSet(names, {n: 1 for n in names})
     diff = zero_differential(gens, ring)
@@ -498,27 +506,128 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
     return gens_out
 
 
-def _t_basis_all(names, ring, degree: int) -> list[tuple]:
-    """Full basis of T^degree over Z_p (every exponent <= p-1)."""
-    cap = ring.max_zeta
-    singles = list(iter_indices(names, cap * len(names), cap))
+# Largest n1 = p^n - 1, the dimension of T^1 on n generators over Z_p,
+# for which the stage cohomology is computed.  Computing d on the n1
+# basis elements is most of the cost: at n1 = 1,023 (wedge2 over Z_2,
+# stage 3) a kappa run took 24 s and 165 MB, of which the resolution
+# took 1.4 s; at n1 = 2,047 the d-values alone took 246 s and 390 MB
+# (one core of a 2-core x86 host, Python 3.11).
+ZP_STAGE_LIMIT = 1_023
 
-    def words(d):
-        if d == 0:
-            return [()]
-        return [(i,) + rest for i in singles for rest in words(d - 1)]
 
-    return words(degree)
+def resolution_cohomology_Zp(names, ring: RingSpec,
+                             diff: Differential | None = None):
+    """H^1 and H^2 of (T_{Z_p}(X), d) from a minimal resolution.
+
+    The truncation T^1 -> T^2 -> T^3 is the cobar complex of the
+    coalgebra (T^1, d), so its cohomology is dual to Tor over the finite
+    nilpotent algebra A = (T^1)^* with e_a e_b = sum_c [coefficient of
+    (a, b) in d(e^c)] e_c.  H^1 = (A/A^2)^* = ker d.  With generators
+    g_1..g_r of A (a complement of A^2), R = F_p + A and K_1 the kernel of
+    phi: R^r -> A, x -> sum x_i g_i, H^2 is dual to K_1 / A K_1.  For a
+    section sigma of phi and a functional xi on R^r vanishing on sigma(A)
+    and A K_1, f(a (x) b) = xi(e_a sigma(e_b)) is a cocycle, and such xi
+    give a basis of H^2.  All of it is linear algebra in dimension
+    r (n1 + 1), n1 = p^|X| - 1.  Returns the H^1 and the H^2
+    representatives; each H^2 one is audited as a cocycle.
+    """
+    p, cap = ring.p, ring.max_zeta
+    n1 = p ** len(names) - 1
+    if n1 > ZP_STAGE_LIMIT:
+        raise PreconditionError(
+            f"Z_p stage cohomology refused: {len(names)} generators over "
+            f"Z_{p} give T^1 of dimension n1 = {n1:,} "
+            f"(limit {ZP_STAGE_LIMIT:,})")
+    diff = diff or zero_differential(GeneratorSet(names), ring)
+    basis = list(iter_indices(names, cap * len(names), cap))
+    pos = {f.entries: i for i, f in enumerate(basis)}
+    # d(e^c) keyed by the T^2 code a*n1 + b of its words: read by code,
+    # it is the product table of A.
+    d1 = [{pos[a.entries] * n1 + pos[b.entries]: v
+           for (a, b), v in diff.d_index(f).terms.items()} for f in basis]
+    prod: dict[int, dict[int, int]] = {}
+    for c, dv in enumerate(d1):
+        for code, v in dv.items():
+            prod.setdefault(code, {})[c] = v
+    # The non-pivot columns of A^2 name generators g_i of A, and the
+    # functionals vanishing on A^2, H^1 = (A/A^2)^* = ker d, are dual to
+    # them.
+    # Distinct products, shortest first, keep the echelon sparse and the
+    # reductions short; the pivot columns do not depend on the order.
+    square = ZpEliminator(p, n1, n1)
+    for col in sorted({tuple(sorted(col.items())) for col in prod.values()},
+                      key=lambda col: (len(col), col)):
+        square.insert(dict(col))
+    h1 = square.annihilator(n1)
+    gens = [c for c in range(n1) if c not in square.pivots]
+    # Slot i*m of R^r is the unit of the i-th copy of R, slot i*m + 1 + a
+    # is its e_a.  The units go in first, so sigma(e_b) stays short.
+    m = n1 + 1
+    phi = ZpEliminator(p, len(gens) * m, n1)
+    for i, g in enumerate(gens):
+        phi.insert({g: 1}, tag=i * m)
+    k1 = []
+    for i, g in enumerate(gens):
+        for a in range(n1):
+            rel = phi.insert_relation(prod.get(a * n1 + g, {}),
+                                      tag=i * m + 1 + a)
+            if rel is not None:
+                k1.append(rel)
+    # Each kernel relation is 1 at its own slot and 0 at the other
+    # relations' slots, so a vector of K_1 has its K_1 coordinates there;
+    # sigma, built from pivot slots only, vanishes there.
+    own = [max(k) for k in k1]
+    coord = {t: j for j, t in enumerate(own)}
+    quot = ZpEliminator(p, len(k1), len(k1))
+    for g in gens:  # the g_i generate A, so A K_1 = span{g_i k}
+        for k in k1:
+            vec: dict[int, int] = {}
+            for t, x in k.items():
+                i, s = divmod(t, m)  # s >= 1: K_1 lies in A^r
+                for e, v in prod.get(g * n1 + s - 1, {}).items():
+                    j = coord.get(i * m + 1 + e)
+                    if j is not None:
+                        vec[j] = vec.get(j, 0) + x * v
+            quot.insert(vec)
+    users: dict[int, list] = {}  # slot t -> [(b, sigma(e_b) at t)]
+    for b in range(n1):
+        for t, s in phi.express({b: 1}).items():
+            users.setdefault(t, []).append((b, s))
+    h2 = []
+    for xi in quot.annihilator(len(k1)):
+        f: dict[int, int] = {}
+        for j, x in xi.items():
+            i, s = divmod(own[j], m)
+            # xi(e_a sigma(e_b)): e_a times the unit of copy i is e_a, and
+            # e_a e_c meets e_{s-1} with the coefficient of (a, c) in
+            # d(e^{s-1}).
+            for b, sb in users.get(i * m, ()):
+                w = (s - 1) * n1 + b
+                f[w] = f.get(w, 0) + x * sb
+            for code, v in d1[s - 1].items():
+                a, c = divmod(code, n1)
+                for b, sb in users.get(i * m + 1 + c, ()):
+                    w = a * n1 + b
+                    f[w] = f.get(w, 0) + x * v * sb
+        rep = TensorElem(ring, {(basis[w // n1], basis[w % n1]): v
+                                for w, v in f.items()})
+        if not apply_d(diff, rep).is_zero():
+            raise InternalError("Z_p stage H^2 representative is not a "
+                                "cocycle (internal consistency failure)")
+        h2.append(rep)
+    h1_reps = [TensorElem(ring, {(basis[c],): v for c, v in rel.items()})
+               for rel in h1]
+    return h1_reps, h2
 
 
 def h2_stage_Zp(stage: "ModelStage") -> list[H2Gen]:
-    """Brute-force H^2 of the finite truncation T^1 -> T^2 -> T^3."""
+    """H^2 of a Z_p stage model, every class of order p (see
+    resolution_cohomology_Zp)."""
     if not stage.ring.is_modular:
         raise PreconditionError("h2_stage_Zp requires a Z_p model")
-    data, _, reps = t_cohomology_Zp(stage.gens.names, stage.ring, 2,
-                                    stage.diff)
-    return [H2Gen(order, rep, f"[{rep.render()}]")
-            for (order, _), rep in zip(data.generators, reps)]
+    _, reps = resolution_cohomology_Zp(stage.gens.names, stage.ring,
+                                       stage.diff)
+    return [H2Gen(stage.ring.p, rep, f"[{rep.render()}]") for rep in reps]
 
 
 def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
@@ -570,65 +679,6 @@ def express_in_h2_basis(stage: "ModelStage", z: TensorElem,
     return express_many_in_h2_basis(stage, [z], weight_cap)[0]
 
 
-def t_cohomology_Zp(names, ring: RingSpec, degree: int,
-                    diff: Differential | None = None):
-    """H^degree of (T_{Z_p}(X), d) for degree 1 or 2, brute force.
-
-    Words are integer-coded: with n1 degree-1 basis elements, the word
-    (f_1, ..., f_k) is the base-n1 number of their positions, so a
-    degree-2 code is its index in the T^2 basis.  All matrices stay
-    sparse; degree-3 words are numbered lazily so only the image of the
-    differential is ever materialized.  Returns the cohomology data, the
-    T^degree basis and the generator representatives.
-    """
-    from .linalg import cohomology_sparse_zp
-    if degree not in (1, 2):
-        raise ValueError("degrees 1 and 2 only")
-    p = ring.p
-    words = (p ** len(names) - 1) ** 2
-    if words > T2_WORD_LIMIT:
-        raise PreconditionError(
-            f"brute-force Z_p cohomology refused: T^2 of {len(names)} "
-            f"generators over Z_{p} has {words:,} words (limit "
-            f"{T2_WORD_LIMIT:,})")
-    diff = diff or zero_differential(GeneratorSet(names), ring)
-    b1 = _t_basis_all(names, ring, 1)
-    n1 = len(b1)
-    pos = {w[0]: i for i, w in enumerate(b1)}
-    # Every degree-2 word differential is assembled from the single-index
-    # values by the Leibniz rule.
-    d1 = [[(pos[a] * n1 + pos[b], c)
-           for (a, b), c in diff.d_index(w[0]).terms.items()] for w in b1]
-    if degree == 1:
-        i2: dict = {}
-        b_cols = [{i2.setdefault(code, len(i2)): c for code, c in dv}
-                  for dv in d1]
-        basis, a_cols = b1, []
-    else:
-        basis = _t_basis_all(names, ring, 2)
-        a_cols = [dict(dv) for dv in d1]
-        i3: dict = {}
-        number = i3.setdefault
-        b_cols = []
-        # d(a (x) b) = d(a) (x) b - a (x) d(b); within one half the
-        # degree-3 codes are distinct, so only the second half can collide.
-        for a, da in enumerate(d1):
-            head = a * n1 * n1
-            left = [(code * n1, c) for code, c in da]
-            for b, db in enumerate(d1):
-                col = {number(code + b, len(i3)): c for code, c in left}
-                for code, c in db:
-                    row = number(head + code, len(i3))
-                    col[row] = (col.get(row, 0) - c) % p
-                if len(col) < len(da) + len(db):  # the halves met
-                    col = {k: v for k, v in col.items() if v}
-                b_cols.append(col)
-    data = cohomology_sparse_zp(ring, len(basis), a_cols, b_cols)
-    reps = [TensorElem(ring, {w: c for w, c in zip(basis, vec) if c})
-            for _, vec in data.generators]
-    return data, basis, reps
-
-
 @dataclass
 class PsiComparison:
     p: int
@@ -653,10 +703,9 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
     mc = delta_from_magma(law.to_finite_magma(), 3)
     X = mc.delta
     dims_model, dims_bar, iso = {}, {}, {}
-    for degree in (1, 2):
-        data, basis, reps = t_cohomology_Zp(names, ring, degree)
+    for degree, reps in enumerate(resolution_cohomology_Zp(names, ring), 1):
         bar = segment_cohomology(X, ring, degree)
-        dims_model[degree] = len(data.generators)
+        dims_model[degree] = len(reps)
         dims_bar[degree] = len(bar.generators)
         elim = ZpEliminator(ring.p, len(reps), dims_bar[degree])
         full = True

@@ -57,7 +57,7 @@ def stage_dict(stage: ModelStage) -> dict:
             "H2_model": h2,
             "kernel_basis": ker,
             "complete": stage.complete,
-            "H2_route": ("brute-force-Zp" if stage.ring.is_modular
+            "H2_route": ("minimal-resolution-Zp" if stage.ring.is_modular
                          else "derived-degree-2-splitting")}
 
 

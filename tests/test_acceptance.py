@@ -37,7 +37,6 @@ from cupone.model import (
     realize_group,
     rho_push,
     stage1,
-    t_cohomology_Zp,
     word_pair,
 )
 from cupone.presentation import (
@@ -48,6 +47,7 @@ from cupone.presentation import (
 from cupone.rings import MultiIndex, RingSpec
 from cupone.tensor import TensorElem, cup
 from cupone.verify import run_all_suites
+from zp_oracle import t_cohomology_Zp
 
 Z = RingSpec.Z()
 

@@ -146,7 +146,8 @@ def test_cli_minimal_model_zp(capsys):
     code, out, _ = run_cli(capsys, "minimal-model", "--ring", "Zp:3",
                            "--format", "json", str(FIXTURES / "torus.pres"))
     payload = json.loads(out)
-    assert payload["results"]["stages"][-1]["H2_route"] == "brute-force-Zp"
+    assert payload["results"]["stages"][-1]["H2_route"] == \
+        "minimal-resolution-Zp"
 
 
 def test_cli_verify_axioms_small(capsys):
@@ -233,16 +234,52 @@ def test_cli_weight_cap_zero_accepted(capsys):
     assert "weight <= 0): 0 checked: pass" in out
 
 
-@pytest.mark.parametrize("fixture, ring, words", [
-    ("heisenberg_k1", "Zp:5", "9,759,376"),
-    ("borromean_n1", "Zp:3", "387,381,124"),
+@pytest.mark.parametrize("fixture, ring, n, p", [
+    ("heisenberg_k1", "Zp:5", 5, 5),  # n1 = 3,124
+    ("borromean_n1", "Zp:3", 9, 3),   # n1 = 19,682
 ])
-def test_cli_refuses_oversized_zp_stage(capsys, fixture, ring, words):
+def test_cli_refuses_oversized_zp_stage(capsys, fixture, ring, n, p):
     code, out, err = run_cli(capsys, "kappa", "--ring", ring,
                              str(FIXTURES / f"{fixture}.pres"))
     assert code == 1
     assert out == ""
-    assert f"has {words} words" in err
+    assert f"{n} generators over Z_{p} give T^1 of dimension " \
+        f"n1 = {p ** n - 1:,}" in err
+
+
+def test_size_refusal_builds_stage1_once(capsys, monkeypatch):
+    # Only a rejected H^1 basis is retried with generic representatives;
+    # a size-guard refusal at stage 2 is final.
+    from cupone import model
+    calls = []
+
+    def counting_stage1(*args, **kwargs):
+        calls.append(args)
+        return stage1(*args, **kwargs)
+
+    stage1 = model.stage1
+    monkeypatch.setattr(model, "stage1", counting_stage1)
+    code, out, err = run_cli(capsys, "kappa", "--ring", "Zp:3",
+                             str(FIXTURES / "borromean_n1.pres"))
+    assert (code, out) == (1, "")
+    assert "refused" in err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cases", ["-1", "0"])
+def test_cli_verify_axioms_needs_a_case(capsys, cases):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-axioms", "--cases", cases])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triples", ["a,b", "1,2,9", "1,2", "1,2,3;"])
+def test_cli_massey_bad_triples_exit_2(capsys, triples):
+    code, out, err = run_cli(capsys, "massey", "--triples", triples,
+                             str(FIXTURES / "borromean_n1.pres"))
+    assert (code, out) == (2, "")
+    assert f"bad --triples {triples!r}" in err
 
 
 def run_module(*args):

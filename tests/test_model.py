@@ -509,7 +509,7 @@ def test_minimality_audit_dy_maps_to_zero():
 
 def test_h1_stability_of_stages_mod_p():
     # H^1(M_n) stays of dimension |X_1| after extension (Z_3 torus).
-    from cupone.model import t_cohomology_Zp
+    from zp_oracle import t_cohomology_Zp
     ring = RingSpec.Zp(3)
     pc = presentation_complex(torus_presentation())
     s2 = minimal_model(pc.delta, ring, 2)[-1]
@@ -571,25 +571,35 @@ def zero_differential_mod(names):
     return zero_differential(GeneratorSet_mod(names), Z)
 
 
-def stage2_diff(fixture: str, p: int):
-    """The stage-2 differential the CLI builds for a fixture over Z_p,
-    without computing the H^2 of stage 2 itself."""
+def stage_diff(fixture: str, p: int, n: int = 2):
+    """The stage-n differential the CLI builds for a fixture over Z_p,
+    without computing the H^2 of stage n itself."""
     import pathlib
     from cupone.cli import LoadedInput
     from cupone.differential import build_differential
     path = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    s1 = LoadedInput(str(path / f"{fixture}.pres"), f"Zp:{p}").build_model(1)[-1]
-    ys = [f"y{i + 1}" for i in range(len(s1.ker_basis))]
-    gens = s1.gens.extend(ys, 2)
-    tau = {y: rep.scale(-1) for y, rep in zip(ys, s1.ker_basis)}
-    return gens.names, build_differential(gens, tau, s1.ring)
+    inp = LoadedInput(str(path / f"{fixture}.pres"), f"Zp:{p}")
+    if n == 1:
+        s1 = inp.build_model(1)[-1]
+        return s1.gens.names, s1.diff
+    prev = inp.build_model(n - 1)[-1]
+    prefix = "y" if n == 2 else f"t{n}_"
+    ys = [f"{prefix}{i + 1}" for i in range(len(prev.ker_basis))]
+    gens = prev.gens.extend(ys, n)
+    tau = dict(prev.diff.tau)
+    tau.update({y: rep.scale(-1) for y, rep in zip(ys, prev.ker_basis)})
+    return gens.names, build_differential(gens, tau, prev.ring)
+
+
+def stage2_diff(fixture: str, p: int):
+    return stage_diff(fixture, p, 2)
 
 
 def test_t_cohomology_Zp_frozen():
     # Generators, representatives and class coordinates of the brute-force
     # Z_p cohomology, pinned: every Z_p model report is read off them.
     import hashlib
-    from cupone.model import t_cohomology_Zp
+    from zp_oracle import t_cohomology_Zp
     cases = []
     for p in (2, 3, 5):
         for k in (1, 2, 3):
@@ -614,11 +624,59 @@ def test_t_cohomology_Zp_frozen():
         "47beca378211940c8979241b3c78196b8d11537ca0d14af59701280e4179e276"
 
 
+def assert_matches_oracle(names, ring, diff=None):
+    """The resolution route against the brute force: same dimensions,
+    cocycle representatives of full rank in the brute force's classes."""
+    from cupone.differential import zero_differential
+    from cupone.linalg import ZpEliminator
+    from cupone.model import resolution_cohomology_Zp
+    from zp_oracle import t_cohomology_Zp
+    diff = diff or zero_differential(GeneratorSet_mod(names), ring)
+    h1, h2 = resolution_cohomology_Zp(names, ring, diff)
+    for degree, reps in ((1, h1), (2, h2)):
+        data, basis, _ = t_cohomology_Zp(names, ring, degree, diff)
+        assert len(reps) == len(data.generators)
+        index = {w: i for i, w in enumerate(basis)}
+        elim = ZpEliminator(ring.p, len(reps), len(reps))
+        for rep in reps:
+            assert apply_d(diff, rep).is_zero()
+            vec = [0] * len(basis)
+            for w, c in rep.terms.items():
+                vec[index[w]] = c
+            coords = data.class_coords(vec)
+            assert elim.insert({i: v for i, v in enumerate(coords) if v})
+
+
+# Every fixture stage whose brute force finishes within a few seconds;
+# heisenberg_k2 and wedge2 at Zp:3, stage 2, take about a minute each.
+@pytest.mark.parametrize("fixture, p, n", [
+    ("torus", 2, 1), ("torus", 2, 2), ("torus", 2, 3),
+    ("torus", 3, 1), ("torus", 3, 2), ("torus", 5, 1),
+    ("heisenberg_k1", 2, 1), ("heisenberg_k1", 2, 2),
+    ("heisenberg_k2", 2, 1), ("heisenberg_k2", 2, 2),
+    ("heisenberg_k2", 3, 1), ("wedge2", 3, 1),
+    ("cyclic4", 2, 1), ("cyclic4", 2, 2), ("borromean_n1", 2, 1),
+])
+def test_resolution_matches_brute_force(fixture, p, n):
+    names, diff = stage_diff(fixture, p, n)
+    assert_matches_oracle(names, RingSpec.Zp(p), diff)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (5, 1), (5, 2)])
+def test_resolution_matches_brute_force_on_d0(p, k):
+    # The H^1 and H^2 that psi_cohomology_comparison maps into B(Z_p^k).
+    assert_matches_oracle([f"x{i + 1}" for i in range(k)], RingSpec.Zp(p))
+
+
+# The stage size guard bounds n1 = p^k - 1, so T^2 has at most n1^2 words.
 @pytest.mark.parametrize("k, p, refused", [
-    (8, 2, False),  # heisenberg_k1, Zp:2, stage 3: 65,025 words, finishes
-    (5, 3, False),  # heisenberg_k1, Zp:3, stage 2: 58,564 words, finishes
-    (9, 2, True),   # borromean_n1, Zp:2, stage 2: 261,121 words
-    (4, 5, True),   # torus, Zp:5, stage 2: 389,376 words
+    (8, 2, False),  # heisenberg_k1, Zp:2, stage 3: n1 = 255
+    (5, 3, False),  # heisenberg_k1, Zp:3, stage 2: n1 = 242
+    (9, 2, False),  # borromean_n1, Zp:2, stage 2: n1 = 511
+    (4, 5, False),  # torus, Zp:5, stage 2: n1 = 624
+    (5, 5, True),   # heisenberg_k1, Zp:5, stage 2: n1 = 3,124
+    (9, 3, True),   # borromean_n1, Zp:3, stage 2: n1 = 19,682
 ])
 def test_t2_word_limit(monkeypatch, k, p, refused):
     from cupone import model
@@ -630,11 +688,10 @@ def test_t2_word_limit(monkeypatch, k, p, refused):
         raise Reached
 
     # The guard runs before any basis is built; stop right there.
-    monkeypatch.setattr(model, "_t_basis_all", reached)
+    monkeypatch.setattr(model, "iter_indices", reached)
     names = [f"x{i + 1}" for i in range(k)]
     with pytest.raises(PreconditionError if refused else Reached) as exc:
-        model.t_cohomology_Zp(names, RingSpec.Zp(p), 2)
+        model.resolution_cohomology_Zp(names, RingSpec.Zp(p))
     if refused:
-        words = f"{(p ** k - 1) ** 2:,}"
-        assert f"{k} generators over Z_{p} has {words} words" \
-            in str(exc.value)
+        assert f"{k} generators over Z_{p} give T^1 of dimension " \
+            f"n1 = {p ** k - 1:,}" in str(exc.value)
