@@ -30,6 +30,9 @@ class DeltaSet:
                     raise ValueError(f"duplicate cell id {c!r}")
                 self.dim_of[c] = d
         self.validate()
+        # (ring, k) -> H^k(X; R), filled by segment_cohomology; nothing
+        # changes a Delta-set after validation.
+        self._cohomology: dict = {}
 
     def validate(self):
         for d in range(1, 4):
@@ -327,6 +330,10 @@ def delta_from_magma(m: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     (b, ab, a); 3-cells per the associativity tetrahedron."""
     if max_dim >= 3 and m.associativity_counterexample() is not None:
         raise ValueError("dimension 3 requires an associative magma")
+    return _magma_complex(m, max_dim)
+
+
+def _magma_complex(m: FiniteMagma, max_dim: int) -> MagmaComplex:
     nm = m.name_fn
     cells = {0: ["*"], 1: [], 2: [], 3: []}
     faces = {}
@@ -374,7 +381,8 @@ def bar_construction(g: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     """Delta(M) of a finite monoid (the bar construction)."""
     if not g.is_monoid():
         raise ValueError("bar construction requires a finite monoid")
-    return delta_from_magma(g, max_dim)
+    # is_monoid has checked associativity, which dimension 3 needs.
+    return _magma_complex(g, max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +623,24 @@ def coboundary_cols_sparse(X: DeltaSet, k: int, p: int) -> list[dict]:
 
 
 def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
-    """H^k(X; R); sparse elimination over Z_p, Smith normal form over Z."""
+    """H^k(X; R), computed once per (ring, k) and kept on X; sparse
+    elimination over Z_p, Smith normal form over Z.  Its ``preimage``
+    solves delta^{k-1} x = vec on the same factor."""
     from .linalg import cohomology_at, cohomology_sparse_zp
+    data = X._cohomology.get((ring, k))
+    if data is not None:
+        return data
     if not ring.is_modular:
-        return cohomology_at(segment_at(X, ring, k))
-    p = ring.p
-    a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
-    upper = X.cells[k + 1] if k + 1 <= 3 else []
-    b_cols = coboundary_cols_sparse(X, k, p) if upper else None
-    return cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols,
-                                X.cells[k])
+        data = cohomology_at(segment_at(X, ring, k))
+    else:
+        p = ring.p
+        a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
+        upper = X.cells[k + 1] if k + 1 <= 3 else []
+        b_cols = coboundary_cols_sparse(X, k, p) if upper else None
+        data = cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols,
+                                    X.cells[k])
+    X._cohomology[(ring, k)] = data
+    return data
 
 
 def cochain_from_vector(X: DeltaSet, ring: RingSpec, dim: int,

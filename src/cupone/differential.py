@@ -13,9 +13,9 @@ variables, by splitting zeta_I into cup-one factors.
 Each Differential keeps one cache of d(zeta_I) keyed by the multi-index,
 for single-variable and composite indices alike: tau is fixed once the
 Differential is built (a new stage builds a new one), so a value never
-changes and every caller (apply_d, the d^2 audit, the brute-force Z_p
-cohomology) computes it at most once.  Callers share the cached elements
-and must not mutate them.
+changes and every caller (apply_d, the d^2 audit, the Z_p stage
+cohomology of resolution_cohomology_Zp) computes it at most once.
+Callers share the cached elements and must not mutate them.
 """
 from __future__ import annotations
 

@@ -7,8 +7,11 @@ Uinv as asked); the same factor then serves every ``solve`` (through
 ``kernel`` and the ``class_coords`` of the cohomology of three-term
 complexes with labeled bases.  A query touches only the nonzero entries
 of its vector (``mat_vec``) and only the transform rows its answer needs.
-``image_solver`` gives each call site one factor per matrix for either
-ring; over Z_p that factor is one tagged ``ZpEliminator``.
+The cohomology of a segment C^{k-1} --A--> C^k --B--> C^{k+1} factors
+im A once per ring and answers both ``class_coords`` and ``preimage``
+(x with A x = vec) from that factor: over Z its Smith normal form, over
+GF(p) one ``ZpEliminator`` with the columns of A tagged.
+``image_solver`` factors any other integer matrix once per call site.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
 rows are dicts column -> value, or, for p <= 13, Python ints with one
@@ -382,39 +385,24 @@ def solve_Z(factor: SNFResult, b: list[int]) -> list[int] | None:
     return factor.solve(b).solution
 
 
-def image_solver(rows: list[list[int]], ncols: int,
-                 ring: RingSpec | None = None):
-    """Factor M once over the ring; returns b -> x with M x = b, or None
-    when b is not in the image of M.
-
-    Over Z the factor is M's Smith normal form and each solve goes through
-    ``solve_Z``; over GF(p) it is one ZpEliminator holding the columns of
-    M tagged by index, and each solve is one ``express``.
-    """
-    if ring is None or not ring.is_modular:
-        factor = smith_normal_form(rows, ncols, want_u=True, want_v=True)
-        return lambda b: solve_Z(factor, b)
-    p = ring.p
-    elim = ZpEliminator(p, ncols, len(rows))
-    for j in range(ncols):
-        elim.insert({i: row[j] % p for i, row in enumerate(rows)
-                     if row[j] % p}, tag=j)
-
-    def solve(b: list[int]) -> list[int] | None:
-        coeffs = elim.express({i: v % p for i, v in enumerate(b) if v % p})
-        if coeffs is None:
-            return None
-        return [coeffs.get(j, 0) for j in range(ncols)]
-
-    return solve
+def image_solver(rows: list[list[int]], ncols: int):
+    """Factor M once over Z; returns b -> x with M x = b, or None when b
+    is not in the image of M.  Each solve goes through ``solve_Z``.
+    Coboundaries of a Delta-set are solved by the ``preimage`` of their
+    cohomology instead, over either ring."""
+    factor = smith_normal_form(rows, ncols, want_u=True, want_v=True)
+    return lambda b: solve_Z(factor, b)
 
 
 def solve_in_image(rows: list[list[int]], b: list[int], ncols: int,
                    ring: RingSpec | None = None) -> SolveResult:
     """Particular solution of M x = b over the ring, or a certificate
-    (over Z the Smith-normal-form residue of ``SNFResult.solve``)."""
+    (over Z the Smith-normal-form residue of ``SNFResult.solve``; over
+    GF(p) the ``preimage`` of the segment with A = M)."""
     if ring is not None and ring.is_modular:
-        x = image_solver(rows, ncols, ring)(b)
+        seg = ComplexSegment(ring, range(ncols), range(len(rows)), [], rows,
+                             [])
+        x = cohomology_at(seg).preimage(b)
         cert = None if x is not None else {"reason": "not in column span"}
         return SolveResult(x, cert)
     return smith_normal_form(rows, ncols, want_u=True, want_v=True).solve(b)
@@ -740,17 +728,25 @@ class CohomologyData:
     representative is a dense vector over the middle basis.
     ``class_coords`` maps any cocycle vector to coordinates aligned with
     the generators (torsion coordinates reduced mod the order).
+    ``preimage`` maps a vector to some x over the lower basis with
+    A x = vec, or None when vec is not in im A; it reads the same factor
+    of im A that the class coordinates do.
     """
 
-    def __init__(self, ring, invariants, generators, coord_fn, mid_labels):
+    def __init__(self, ring, invariants, generators, coord_fn, preimage_fn,
+                 mid_labels):
         self.ring = ring
         self.invariants = invariants
         self.generators = generators
         self._coord_fn = coord_fn
+        self._preimage_fn = preimage_fn
         self.mid_labels = mid_labels
 
     def class_coords(self, vec: list[int]) -> list[int]:
         return self._coord_fn(vec)
+
+    def preimage(self, vec: list[int]) -> list[int] | None:
+        return self._preimage_fn(vec)
 
     @property
     def orders(self) -> list[int]:
@@ -762,10 +758,13 @@ def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
     K = kernel_basis_Z(seg.B, nm) if seg.upper else None
     k = nm if K is None else len(K)
     if k == 0:
+        # ker B = 0, so only the zero vector is a coboundary.
         return CohomologyData(seg.ring, AbelianInvariants(0, ()), [],
-                              lambda v: [], seg.mid)
-    # Coordinates on ker B in the basis K; without an upper term K is the
-    # identity and needs no factor.
+                              lambda v: [],
+                              lambda v: None if any(v) else [0] * nl,
+                              seg.mid)
+    # Coordinates on ker B in the basis K (None off ker B); without an
+    # upper term K is the identity and needs no factor.
     to_kernel = from_kernel = list
     if K is not None:
         Krows = [[v[i] for v in K] for i in range(nm)]
@@ -775,17 +774,15 @@ def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
                                   f"normal form diagonal {kfac.diag}")
 
         def to_kernel(vec):
-            y = kfac.solve(vec).solution
-            if y is None:
-                raise ValueError("vector is not a cocycle")
-            return y
+            return kfac.solve(vec).solution
 
         def from_kernel(w):
             return mat_vec(Krows, w)
 
     cols = [to_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
     Crows = [[cols[j][i] for j in range(nl)] for i in range(k)]
-    csnf = smith_normal_form(Crows, nl, want_u=True, want_uinv=True)
+    csnf = smith_normal_form(Crows, nl, want_u=True, want_v=True,
+                             want_uinv=True)
     order_slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
     order_slots += [(i, 0) for i in range(csnf.rank, k)]
     gens = [(d, from_kernel([row[i] for row in csnf.Uinv]))
@@ -795,10 +792,19 @@ def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
     slot_rows = [csnf.U[i] for i, _ in order_slots]
 
     def coord_fn(vec):
-        c = mat_vec(slot_rows, to_kernel(vec))
+        y = to_kernel(vec)
+        if y is None:
+            raise ValueError("vector is not a cocycle")
+        c = mat_vec(slot_rows, y)
         return [x % d if d else x for x, (_, d) in zip(c, order_slots)]
 
-    return CohomologyData(seg.ring, inv, gens, coord_fn, seg.mid)
+    def preimage_fn(vec):
+        # K is injective, so A x = vec exactly when C x = K^-1 vec.
+        y = to_kernel(vec)
+        return None if y is None else csnf.solve(y).solution
+
+    return CohomologyData(seg.ring, inv, gens, coord_fn, preimage_fn,
+                          seg.mid)
 
 
 def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
@@ -809,6 +815,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
 
     ``b_cols[j]`` is the j-th column of B (upper-index -> value); None
     means B = 0.  ``a_cols`` are the columns of A in mid-coordinates.
+    Entries may be any integers; the eliminators reduce them mod p.
     """
     p = ring.p
     if b_cols is None:
@@ -816,9 +823,11 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     else:
         n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
         ker = kernel_mod_p(p, b_cols, n_upper)
+    # Column j of A carries the tag -1 - j and the i-th generator the tag
+    # i, so one express yields both the class and a preimage under A.
     quotient = ZpEliminator(p, len(a_cols) + len(ker), n_mid)
-    for col in a_cols:
-        quotient.insert({i: v % p for i, v in col.items() if v % p})
+    for j, col in enumerate(a_cols):
+        quotient.insert(col, tag=-1 - j)
     gens = []
     for rel in ker:
         if quotient.insert(rel, tag=len(gens)):
@@ -828,15 +837,23 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
             gens.append((p, vec))
     inv = AbelianInvariants(rank=0, torsion=tuple(p for _ in gens))
 
+    def express(vec):
+        return quotient.express({i: x for i, x in enumerate(vec) if x % p})
+
     def coord_fn(vec):
-        sparse = {i: x % p for i, x in enumerate(vec) if x % p}
-        combo = quotient.express(sparse)
+        combo = express(vec)
         if combo is None:
             raise ValueError("vector is not a cocycle")
         return [combo.get(i, 0) for i in range(len(gens))]
 
+    def preimage_fn(vec):
+        combo = express(vec)
+        if combo is None or any(t >= 0 for t in combo):
+            return None
+        return [combo.get(-1 - j, 0) for j in range(len(a_cols))]
+
     labels = mid_labels if mid_labels is not None else list(range(n_mid))
-    return CohomologyData(ring, inv, gens, coord_fn, labels)
+    return CohomologyData(ring, inv, gens, coord_fn, preimage_fn, labels)
 
 
 def _cohomology_Zp(seg: ComplexSegment) -> CohomologyData:
@@ -848,8 +865,8 @@ def _cohomology_Zp(seg: ComplexSegment) -> CohomologyData:
         for i, row in enumerate(seg.B):
             for j, v in enumerate(row):
                 if v % p:
-                    b_cols[j][i] = v % p
-    a_cols = [{i: seg.A[i][j] % p for i in range(nm) if seg.A[i][j] % p}
+                    b_cols[j][i] = v
+    a_cols = [{i: seg.A[i][j] for i in range(nm) if seg.A[i][j] % p}
               for j in range(len(seg.lower))]
     return cohomology_sparse_zp(seg.ring, nm, a_cols, b_cols, seg.mid)
 

@@ -23,7 +23,6 @@ from .delta import (
     Cochain,
     DeltaSet,
     coboundary,
-    coboundary_matrix,
     cup_cochain,
     segment_cohomology,
 )
@@ -181,15 +180,13 @@ class MasseyContext:
             h1_reps = [cochain_from_vector(X, ring, 1, rep)
                        for _, rep in h1data.generators]
         self.h1_reps = h1_reps
-        # delta^1 is factored once; every coboundary solve reuses it.
-        self._solve = image_solver(coboundary_matrix(X, 1), len(X.cells[1]),
-                                   ring)
 
     def h2_coords(self, c: Cochain) -> list[int]:
         return self.h2.class_coords(c.vector(self.X.cells[2]))
 
     def solve_coboundary(self, target: Cochain) -> Cochain | None:
-        x = self._solve(target.vector(self.X.cells[2]))
+        # H^2 factors im delta^1 once; every coboundary solve reuses it.
+        x = self.h2.preimage(target.vector(self.X.cells[2]))
         if x is None:
             return None
         return Cochain(1, self.ring, dict(zip(self.X.cells[1], x)))

@@ -30,7 +30,6 @@ from .delta import (
     MagmaLaw,
     check_admissible,
     coboundary,
-    coboundary_matrix,
     cup_cochain,
     magma_from_tau,
     segment_cohomology,
@@ -90,6 +89,7 @@ class ModelStage:
     h1_names: list[str]
     h2x: CohomologyData
     h2_model: list[H2Gen] | None = None
+    h2_image: list[list[int]] | None = None  # h2x coords of rho(h2_model)
     ker_basis: list[TensorElem] | None = None
     complete: bool = False
 
@@ -235,7 +235,7 @@ def h2_free_d0(names, ring: RingSpec) -> H2FreeData:
     if ring.is_modular and ring.p == 2:
         raise PreconditionError(
             "over Z_2 the degree-2 cohomology is not exterior; "
-            "use the brute-force Z_p route")
+            "use the Z_p stage cohomology (h2_stage_Zp)")
     names = list(names)
     basis = lambda2_basis(names)
     reps = [word_pair(a, b, ring) for a, b in basis]
@@ -341,18 +341,18 @@ def _h2x_relation_cols(stage: "ModelStage") -> list[list[int]]:
 
 def _compute_kernel(stage: "ModelStage"):
     """ker H^2(rho_n) as a free submodule of H^2(M_n), with cocycle
-    representatives; sets stage.ker_basis and stage.complete."""
+    representatives; sets stage.h2_image, stage.ker_basis and
+    stage.complete."""
     ring = stage.ring
     gens = stage.h2_model
-    img = [stage.h2x.class_coords(
+    img = stage.h2_image = [stage.h2x.class_coords(
         rho_push(stage, g.rep).vector(stage.target.cells[2]))
         for g in gens]
     m = len(stage.h2x.generators)
     if ring.is_modular:
-        p = ring.p
         rels = kernel_mod_p(
-            p, [{i: v % p for i, v in enumerate(col) if v % p}
-                for col in img], m)
+            ring.p, [{i: v for i, v in enumerate(col) if v} for col in img],
+            m)
         ker_vecs = [[rel.get(i, 0) for i in range(len(gens))]
                     for rel in rels]
     else:
@@ -406,11 +406,10 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
     gens = stage.gens.extend(new_names, level)
     tau = dict(stage.diff.tau)
     rho = dict(stage.rho)
-    solve = image_solver(coboundary_matrix(X, 1), len(X.cells[1]), ring)
     for name, rep in zip(new_names, stage.ker_basis):
         tau[name] = rep.scale(-1)
         target = rho_push(stage, rep.scale(-1))
-        x = solve(target.vector(X.cells[2]))
+        x = stage.h2x.preimage(target.vector(X.cells[2]))
         if x is None:
             raise InternalError(
                 "rho-lift unsolvable: kernel representative is not in "
@@ -733,17 +732,15 @@ class KappaInvariant:
 
 
 def kappa(stage: "ModelStage") -> KappaInvariant:
-    if stage.h2_model is None:
+    img = stage.h2_image
+    if img is None:
         raise StageCapError("H^2 data unavailable at this stage")
     ring = stage.ring
-    img = [stage.h2x.class_coords(
-        rho_push(stage, g.rep).vector(stage.target.cells[2]))
-        for g in stage.h2_model]
     m = len(stage.h2x.generators)
     if ring.is_modular:
         elim = ZpEliminator(ring.p, len(img), m)
         for col in img:
-            elim.insert({i: v for i, v in enumerate(col) if v % ring.p})
+            elim.insert({i: v for i, v in enumerate(col) if v})
         dim = m - elim.rank
         inv = AbelianInvariants(0, tuple(ring.p for _ in range(dim)))
         return KappaInvariant(stage.n, inv)
@@ -810,7 +807,12 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
     law = magma_from_tau(stage.gens.names, stage.diff.tau, ring)
     rendered = {g: p.render() for g, p in law.law_polynomials().items()}
     audit = {}
-    verdict = check_admissible(law, box=box, samples=samples, seed=seed)
+    if ring.is_modular:
+        # The exhaustive check and the audits below share one magma.
+        fm = law.to_finite_magma()
+        verdict = check_admissible(fm)
+    else:
+        verdict = check_admissible(law, box=box, samples=samples, seed=seed)
     audit["associativity"] = verdict.status
     if not verdict.ok:
         raise InternalError(
@@ -820,7 +822,6 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
     import random as _random
     rng = _random.Random(seed)
     if ring.is_modular:
-        fm = law.to_finite_magma()
         audit["order"] = len(fm)
         audit["unit"] = all(fm.op(a, zero) == a and fm.op(zero, a) == a
                             for a in fm.elements)
@@ -880,11 +881,10 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
         if c0 != c1:
             raise PreconditionError(
                 f"[phi0({g})] != [phi1({g})]: {c0} vs {c1}")
-    solve = image_solver(coboundary_matrix(X, 0), len(X.cells[0]), ring)
     cyl = cylinder_over_complex(X, ring)
     Phi, cs = {}, {}
     for g in names:
-        x = solve((phi0[g] - phi1[g]).vector(X.cells[1]))
+        x = h1.preimage((phi0[g] - phi1[g]).vector(X.cells[1]))
         if x is None:
             raise InternalError("equal classes must differ by a coboundary")
         c = Cochain(0, ring, dict(zip(X.cells[0], x)))

@@ -302,8 +302,8 @@ def test_cli_internal_error_exits_3(flags):
     # exit 3 with a one-line message, also when python -O strips asserts.
     script = (
         "import sys\n"
-        "from cupone import cli, model\n"
-        "model.image_solver = lambda *args: lambda b: None\n"
+        "from cupone import cli, linalg\n"
+        "linalg.CohomologyData.preimage = lambda self, vec: None\n"
         "sys.exit(cli.main(sys.argv[1:]))\n")
     r = run_module(*flags, "-c", script, "kappa",
                    str(FIXTURES / "heisenberg_k1.pres"))

@@ -20,6 +20,7 @@ from cupone.delta import (
     magma_from_tau,
     psi_embed,
     segment_at,
+    segment_cohomology,
     unit_cochain,
     zeta_cochain,
 )
@@ -387,6 +388,34 @@ def test_segment_cohomology_of_bar_z2():
     h2 = cohomology_at(segment_at(mc.delta, ring, 2))
     assert h1.invariants.torsion == (2,)
     assert h2.invariants.torsion == (2,)
+
+
+def test_segment_cohomology_is_computed_once_per_ring_and_degree():
+    X = bar_z(2, max_dim=3).delta
+    for ring in (Z, Z2, RingSpec.Zp(3)):
+        for k in range(3):
+            h = segment_cohomology(X, ring, k)
+            assert segment_cohomology(X, ring, k) is h
+    assert segment_cohomology(X, Z2, 1) is not segment_cohomology(X, Z2, 2)
+    assert segment_cohomology(X, Z, 1) is not segment_cohomology(X, Z2, 1)
+
+
+def test_bar_construction_checks_associativity_once(monkeypatch):
+    calls = []
+    scan = FiniteMagma.associativity_counterexample
+
+    def counted(self):
+        calls.append(len(self))
+        return scan(self)
+
+    monkeypatch.setattr(FiniteMagma, "associativity_counterexample", counted)
+    mc = bar_construction(cyclic_group_magma((2, 2, 2, 2)), 3)
+    assert len(mc.delta.cells[3]) == 16 ** 3
+    assert calls == [16]
+    # A bare magma still gets its check before dimension 3.
+    calls.clear()
+    delta_from_magma(cyclic_group_magma((3,)), 3)
+    assert calls == [3]
 
 
 def test_hirsch_rewriting_matches_pointwise_cup1_21():

@@ -17,7 +17,6 @@ from cupone.linalg import (
     cohomology_at,
     cohomology_sparse_zp,
     identity,
-    image_solver,
     kernel_basis_Z,
     kernel_into_presented,
     kernel_mod_p,
@@ -26,6 +25,7 @@ from cupone.linalg import (
     mat_vec,
     rank_over_Q,
     smith_normal_form,
+    solve_in_image,
     solve_Z,
 )
 from cupone.presentation import presentation_complex
@@ -115,7 +115,7 @@ def test_kernel_basis():
 def test_solve_in_image_frozen():
     assert solve_Z(factor([[2]], 1), [4]) == [2]
     assert solve_Z(factor([[2]], 1), [3]) is None
-    assert image_solver([[2]], 1, Z5)([3]) == [4]
+    assert solve_in_image([[2]], [3], 1, Z5).solution == [4]
 
 
 def test_solve_random():
@@ -687,3 +687,45 @@ def test_kernel_mod_p_relations(packed, monkeypatch):
         dense = [[cols[t].get(i, 0) for t in range(ncols)]
                  for i in range(width)]
         assert len(ker) == ncols - rank_mod_p(dense, p)
+
+
+@pytest.mark.parametrize("ring", [Z, RingSpec.Zp(2), RingSpec.Zp(3)],
+                         ids=str)
+def test_preimage_matches_fresh_factor(ring):
+    # preimage reads the factor of im delta^{k-1} that H^k builds; a fresh
+    # Smith normal form (over Z) or tagged eliminator (over GF(p)) of the
+    # same coboundary must agree on solvability, and every returned x
+    # must solve delta^{k-1} x = v exactly.
+    from cupone.delta import segment_cohomology
+    rng = random.Random(41)
+    p = ring.p
+    for X in fixture_complexes():
+        for k in (1, 2):
+            A = coboundary_matrix(X, k - 1)
+            nl, nm = len(X.cells[k - 1]), len(X.cells[k])
+            data = segment_cohomology(X, ring, k)
+            if p is None:
+                snf = smith_normal_form(A, nl, want_u=True, want_v=True)
+                fresh = lambda v: snf.solve(v).ok
+            else:
+                elim = ZpEliminator(p, nl, nm)
+                for j in range(nl):
+                    elim.insert({i: row[j] for i, row in enumerate(A)
+                                 if row[j] % p}, tag=j)
+                fresh = lambda v: elim.express(
+                    {i: x for i, x in enumerate(v) if x % p}) is not None
+            vecs = [mat_vec(A, [rng.randint(-3, 3) for _ in range(nl)])
+                    for _ in range(4)]
+            vecs += [[rng.randint(-2, 2) for _ in range(nm)]
+                     for _ in range(4)]
+            # cocycles outside the image, and multiples that fall into it
+            for order, rep in data.generators:
+                vecs.append(rep)
+                vecs.append([(order or 2) * x for x in rep])
+            for v in vecs:
+                x = data.preimage(v)
+                assert (x is not None) == fresh(v)
+                if x is not None:
+                    assert len(x) == nl
+                    assert all(ring.normalize(a - b) == 0
+                               for a, b in zip(mat_vec(A, x), v))

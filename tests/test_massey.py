@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -100,6 +101,34 @@ def test_triple_massey_borromean_values():
     for t in ((0, 0, 1), (1, 1, 2), (0, 2, 2)):
         rr = ctx.triple_massey(duals[t[0]], duals[t[1]], duals[t[2]])
         assert not any(rr.coords)
+
+
+def test_borromean_job_factors_delta1_at_most_twice(monkeypatch):
+    # minimal_model, kappa and all 27 Massey triples on X(7) share the
+    # H^1 and H^2 of one Delta-set: delta^1 is factored for ker delta^1
+    # (H^1) and for im delta^1 (H^2, whose preimage serves every rho-lift
+    # and Massey solve), and nowhere else.
+    from cupone import linalg, model
+    from cupone.delta import coboundary_matrix
+    pc = presentation_complex(borromean_presentation(7))
+    d1 = coboundary_matrix(pc.delta, 1)
+    factored = []
+    snf = linalg.smith_normal_form
+
+    def counted(rows, *args, **kwargs):
+        if rows == d1:
+            factored.append(kwargs)
+        return snf(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(model, "smith_normal_form", counted)
+    duals = [pc.dual_cochain(g, Z) for g in pc.group.generators]
+    stage = model.minimal_model(pc.delta, Z, 2, duals)[-1]
+    assert model.kappa(stage).torsion.render() == "Z/7 + Z/7"
+    ctx = MasseyContext(pc.delta, Z, duals)
+    for t in product(range(3), repeat=3):
+        ctx.triple_massey(*(duals[i] for i in t))
+    assert 0 < len(factored) <= 2
 
 
 def test_triple_massey_undefined_when_cup_nonzero():

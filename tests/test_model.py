@@ -424,6 +424,40 @@ def test_realize_group_zp_exhaustive():
     assert gr.audit["inverses"] is True
 
 
+def test_realize_group_zp_builds_one_finite_magma(monkeypatch):
+    from cupone.delta import MagmaLaw
+    built = []
+    to_finite = MagmaLaw.to_finite_magma
+
+    def counted(self):
+        built.append(len(self.gens))
+        return to_finite(self)
+
+    monkeypatch.setattr(MagmaLaw, "to_finite_magma", counted)
+    gr = realize_group(synthetic_stage2(RingSpec.Zp(3), 1))
+    assert gr.audit["associativity"] == "admissible"
+    assert built == [3]
+
+
+@pytest.mark.parametrize("pg, ring", [(borromean_presentation(2), Z),
+                                      (torus_presentation(),
+                                       RingSpec.Zp(3))],
+                         ids=["borromean_n2-Z", "torus-Zp3"])
+def test_kappa_reads_the_images_of_compute_kernel(pg, ring, monkeypatch):
+    # _compute_kernel pushed every H^2(M_n) generator through rho; kappa
+    # reads those images off the stage instead of pushing them again.
+    from cupone import model
+    stage = minimal_model(presentation_complex(pg).delta, ring, 2)[-1]
+    assert len(stage.h2_image) == len(stage.h2_model)
+    want = kappa(stage)
+
+    def refuse(*args):
+        raise AssertionError("kappa pushed a generator again")
+
+    monkeypatch.setattr(model, "rho_push", refuse)
+    assert kappa(stage) == want
+
+
 def test_realize_group_d0_is_addition():
     pc, stages = model_for(wedge_presentation(3), stages=1)
     gr = realize_group(stages[0])
