@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from . import reports
-from .delta import bar_construction, cyclic_group_magma, segment_cohomology
+from .delta import (bar_construction, check_magma_size, cyclic_group_magma,
+                    segment_cohomology)
 from .formats import ParseError, detect_and_parse
 from .massey import MasseyContext
 from .model import (
@@ -58,8 +59,9 @@ def at_least(low: int):
     return parse
 
 
-def parse_group(spec: str) -> tuple[int, ...]:
-    """Moduli of the cyclic factors named by ``Zp:<p>[^m]``."""
+def parse_group(spec: str) -> tuple[int, int]:
+    """Modulus p and count m of the cyclic factors named by
+    ``Zp:<p>[^m]``."""
     usage = f"bad group {spec!r} (expected Zp:<p>[^m] with p >= 2, m >= 1)"
     if not spec.startswith("Zp:"):
         raise CliError(2, usage)
@@ -70,7 +72,7 @@ def parse_group(spec: str) -> tuple[int, ...]:
         raise CliError(2, usage)
     if modulus < 2 or count < 1:
         raise CliError(2, usage)
-    return (modulus,) * count
+    return modulus, count
 
 
 def parse_triples(spec: str, n: int) -> list[tuple[int, ...]]:
@@ -208,9 +210,11 @@ def cmd_group_realize(args) -> int:
 
 
 def cmd_bar(args) -> int:
-    moduli = parse_group(args.group)
+    modulus, count = parse_group(args.group)
     ring = parse_ring(args.ring) if args.ring else RingSpec.Z()
-    mc = bar_construction(cyclic_group_magma(moduli), args.max_dim)
+    check_magma_size(modulus, args.max_dim, monoid=True, power=count)
+    mc = bar_construction(cyclic_group_magma((modulus,) * count),
+                          args.max_dim)
     counts = {d: len(mc.delta.cells[d]) for d in range(args.max_dim + 1)}
     return emit(args, *reports.render_bar(ring, counts))
 

@@ -55,12 +55,9 @@ from .linalg import (
     lattice_basis,
     smith_normal_form,
 )
-from .rings import BinomialPoly, InternalError, MultiIndex, RingSpec, binom_of
+from .rings import (BinomialPoly, InternalError, MultiIndex,
+                    PreconditionError, RingSpec, binom_of)
 from .tensor import TensorElem, cup
-
-
-class PreconditionError(ValueError):
-    """A mathematical precondition of an operation fails."""
 
 
 class RepresentativesRejected(PreconditionError):
@@ -695,9 +692,10 @@ class PsiComparison:
 def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
     """Check that psi: (T_{Z_p}(X), d_0) -> C*(B(Z_p^|X|); Z_p) induces
     isomorphisms on H^1 and H^2."""
-    from .delta import delta_from_magma, psi_embed
+    from .delta import check_magma_size, delta_from_magma, psi_embed
     if not ring.is_modular:
         raise PreconditionError("the comparison runs over Z_p")
+    check_magma_size(ring.p, 3, power=len(names))
     law = magma_from_tau(list(names), {}, ring)
     mc = delta_from_magma(law.to_finite_magma(), 3)
     X = mc.delta

@@ -20,6 +20,10 @@ class InternalError(RuntimeError):
     fault of the input."""
 
 
+class PreconditionError(ValueError):
+    """A mathematical precondition of an operation fails."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,32 @@ def test_cli_bar_group_powers(capsys):
                            "--max-dim", "1")
     assert code == 0
     assert "cells: 1 4" in out
+
+
+@pytest.mark.parametrize("group, max_dim, estimate", [
+    ("Zp:2^9", "3", "|G| = 2^9 at max-dim 3 gives an estimated 134,217,728"),
+    # 262,144 2-cells, but the monoid check visits 512^3 triples.
+    ("Zp:2^9", "2", "|G| = 2^9 at max-dim 2 gives an estimated 134,217,728"),
+    ("Zp:65", "3", "|G| = 65 at max-dim 3 gives an estimated 274,625"),
+    # Neither the group nor its size is built.
+    ("Zp:2^1000000000", "1",
+     "|G| = 2^1,000,000,000 at max-dim 1 gives an estimated 2^3,000,000,000"),
+])
+def test_cli_refuses_oversized_bar(capsys, monkeypatch, group, max_dim,
+                                   estimate):
+    from cupone import cli
+
+    def no_table(moduli):
+        raise AssertionError("magma table built before the size guard")
+
+    monkeypatch.setattr(cli, "cyclic_group_magma", no_table)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bar", "--group", group,
+                             "--max-dim", max_dim)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert f"{estimate} cells and associativity triples" in err
+    assert "(limit 262,144)" in err
 
 
 @pytest.mark.parametrize("argv", [

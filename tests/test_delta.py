@@ -418,6 +418,27 @@ def test_bar_construction_checks_associativity_once(monkeypatch):
     assert calls == [3]
 
 
+def test_magma_size_guard(monkeypatch):
+    from cupone.delta import MAGMA_CELL_LIMIT, check_magma_size
+    from cupone.rings import PreconditionError
+    assert MAGMA_CELL_LIMIT == 64 ** 3
+    # B(Z_3^3) and B(Z_5 x Z_2^2) at dimension 3, and the limit itself.
+    for order in (27, 20, 64):
+        check_magma_size(order, 3, monoid=True)
+    check_magma_size(512, 2)  # no associativity check below dimension 3
+    with pytest.raises(PreconditionError, match="262,144"):
+        check_magma_size(512, 2, monoid=True)
+    check_magma_size(4, 3, power=3)  # B(Z_4^3)
+    with pytest.raises(PreconditionError, match="estimated 2,097,152 cells"):
+        check_magma_size(2, 3, power=7)
+    # Refused before the associativity scan.
+    monkeypatch.setattr(FiniteMagma, "associativity_counterexample",
+                        lambda self: pytest.fail("associativity scanned"))
+    for build in (bar_construction, delta_from_magma):
+        with pytest.raises(PreconditionError, match="274,625"):
+            build(cyclic_group_magma((65,)), 3)
+
+
 def test_hirsch_rewriting_matches_pointwise_cup1_21():
     # The Hirsch rewriting of (u cup v) cup1 b equals the pointwise
     # formula u(s)(b(front) + b(back)), for every decomposition.

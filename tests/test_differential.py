@@ -1,8 +1,13 @@
+import functools
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import d_oracle
+from cupone import differential
 from cupone.cli import LoadedInput
 from cupone.differential import (
     Differential,
@@ -392,3 +397,98 @@ def test_corrupted_tau_fails_d_squared_on_warm_cache():
     assert warm.checked == cold.checked
     assert [(label, list(w.terms.items())) for label, w in warm.failures] \
         == [(label, list(w.terms.items())) for label, w in cold.failures]
+
+
+# -- the coded Leibniz rule against the MultiIndex oracle -----------------
+
+def oracle_stage_builders() -> dict:
+    """The stage-2 differentials of CACHE_CASES and every fixture stage of
+    the resolution route's brute-force comparison, by label."""
+    from test_model import RESOLUTION_STAGES, stage_diff
+    out = {f"{fx}/{ring}": lambda fx=fx, ring=ring:
+           stage2_differential(fx, ring) for fx, ring in CACHE_CASES}
+    out.update({f"{fx}/Zp:{p}/stage{n}": lambda fx=fx, p=p, n=n:
+                stage_diff(fx, p, n)[1] for fx, p, n in RESOLUTION_STAGES})
+    return out
+
+
+ORACLE_STAGES = oracle_stage_builders()
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_stage(label):
+    return ORACLE_STAGES[label]()
+
+
+def same_terms(a, b):
+    return list(a.terms.items()) == list(b.terms.items())
+
+
+@pytest.mark.parametrize("label", ORACLE_STAGES)
+def test_apply_d_matches_oracle_on_audit_inputs(label):
+    # The d^2 audit's inputs: tau and every d-value up to weight 3.
+    d = oracle_stage(label)
+    idxs = iter_indices(d.gens.names, 3, d.ring.max_zeta)
+    for val in list(d.tau.values()) + [d.d_index(idx) for idx in idxs]:
+        assert same_terms(apply_d(d, val), d_oracle.apply_d(d, val))
+
+
+@st.composite
+def tensor_elems(draw, d, pool):
+    """Words of 1-3 factors from pool with small coefficients; a drawn
+    word may repeat with the opposite coefficient, and d-values (whose
+    images cancel, d^2 = 0) may be mixed in."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = tuple(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=3)))
+        c = draw(st.integers(-3, 3))
+        terms.append((w, c))
+        if draw(st.booleans()):
+            terms.append((w, -c))
+    u = TensorElem(d.ring, terms)
+    for idx in draw(st.lists(st.sampled_from(pool), max_size=2)):
+        u = u + d.d_index(idx).scale(draw(st.integers(-2, 2)))
+    return u
+
+
+@pytest.mark.parametrize("label", ORACLE_STAGES)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_apply_d_matches_oracle(label, data):
+    d = oracle_stage(label)
+    pool = list(iter_indices(d.gens.names, 3, d.ring.max_zeta))
+    u = data.draw(tensor_elems(d, pool))
+    # Same terms in the same order, zero terms dropped.
+    assert same_terms(apply_d(d, u), d_oracle.apply_d(d, u))
+
+
+def test_apply_d_degree_cap_matches_oracle():
+    d = d0()
+    u = word([("x", 1)], [("y", 1)], [("x", 2)], [("y", 2)])
+    for impl in (apply_d, d_oracle.apply_d):
+        with pytest.raises(ValueError, match="degree cap"):
+            impl(d, u)
+
+
+@pytest.mark.parametrize("fixture,ring", [("torus", "Zp:2"),
+                                          ("heisenberg_k2", "Z"),
+                                          ("heisenberg_k2", "Zp:3"),
+                                          ("borromean_n1", "Z")])
+def test_corrupted_tau_fails_d_squared_like_oracle(monkeypatch, fixture,
+                                                   ring):
+    d = stage2_differential(fixture, ring)
+    x1, x2 = d.gens.at_level(1)[:2]
+    y = d.gens.at_level(2)[0]
+    tau = dict(d.tau)
+    # d(x1 (x) zeta_{x1 x2}) = -x1 (x) (x1 (x) x2 + x2 (x) x1) is not zero.
+    tau[y] = tau[y] + TensorElem(d.ring, {(MultiIndex.single(x1), MultiIndex(
+        [(x1, 1), (x2, 1)])): 1})
+    bad = build_differential(d.gens, tau, d.ring)
+    got = check_d_squared(bad, weight_cap=3)
+    monkeypatch.setattr(differential, "apply_d", d_oracle.apply_d)
+    want = check_d_squared(fresh(bad), weight_cap=3)
+    assert not got.passed
+    assert got.checked == want.checked
+    assert [(label, list(w.terms.items())) for label, w in got.failures] \
+        == [(label, list(w.terms.items())) for label, w in want.failures]

@@ -683,14 +683,17 @@ def assert_matches_oracle(names, ring, diff=None):
 
 # Every fixture stage whose brute force finishes within a few seconds;
 # heisenberg_k2 and wedge2 at Zp:3, stage 2, take about a minute each.
-@pytest.mark.parametrize("fixture, p, n", [
+RESOLUTION_STAGES = [
     ("torus", 2, 1), ("torus", 2, 2), ("torus", 2, 3),
     ("torus", 3, 1), ("torus", 3, 2), ("torus", 5, 1),
     ("heisenberg_k1", 2, 1), ("heisenberg_k1", 2, 2),
     ("heisenberg_k2", 2, 1), ("heisenberg_k2", 2, 2),
     ("heisenberg_k2", 3, 1), ("wedge2", 3, 1),
     ("cyclic4", 2, 1), ("cyclic4", 2, 2), ("borromean_n1", 2, 1),
-])
+]
+
+
+@pytest.mark.parametrize("fixture, p, n", RESOLUTION_STAGES)
 def test_resolution_matches_brute_force(fixture, p, n):
     names, diff = stage_diff(fixture, p, n)
     assert_matches_oracle(names, RingSpec.Zp(p), diff)
