@@ -222,7 +222,7 @@ def cmd_bar(args) -> int:
 def cmd_verify_axioms(args) -> int:
     from .verify import run_all_suites
     ring = parse_ring(args.ring) if args.ring else RingSpec.Z()
-    results = run_all_suites(args.cases, args.seed)
+    results = run_all_suites(args.cases, args.seed, ring)
     text, payload = reports.render_verify(ring, results)
     code = emit(args, text, payload)
     if not all(r.passed for r in results):
@@ -308,7 +308,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except InternalError as e:
+    except (InternalError, ArithmeticError) as e:
+        # A failed arithmetic audit (SNF divisibility, a non-primitive
+        # kernel basis, an inexact division) is a defect, not bad input.
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except (PreconditionError, StageCapError, ValueError) as e:

@@ -9,7 +9,7 @@ face rule; the cup-one product of 1-cochains and the circle product of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .rings import (BinomialPoly, MultiIndex, PreconditionError, RingSpec,
@@ -185,10 +185,6 @@ def cup_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
         if b:
             out[s] = a * b
     return Cochain(p + q, u.ring, out)
-
-
-def unit_cochain(X: DeltaSet, ring: RingSpec) -> Cochain:
-    return Cochain(0, ring, {c: 1 for c in X.cells[0]})
 
 
 def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
@@ -497,11 +493,6 @@ class MagmaLaw:
                            unit=tuple(0 for _ in self.gens), name_fn=name)
 
 
-def magma_from_tau(gens: list[str], tau: dict[str, TensorElem],
-                   ring: RingSpec) -> MagmaLaw:
-    return MagmaLaw(gens, tau, ring)
-
-
 @dataclass
 class AdmissibilityVerdict:
     status: str          # "admissible" | "not-associative" | "no-counterexample-found"
@@ -513,8 +504,8 @@ class AdmissibilityVerdict:
         return self.status in ("admissible", "no-counterexample-found")
 
 
-def check_admissible(m, mode: str = "exhaustive", box: int = 4,
-                     samples: int = 200, seed: int = 0) -> AdmissibilityVerdict:
+def check_admissible(m, box: int = 4, samples: int = 200,
+                     seed: int = 0) -> AdmissibilityVerdict:
     """Exhaustive associativity check on finite carriers; sampled integer
     box over Z (which can only ever report 'no counterexample found')."""
     if isinstance(m, FiniteMagma):
@@ -524,7 +515,7 @@ def check_admissible(m, mode: str = "exhaustive", box: int = 4,
         return AdmissibilityVerdict("not-associative", witness)
     if not isinstance(m, MagmaLaw):
         raise TypeError("expected FiniteMagma or MagmaLaw")
-    if m.ring.is_modular and mode == "exhaustive":
+    if m.ring.is_modular:
         return check_admissible(m.to_finite_magma())
     import random as _random
     rng = _random.Random(seed)
@@ -673,8 +664,3 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
                                     X.cells[k])
     X._cohomology[(ring, k)] = data
     return data
-
-
-def cochain_from_vector(X: DeltaSet, ring: RingSpec, dim: int,
-                        vec: list[int]) -> Cochain:
-    return Cochain(dim, ring, dict(zip(X.cells[dim], vec)))

@@ -54,9 +54,6 @@ class GeneratorSet:
     def up_to_level(self, m: int) -> list:
         return [n for n in self.names if self.level[n] <= m]
 
-    def max_level(self) -> int:
-        return max((self.level[n] for n in self.names), default=1)
-
     def extend(self, new_names, level: int) -> "GeneratorSet":
         lv = dict(self.level)
         lv.update({n: level for n in new_names})
@@ -99,10 +96,6 @@ class Differential:
                     f"lower level than {name} (level {lv})")
 
     # -- d on the zeta basis -------------------------------------------
-
-    def d_zeta(self, name: str, k: int) -> TensorElem:
-        """d(zeta_k(x))."""
-        return self.d_index(MultiIndex.single(name, k))
 
     def _d_single(self, name: str, k: int) -> TensorElem:
         if name not in self.gens:
@@ -195,13 +188,6 @@ class Differential:
         return out
 
 
-def build_differential(gens: GeneratorSet,
-                       tau: dict[str, TensorElem] | None,
-                       ring: RingSpec) -> Differential:
-    """Validate tau and package it as a Differential."""
-    return Differential(ring, gens, tau or {})
-
-
 def zero_differential(gens: GeneratorSet, ring: RingSpec) -> Differential:
     """The differential d_0 with tau = 0."""
     return Differential(ring, gens, {})
@@ -236,46 +222,6 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
                                for w, v in acc.items() if v])
 
 
-def cup1_high(u: TensorElem, v: TensorElem,
-              context: Differential | None = None) -> TensorElem:
-    """Dispatch the higher cup-one maps by degree pair.
-
-    (3,1) needs no context; (2,2) reads the canonical decompositions of
-    the left factor's differentials from the context."""
-    from .tensor import cup1_22_words, cup1_31
-    if u.is_zero() or v.is_zero():
-        return TensorElem.zero(u.ring)
-    pair = (u.degree(), v.degree())
-    if pair == (3, 1):
-        return cup1_31(u, v)
-    if pair == (2, 2):
-        if context is None:
-            raise ValueError("degree (2,2) cup-one needs a differential")
-        return cup1_22_words(u, v, context.d_poly)
-    if pair == (2, 1):
-        return cup1_hirsch(u, v)
-    raise ValueError(f"unsupported cup-one degrees {pair}")
-
-
-def circ(u: TensorElem, v: TensorElem,
-         context: Differential | None = None) -> TensorElem:
-    """Dispatch the circle maps by degree pair: (2,2) is context-free,
-    (2,3) and (3,2) read decomposition sums from the context."""
-    from .tensor import circ_23_words, circ_32_words
-    if u.is_zero() or v.is_zero():
-        return TensorElem.zero(u.ring)
-    pair = (u.degree(), v.degree())
-    if pair == (2, 2):
-        return circ_22(u, v)
-    if context is None:
-        raise ValueError(f"circle map of degrees {pair} needs a differential")
-    if pair == (2, 3):
-        return circ_23_words(u, v, context.d_poly)
-    if pair == (3, 2):
-        return circ_32_words(u, v, context.d_poly)
-    raise ValueError(f"unsupported circle degrees {pair}")
-
-
 @dataclass
 class DSquaredReport:
     passed: bool
@@ -304,10 +250,9 @@ def iter_indices(names, max_weight, max_exp=None):
             yield MultiIndex(entries)
 
 
-def check_d_squared(d: Differential, weight_cap: int = 6,
-                    names=None) -> DSquaredReport:
+def check_d_squared(d: Differential, weight_cap: int = 6) -> DSquaredReport:
     """Verify d^2 = 0 on generators and on the zeta basis up to weight_cap."""
-    names = list(names) if names is not None else list(d.gens.names)
+    names = list(d.gens.names)
     failures = []
     checked = 0
     for name in names:

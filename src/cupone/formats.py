@@ -92,7 +92,7 @@ def serialize_delta(X: DeltaSet, ring: RingSpec) -> str:
         lines.append(f"cells {d}")
         for c in X.cells[d]:
             fs = " ".join(X.faces.get(c, ()))
-            lines.append(f"{c} : {fs}".rstrip() + ("" if fs else ""))
+            lines.append(f"{c} : {fs}".rstrip())
     return "\n".join(lines) + "\n"
 
 

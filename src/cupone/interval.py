@@ -1,31 +1,23 @@
-"""The cochain algebra of the interval and the homotopy cylinder A (x) C*(I;R).
+"""The cochain algebra of the interval and the homotopy cylinder
+C*(X;R) (x) C*(I;R).
 
 C*(I;R) has degree-0 generators t0, t1 (the endpoints) and degree-1
 generator u, with d t0 = -u, d t1 = u, t_i t_j = delta_ij t_i,
 t0 u = u t1 = u, u t0 = t1 u = 0, and unit t0 + t1.
 
-Cylinder elements over an algebra backend A are stored componentwise as
-(f0 (x) t0, f1 (x) t1, g (x) u) with f_i of degree d and g of degree
-d - 1; the differential and products follow the Koszul rules of the
-tensor-product dga, and the cup-one product of degree-1 elements obeys
-the slotwise rules with vanishing mixed terms.
+Cylinder elements are stored componentwise as (f0 (x) t0, f1 (x) t1,
+g (x) u) with cochains f_i of degree d and g of degree d - 1; the
+differential and products follow the Koszul rules of the tensor-product
+dga, and the cup-one product of degree-1 elements obeys the slotwise
+rules with vanishing mixed terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
 
-from .delta import (
-    Cochain,
-    DeltaSet,
-    coboundary,
-    cup1_cochain,
-    cup_cochain,
-    zeta_cochain,
-)
-from .differential import Differential, apply_d
+from .delta import Cochain, DeltaSet, coboundary, cup1_cochain, cup_cochain
 from .rings import RingSpec
-from .tensor import TensorElem, cup, cup1_deg1, zeta_apply
 
 
 @dataclass
@@ -46,67 +38,6 @@ def interval_algebra(ring: RingSpec) -> IntervalAlgebra:
         t1=Cochain(0, ring, {"1": 1}),
         u=Cochain(1, ring, {"01": 1}),
     )
-
-
-# ---------------------------------------------------------------------------
-# algebra adapters (cochain algebras of a Delta-set, free dgas)
-
-class CochainAlgebraOps:
-    """Operation bundle for C*(X; R)."""
-
-    def __init__(self, X: DeltaSet, ring: RingSpec):
-        self.X = X
-        self.ring = ring
-
-    def zero(self, deg: int):
-        return Cochain(deg, self.ring, {})
-
-    def deg(self, a) -> int:
-        return a.dim
-
-    def d(self, a):
-        return coboundary(self.X, a)
-
-    def cup(self, a, b):
-        return cup_cochain(self.X, a, b)
-
-    def cup1(self, a, b):
-        return cup1_cochain(self.X, a, b)
-
-    def zeta(self, a, k: int):
-        return zeta_cochain(self.X, a, k)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-
-class FreeDgaOps:
-    """Operation bundle for (T_R(X), d)."""
-
-    def __init__(self, diff: Differential):
-        self.diff = diff
-        self.ring = diff.ring
-
-    def zero(self, deg: int):
-        return TensorElem.zero(self.ring)
-
-    def deg(self, a) -> int:
-        return a.degree()
-
-    def d(self, a):
-        return apply_d(self.diff, a)
-
-    def cup(self, a, b):
-        return cup(a, b)
-
-    def cup1(self, a, b):
-        return cup1_deg1(a, b)
-
-    def zeta(self, a, k: int):
-        return zeta_apply(a, k)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +65,22 @@ class CylEl:
 
 
 class Cylinder:
-    """The binomial cup-one dga A (x) C*(I; R) over an ops backend."""
+    """The binomial cup-one dga C*(X; R) (x) C*(I; R)."""
 
-    def __init__(self, ops):
-        self.ops = ops
-        self.ring = ops.ring
+    def __init__(self, X: DeltaSet, ring: RingSpec):
+        self.X = X
+        self.ring = ring
 
     def elem(self, deg: int, f0=None, f1=None, g=None) -> CylEl:
-        z = self.ops.zero
+        ring = self.ring
         return CylEl(deg,
-                     f0 if f0 is not None else z(deg),
-                     f1 if f1 is not None else z(deg),
-                     g if g is not None else (z(deg - 1) if deg else None))
+                     f0 if f0 is not None else Cochain(deg, ring),
+                     f1 if f1 is not None else Cochain(deg, ring),
+                     g if g is not None
+                     else (Cochain(deg - 1, ring) if deg else None))
 
     def include(self, a, deg: int) -> CylEl:
-        """a (x) (t0 + t1), the cylinder inclusion of A."""
+        """a (x) (t0 + t1), the cylinder inclusion of C*(X; R)."""
         return self.elem(deg, f0=a, f1=a)
 
     def add(self, x: CylEl, y: CylEl) -> CylEl:
@@ -168,29 +100,30 @@ class Cylinder:
 
     def is_zero(self, x: CylEl) -> bool:
         parts = [x.f0, x.f1] + ([x.g] if x.deg else [])
-        return all(self.ops.is_zero(p) for p in parts)
+        return all(p.is_zero() for p in parts)
 
     def d(self, x: CylEl) -> CylEl:
         """d(f (x) t_i) = df (x) t_i -+ (-1)^{|f|} f (x) u; d(g (x) u) = dg (x) u."""
-        ops = self.ops
+        X = self.X
         sign = -1 if x.deg % 2 else 1
         upart = x.f1.scale(sign) + x.f0.scale(-sign)
         if x.deg:
-            upart = upart + ops.d(x.g)
-        return CylEl(x.deg + 1, ops.d(x.f0), ops.d(x.f1), upart)
+            upart = upart + coboundary(X, x.g)
+        return CylEl(x.deg + 1, coboundary(X, x.f0), coboundary(X, x.f1),
+                     upart)
 
     def cup(self, x: CylEl, y: CylEl) -> CylEl:
         """Koszul product; u-part f0 g' + (-1)^{deg y} g f1'."""
-        ops = self.ops
-        f0 = ops.cup(x.f0, y.f0)
-        f1 = ops.cup(x.f1, y.f1)
+        X = self.X
+        f0 = cup_cochain(X, x.f0, y.f0)
+        f1 = cup_cochain(X, x.f1, y.f1)
         g = None
         if x.deg + y.deg:
             terms = []
             if y.deg:
-                terms.append(ops.cup(x.f0, y.g))
+                terms.append(cup_cochain(X, x.f0, y.g))
             if x.deg:
-                t = ops.cup(x.g, y.f1)
+                t = cup_cochain(X, x.g, y.f1)
                 terms.append(t.scale(-1) if y.deg % 2 else t)
             g = terms[0]
             for t in terms[1:]:
@@ -201,12 +134,12 @@ class Cylinder:
         """Degree-1 cup-one: slotwise with vanishing mixed terms."""
         if x.deg != 1 or y.deg != 1:
             raise ValueError("cylinder cup1 supports degree (1,1)")
-        ops = self.ops
-        return CylEl(1, ops.cup1(x.f0, y.f0), ops.cup1(x.f1, y.f1),
-                     ops.cup(x.g, y.g))
+        X = self.X
+        return CylEl(1, cup1_cochain(X, x.f0, y.f0),
+                     cup1_cochain(X, x.f1, y.f1), cup_cochain(X, x.g, y.g))
 
     def zeta(self, x: CylEl, k: int) -> CylEl:
-        """zeta_k in the binomial ring R + (A (x) C)^1.
+        """zeta_k in the binomial ring R + (C*(X) (x) C*(I))^1.
 
         Computed as the falling factorial over k!; pairs (r, h) with
         r in R track the scalar part of h - i along the product.
@@ -219,7 +152,7 @@ class Cylinder:
             raise ValueError("zeta_0 of a cylinder element is the scalar 1")
         acc_r, acc_h = 1, self.elem(1)
         for i in range(k):
-            # (acc_r, acc_h) * (-i, x) in the ring R + (A (x) C)^1
+            # (acc_r, acc_h) * (-i, x) in the ring R + (C*(X) (x) C*(I))^1
             new_h = self.add(self.scale(x, acc_r), self.scale(acc_h, -i))
             new_h = self.add(new_h, self.cup1(acc_h, x))
             acc_r, acc_h = acc_r * (-i), new_h
@@ -237,27 +170,11 @@ class Cylinder:
         return x.f0 if end == 0 else x.f1
 
 
-def _divide_exact(part, m: int):
-    if isinstance(part, Cochain):
-        out = {}
-        for cell, v in part.values.items():
-            q, r = divmod(v, m)
-            if r:
-                raise ArithmeticError("inexact division in cylinder zeta")
-            out[cell] = q
-        return Cochain(part.dim, part.ring, out)
+def _divide_exact(part: Cochain, m: int) -> Cochain:
     out = {}
-    for w, v in part.terms.items():
+    for cell, v in part.values.items():
         q, r = divmod(v, m)
         if r:
             raise ArithmeticError("inexact division in cylinder zeta")
-        out[w] = q
-    return TensorElem(part.ring, out)
-
-
-def cylinder_over_complex(X: DeltaSet, ring: RingSpec) -> Cylinder:
-    return Cylinder(CochainAlgebraOps(X, ring))
-
-
-def cylinder_over_dga(diff: Differential) -> Cylinder:
-    return Cylinder(FreeDgaOps(diff))
+        out[cell] = q
+    return Cochain(part.dim, part.ring, out)

@@ -27,7 +27,7 @@ from .delta import (
     segment_cohomology,
 )
 from .linalg import CohomologyData, image_solver
-from .presentation import PresentationComplex, PresentedGroup, presentation_complex
+from .presentation import PresentedGroup, presentation_complex
 from .rings import InternalError, RingSpec
 
 MAGNUS_MASSEY_SIGN = -1  # fixed once by cross_validate on torus/Borromean
@@ -176,8 +176,7 @@ class MasseyContext:
         self.h2: CohomologyData = segment_cohomology(X, ring, 2)
         h1data = segment_cohomology(X, ring, 1)
         if h1_reps is None:
-            from .delta import cochain_from_vector
-            h1_reps = [cochain_from_vector(X, ring, 1, rep)
+            h1_reps = [Cochain(1, ring, dict(zip(X.cells[1], rep)))
                        for _, rep in h1data.generators]
         self.h1_reps = h1_reps
 
@@ -220,11 +219,6 @@ class MasseyContext:
                     indet.append(v)
         return MasseyResult(coords=coords, indeterminacy=indet,
                             representative=rep)
-
-
-def triple_massey(X: DeltaSet, ring: RingSpec, u1: Cochain, u2: Cochain,
-                  u3: Cochain, h1_reps=None) -> MasseyResult:
-    return MasseyContext(X, ring, h1_reps).triple_massey(u1, u2, u3)
 
 
 # ---------------------------------------------------------------------------

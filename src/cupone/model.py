@@ -22,27 +22,28 @@ invariants ride along, being themselves an n-step invariant).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .delta import (
     Cochain,
     DeltaSet,
     MagmaLaw,
     check_admissible,
+    check_magma_size,
     coboundary,
+    cup1_cochain,
     cup_cochain,
-    magma_from_tau,
     segment_cohomology,
+    zeta_cochain,
 )
 from .differential import (
     Differential,
     GeneratorSet,
     apply_d,
-    build_differential,
     iter_indices,
     zero_differential,
 )
-from .interval import CylEl, cylinder_over_complex
+from .interval import Cylinder, CylEl
 from .linalg import (
     AbelianInvariants,
     CohomologyData,
@@ -55,8 +56,8 @@ from .linalg import (
     lattice_basis,
     smith_normal_form,
 )
-from .rings import (BinomialPoly, InternalError, MultiIndex,
-                    PreconditionError, RingSpec, binom_of)
+from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
+                    binom_of)
 from .tensor import TensorElem, cup
 
 
@@ -90,9 +91,6 @@ class ModelStage:
     ker_basis: list[TensorElem] | None = None
     complete: bool = False
 
-    def level_names(self, m: int) -> list[str]:
-        return self.gens.at_level(m)
-
 
 # ---------------------------------------------------------------------------
 # weight-graded bases of (T(X), d_0) and exterior coordinates
@@ -112,16 +110,6 @@ def t_word_basis(names, w, length, ring) -> list[tuple]:
             for tail in t_word_basis(names, w - w1, length - 1, ring):
                 out.append((head,) + tail)
     return out
-
-
-def elem_vector(t: TensorElem, index: dict, size: int) -> list[int]:
-    v = [0] * size
-    for w, c in t.terms.items():
-        pos = index.get(w)
-        if pos is None:
-            raise ValueError(f"word {w!r} outside the chosen basis")
-        v[pos] = c
-    return v
 
 
 def d0_weight_matrix(names, w, length, ring):
@@ -213,30 +201,6 @@ def lambda3_coords(t: TensorElem, names) -> list[int]:
 
 def word_pair(a: str, b: str, ring, c: int = 1) -> TensorElem:
     return TensorElem(ring, {(MultiIndex.single(a), MultiIndex.single(b)): c})
-
-
-@dataclass
-class H2FreeData:
-    """H^2 of (T(X_1), d_0) over Z: the exterior basis with coordinates."""
-    names: list[str]
-    basis: list[tuple[str, str]]
-    reps: list[TensorElem]
-
-    def coords(self, t: TensorElem) -> list[int]:
-        return lambda2_coords(t, self.names)
-
-
-def h2_free_d0(names, ring: RingSpec) -> H2FreeData:
-    """Basis [x_i T x_j], i < j, of H^2(T(X_1), d_0) with the weight-2
-    coordinate functional (the d zeta_2 and d(x cup1 y) reductions)."""
-    if ring.is_modular and ring.p == 2:
-        raise PreconditionError(
-            "over Z_2 the degree-2 cohomology is not exterior; "
-            "use the Z_p stage cohomology (h2_stage_Zp)")
-    names = list(names)
-    basis = lambda2_basis(names)
-    reps = [word_pair(a, b, ring) for a, b in basis]
-    return H2FreeData(names=names, basis=basis, reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +376,7 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
                 "rho-lift unsolvable: kernel representative is not in "
                 "ker H^2(rho) (internal consistency failure)")
         rho[name] = Cochain(1, ring, dict(zip(X.cells[1], x)))
-    diff = build_differential(gens, tau, ring)
+    diff = Differential(ring, gens, tau)
     nxt = ModelStage(n=level, ring=ring, gens=gens, diff=diff, target=X,
                      rho=rho, h1_names=stage.h1_names, h2x=stage.h2x)
     if ring.is_modular:
@@ -670,11 +634,6 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
     return out
 
 
-def express_in_h2_basis(stage: "ModelStage", z: TensorElem,
-                        weight_cap: int = 3) -> list[int]:
-    return express_many_in_h2_basis(stage, [z], weight_cap)[0]
-
-
 @dataclass
 class PsiComparison:
     p: int
@@ -692,11 +651,11 @@ class PsiComparison:
 def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
     """Check that psi: (T_{Z_p}(X), d_0) -> C*(B(Z_p^|X|); Z_p) induces
     isomorphisms on H^1 and H^2."""
-    from .delta import check_magma_size, delta_from_magma, psi_embed
+    from .delta import delta_from_magma, psi_embed
     if not ring.is_modular:
         raise PreconditionError("the comparison runs over Z_p")
     check_magma_size(ring.p, 3, power=len(names))
-    law = magma_from_tau(list(names), {}, ring)
+    law = MagmaLaw(list(names), {}, ring)
     mc = delta_from_magma(law.to_finite_magma(), 3)
     X = mc.delta
     dims_model, dims_bar, iso = {}, {}, {}
@@ -802,11 +761,13 @@ class GroupRealization:
 def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
                   seed: int = 0) -> GroupRealization:
     ring = stage.ring
-    law = magma_from_tau(stage.gens.names, stage.diff.tau, ring)
+    law = MagmaLaw(stage.gens.names, stage.diff.tau, ring)
     rendered = {g: p.render() for g, p in law.law_polynomials().items()}
     audit = {}
     if ring.is_modular:
-        # The exhaustive check and the audits below share one magma.
+        # The exhaustive check and the audits below share one magma; its
+        # associativity scan is cubic in |G|.
+        check_magma_size(ring.p, 3, monoid=True, power=len(law.gens))
         fm = law.to_finite_magma()
         verdict = check_admissible(fm)
     else:
@@ -879,7 +840,7 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
         if c0 != c1:
             raise PreconditionError(
                 f"[phi0({g})] != [phi1({g})]: {c0} vs {c1}")
-    cyl = cylinder_over_complex(X, ring)
+    cyl = Cylinder(X, ring)
     Phi, cs = {}, {}
     for g in names:
         x = h1.preimage((phi0[g] - phi1[g]).vector(X.cells[1]))
@@ -898,7 +859,6 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
         kmax = 3 if (not ring.is_modular or ring.p > 3) else ring.p - 1
         for k in range(2, kmax + 1):
             zk = cyl.zeta(Phi[g], k)
-            from .delta import zeta_cochain
             if cyl.restrict(zk, 0) != zeta_cochain(X, phi0[g], k) or \
                     cyl.restrict(zk, 1) != zeta_cochain(X, phi1[g], k):
                 audit["zeta"] = False
@@ -912,7 +872,6 @@ def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
     for g in names:
         for h in names:
             v = cyl.cup1(Phi[g], Phi[h])
-            from .delta import cup1_cochain
             if cyl.restrict(v, 0) != cup1_cochain(X, phi0[g], phi0[h]) or \
                     cyl.restrict(v, 1) != cup1_cochain(X, phi1[g], phi1[h]):
                 audit["cup1"] = False

@@ -14,7 +14,7 @@ relator carries a 2-cycle (its torus when the relator is a commutator).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .delta import Cochain, DeltaSet
 from .rings import RingSpec

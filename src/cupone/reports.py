@@ -124,7 +124,7 @@ def render_compare(ring, verdict, n: int):
     return text, payload
 
 
-def render_massey(ring, entries, indeterminacy_note=True):
+def render_massey(ring, entries):
     """entries: list of (triple, MasseyResult-or-str)."""
     lines = [f"ring {ring!r}"]
     rows = []

@@ -313,16 +313,8 @@ class BinomialPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> int:
-        return self.terms.get(UNIT_INDEX, 0)
-
     def is_constant_free(self) -> bool:
         return UNIT_INDEX not in self.terms
-
-    def without_constant(self) -> "BinomialPoly":
-        return BinomialPoly(self.ring,
-                            {i: c for i, c in self.terms.items()
-                             if not i.is_unit}, _validated=True)
 
     def support_names(self) -> tuple:
         names = set()

@@ -10,8 +10,7 @@ decompositions of differentials supplied by the caller.
 """
 from __future__ import annotations
 
-from .rings import (BinomialPoly, InternalError, MultiIndex, RingSpec,
-                    UNIT_INDEX)
+from .rings import BinomialPoly, InternalError, MultiIndex, RingSpec
 
 Word = tuple  # tuple of MultiIndex, none of them the unit
 
@@ -79,10 +78,6 @@ class TensorElem:
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
         return degs.pop()
-
-    def homogeneous_part(self, d: int) -> "TensorElem":
-        return TensorElem(self.ring,
-                          {w: c for w, c in self.terms.items() if len(w) == d})
 
     def to_poly(self) -> BinomialPoly:
         if any(len(w) != 1 for w in self.terms):
@@ -253,6 +248,18 @@ def _word_poly(ring: RingSpec, idx: MultiIndex) -> BinomialPoly:
     return BinomialPoly(ring, {idx: 1}, _validated=True)
 
 
+def _add_products(out: dict, c: int, parts) -> None:
+    """Add c * (p0 cup p1 cup p2) to out, for a triple of BinomialPolys."""
+    p0, p1, p2 = parts
+    for i0, c0 in p0.terms.items():
+        for i1, c1 in p1.terms.items():
+            for i2, c2 in p2.terms.items():
+                cc = c * c0 * c1 * c2
+                if cc:
+                    w = (i0, i1, i2)
+                    out[w] = out.get(w, 0) + cc
+
+
 def cup1_22_words(a: TensorElem, b: TensorElem, d_of_poly) -> TensorElem:
     """(a1 cup a2) cup1 (b1 cup b2), bilinear over basis words.
 
@@ -268,19 +275,6 @@ def cup1_22_words(a: TensorElem, b: TensorElem, d_of_poly) -> TensorElem:
     ring = a.ring
     out: dict[Word, int] = {}
 
-    def addw(c, i0, i1, i2):
-        if c:
-            w = (i0, i1, i2)
-            out[w] = out.get(w, 0) + c
-
-    def add_products(c, parts):
-        # parts: triple of BinomialPoly
-        p0, p1, p2 = parts
-        for i0, c0 in p0.terms.items():
-            for i1, c1 in p1.terms.items():
-                for i2, c2 in p2.terms.items():
-                    addw(c * c0 * c1 * c2, i0, i1, i2)
-
     for wa, ca in a.terms.items():
         a1p, a2p = _word_poly(ring, wa[0]), _word_poly(ring, wa[1])
         da1 = _decompose(d_of_poly(a1p))
@@ -288,14 +282,14 @@ def cup1_22_words(a: TensorElem, b: TensorElem, d_of_poly) -> TensorElem:
         for wb, cb in b.terms.items():
             c = ca * cb
             b1p, b2p = _word_poly(ring, wb[0]), _word_poly(ring, wb[1])
-            add_products(-c, (a1p, b1p * a2p, b2p))
-            add_products(-c, (a1p, b1p, b2p * a2p))
+            _add_products(out, -c, (a1p, b1p * a2p, b2p))
+            _add_products(out, -c, (a1p, b1p, b2p * a2p))
             for p, q, cc in da2:
-                add_products(c * cc, (a1p, p * b1p, q * b2p))
-            add_products(c, (b1p * a1p, b2p, a2p))
-            add_products(c, (b1p, b2p * a1p, a2p))
+                _add_products(out, c * cc, (a1p, p * b1p, q * b2p))
+            _add_products(out, c, (b1p * a1p, b2p, a2p))
+            _add_products(out, c, (b1p, b2p * a1p, a2p))
             for p, q, cc in da1:
-                add_products(-c * cc, (p * b1p, q * b2p, a2p))
+                _add_products(out, -c * cc, (p * b1p, q * b2p, a2p))
     return TensorElem(ring, out)
 
 
@@ -329,27 +323,17 @@ def circ_23_words(a: TensorElem, v: TensorElem, d_of_poly) -> TensorElem:
     ring = a.ring
     out: dict[Word, int] = {}
 
-    def add_products(c, parts):
-        p0, p1, p2 = parts
-        for i0, c0 in p0.terms.items():
-            for i1, c1 in p1.terms.items():
-                for i2, c2 in p2.terms.items():
-                    cc = c * c0 * c1 * c2
-                    if cc:
-                        w = (i0, i1, i2)
-                        out[w] = out.get(w, 0) + cc
-
     for wa, ca in a.terms.items():
         a1p, a2p = _word_poly(ring, wa[0]), _word_poly(ring, wa[1])
         da1 = _decompose(d_of_poly(a1p))
         for wv, cv in v.terms.items():
             c = ca * cv
             v1p, v2p, v3p = (_word_poly(ring, wv[i]) for i in range(3))
-            add_products(c, (a1p * v1p, a2p * v2p, v3p))
-            add_products(c, (a1p * v1p, v2p, a2p * v3p))
-            add_products(c, (v1p, a1p * v2p, a2p * v3p))
+            _add_products(out, c, (a1p * v1p, a2p * v2p, v3p))
+            _add_products(out, c, (a1p * v1p, v2p, a2p * v3p))
+            _add_products(out, c, (v1p, a1p * v2p, a2p * v3p))
             for p, q, cc in da1:
-                add_products(-c * cc, (p * v1p, q * v2p, a2p * v3p))
+                _add_products(out, -c * cc, (p * v1p, q * v2p, a2p * v3p))
     return TensorElem(ring, out)
 
 
@@ -363,25 +347,15 @@ def circ_32_words(u: TensorElem, b: TensorElem, d_of_poly) -> TensorElem:
     ring = u.ring
     out: dict[Word, int] = {}
 
-    def add_products(c, parts):
-        p0, p1, p2 = parts
-        for i0, c0 in p0.terms.items():
-            for i1, c1 in p1.terms.items():
-                for i2, c2 in p2.terms.items():
-                    cc = c * c0 * c1 * c2
-                    if cc:
-                        w = (i0, i1, i2)
-                        out[w] = out.get(w, 0) + cc
-
     for wb, cb in b.terms.items():
         b1p, b2p = _word_poly(ring, wb[0]), _word_poly(ring, wb[1])
         db2 = _decompose(d_of_poly(b2p))
         for wu, cu in u.terms.items():
             c = cu * cb
             u1p, u2p, u3p = (_word_poly(ring, wu[i]) for i in range(3))
-            add_products(c, (u1p, u2p * b1p, u3p * b2p))
-            add_products(c, (u1p * b1p, u2p * b2p, u3p))
-            add_products(c, (u1p * b1p, u2p, u3p * b2p))
+            _add_products(out, c, (u1p, u2p * b1p, u3p * b2p))
+            _add_products(out, c, (u1p * b1p, u2p * b2p, u3p))
+            _add_products(out, c, (u1p * b1p, u2p, u3p * b2p))
             for p, q, cc in db2:
-                add_products(-c * cc, (u1p * b1p, u2p * p, u3p * q))
+                _add_products(out, -c * cc, (u1p * b1p, u2p * p, u3p * q))
     return TensorElem(ring, out)

@@ -298,7 +298,7 @@ def test_criterion_7_group_realization():
                                    "+ 3 * z(x1,1)*z(x2',1)")
     ok &= gr.law.apply((1, 0, 0), (0, 1, 0)) == (1, 1, 3)
     # exhaustive group axioms over Z_3 with three generators
-    from cupone.differential import build_differential
+    from cupone.differential import Differential
     from cupone.model import ModelStage
     from cupone.delta import DeltaSet
     ring3 = RingSpec.Zp(3)
@@ -306,7 +306,7 @@ def test_criterion_7_group_realization():
     tau = {"y1": cup(TensorElem.gen(ring3, "x1"),
                      TensorElem.gen(ring3, "x2")).scale(-1)}
     synth = ModelStage(n=2, ring=ring3, gens=gens,
-                       diff=build_differential(gens, tau, ring3),
+                       diff=Differential(ring3, gens, tau),
                        target=DeltaSet({0: ["v"]}, {}), rho={},
                        h1_names=["x1", "x2"], h2x=None)
     gr3 = realize_group(synth)

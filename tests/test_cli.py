@@ -158,6 +158,29 @@ def test_cli_verify_axioms_small(capsys):
     assert out.count("pass") >= 8
 
 
+@pytest.mark.parametrize("ring", ["Z", "Zp:2", "Zp:3"])
+def test_cli_verify_axioms_runs_suites_over_ring(capsys, monkeypatch, ring):
+    from cupone import verify
+    seen = []
+
+    def recording(suite):
+        def run(cases, seed, r):
+            seen.append((suite.__name__, r))
+            return suite(cases, seed, r)
+        return run
+
+    monkeypatch.setattr(verify, "ALL_SUITES",
+                        [recording(f) for f in verify.ALL_SUITES])
+    code, out, _ = run_cli(capsys, "verify-axioms", "--cases", "5",
+                           "--ring", ring)
+    assert code == 0
+    assert out.strip().endswith("all-pass")
+    want = RingSpec.Z() if ring == "Z" else RingSpec.Zp(int(ring[3:]))
+    assert out.startswith(f"ring {want!r}\n")
+    assert len(seen) == 8
+    assert all(r == want for _, r in seen), seen
+
+
 def test_cli_massey_undefined_reported(capsys):
     code, out, _ = run_cli(capsys, "massey", str(FIXTURES / "torus.pres"),
                            "--triples", "1,2,1")
@@ -327,15 +350,42 @@ def test_python_m_cupone_matches_main(capsys):
 def test_cli_internal_error_exits_3(flags):
     # A failed internal audit is a defect, not a precondition failure:
     # exit 3 with a one-line message, also when python -O strips asserts.
-    script = (
-        "import sys\n"
-        "from cupone import cli, linalg\n"
-        "linalg.CohomologyData.preimage = lambda self, vec: None\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n")
-    r = run_module(*flags, "-c", script, "kappa",
-                   str(FIXTURES / "heisenberg_k1.pres"))
-    assert r.returncode == 3, r.stderr
-    assert r.stdout == ""
-    assert r.stderr == ("internal error: rho-lift unsolvable: kernel "
-                        "representative is not in ker H^2(rho) (internal "
-                        "consistency failure)\n")
+    # The faults: an unsolvable rho-lift (InternalError) and a kernel
+    # basis that is not primitive (ArithmeticError).
+    cases = [
+        ("linalg.CohomologyData.preimage = lambda self, vec: None\n",
+         "heisenberg_k1",
+         "internal error: rho-lift unsolvable: kernel representative is "
+         "not in ker H^2(rho) (internal consistency failure)\n"),
+        ("basis = linalg.kernel_basis_Z\n"
+         "linalg.kernel_basis_Z = lambda rows, n: "
+         "[[2 * x for x in v] for v in basis(rows, n)]\n",
+         "borromean_n2",
+         "internal error: kernel basis is not primitive: Smith normal "
+         "form diagonal [2, 2, 2]\n"),
+    ]
+    for fault, fixture, stderr in cases:
+        script = ("import sys\n"
+                  "from cupone import cli, linalg\n"
+                  + fault
+                  + "sys.exit(cli.main(sys.argv[1:]))\n")
+        r = run_module(*flags, "-c", script, "kappa",
+                       str(FIXTURES / f"{fixture}.pres"))
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == stderr
+
+
+@pytest.mark.parametrize("fixture, ring", [
+    ("borromean_n1", "Zp:2"),   # |G| = 2^9 = 512
+    ("heisenberg_k2", "Zp:3"),  # |G| = 3^5 = 243
+])
+def test_cli_group_realize_refuses_large_zp_group(capsys, fixture, ring):
+    # The exhaustive associativity scan is cubic in |G|; the group is
+    # refused before its multiplication table is built.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "group-realize", "--ring", ring,
+                             str(FIXTURES / f"{fixture}.pres"))
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert "magma complex refused" in err

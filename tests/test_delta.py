@@ -6,10 +6,10 @@ from cupone.delta import (
     Cochain,
     DeltaSet,
     FiniteMagma,
+    MagmaLaw,
     bar_construction,
     check_admissible,
     coboundary,
-    cochain_from_vector,
     cup1_21_from_decomposition,
     cup1_cochain,
     cup2_cochain,
@@ -17,11 +17,9 @@ from cupone.delta import (
     cyclic_group_magma,
     delta_from_magma,
     extension_magma,
-    magma_from_tau,
     psi_embed,
     segment_at,
     segment_cohomology,
-    unit_cochain,
     zeta_cochain,
 )
 from cupone.interval import interval_algebra
@@ -174,7 +172,7 @@ def test_circ_equals_pointwise_and_circ_simp():
 
 
 def test_magma_from_tau_zero_is_addition():
-    law = magma_from_tau(["x", "y"], {}, Z)
+    law = MagmaLaw(["x", "y"], {}, Z)
     assert law.apply((2, 3), (4, -1)) == (6, 2)
     assert law.apply((2, 3), (0, 0)) == (2, 3)
     assert check_admissible(law).ok
@@ -184,7 +182,7 @@ def test_magma_from_tau_heisenberg():
     ring = Z
     tau = {"y": cup(TensorElem.gen(ring, "x1"),
                     TensorElem.gen(ring, "x2")).scale(-2)}
-    law = magma_from_tau(["x1", "x2", "y"], tau, ring)
+    law = MagmaLaw(["x1", "x2", "y"], tau, ring)
     # third coordinate a_y + b_y + 2 a_1 b_2
     assert law.apply((1, 0, 0), (0, 1, 0)) == (1, 1, 2)
     assert law.apply((1, 2, 3), (4, 5, 6)) == (5, 7, 3 + 6 + 2 * 1 * 5)
@@ -200,7 +198,7 @@ def test_heisenberg_admissible_exhaustive_z5():
     ring = RingSpec.Zp(5)
     tau = {"y": cup(TensorElem.gen(ring, "x1"),
                     TensorElem.gen(ring, "x2")).scale(-1)}
-    law = magma_from_tau(["x1", "x2", "y"], tau, ring)
+    law = MagmaLaw(["x1", "x2", "y"], tau, ring)
     verdict = check_admissible(law)
     assert verdict.status == "admissible"
 
@@ -208,7 +206,7 @@ def test_heisenberg_admissible_exhaustive_z5():
 def test_sampled_admissibility_over_Z():
     tau = {"y": cup(TensorElem.gen(Z, "x1"),
                     TensorElem.gen(Z, "x2")).scale(-3)}
-    law = magma_from_tau(["x1", "x2", "y"], tau, Z)
+    law = MagmaLaw(["x1", "x2", "y"], tau, Z)
     verdict = check_admissible(law, box=5, samples=100)
     assert verdict.status == "no-counterexample-found"
 
@@ -225,7 +223,7 @@ def test_delta_from_magma_heisenberg_mod3_cell_count():
     ring = RingSpec.Zp(3)
     tau = {"y": cup(TensorElem.gen(ring, "x1"),
                     TensorElem.gen(ring, "x2")).scale(-1)}
-    law = magma_from_tau(["x1", "x2", "y"], tau, ring)
+    law = MagmaLaw(["x1", "x2", "y"], tau, ring)
     mc = delta_from_magma(law.to_finite_magma(), 2)
     assert len(mc.delta.cells[1]) == 27
 
@@ -277,7 +275,7 @@ def test_extension_magma_non_cocycle():
 def psi_setup(p=3):
     ring = RingSpec.Zp(p)
     gens = ["x", "y"]
-    law = magma_from_tau(gens, {}, ring)
+    law = MagmaLaw(gens, {}, ring)
     mc = delta_from_magma(law.to_finite_magma(), 2)
     return ring, gens, law, mc
 
@@ -322,7 +320,7 @@ def test_psi_injective_on_basis_weight_4():
     # Distinct basis elements map to distinct cochains over Z5.
     ring = RingSpec.Zp(5)
     gens = ["x", "y"]
-    law = magma_from_tau(gens, {}, ring)
+    law = MagmaLaw(gens, {}, ring)
     mc = delta_from_magma(law.to_finite_magma(), 2)
     from cupone.differential import iter_indices
     seen = {}

@@ -13,7 +13,6 @@ from cupone.differential import (
     Differential,
     GeneratorSet,
     apply_d,
-    build_differential,
     check_d_squared,
     iter_indices,
     zero_differential,
@@ -85,7 +84,8 @@ def closed_form_d0_index(idx, ring=Z):
 def test_d0_zeta_closed_form():
     d = d0(("x",))
     for k in range(1, 7):
-        assert d.d_zeta("x", k) == closed_form_d0_single("x", k)
+        assert d.d_index(MultiIndex.single("x", k)) == \
+            closed_form_d0_single("x", k)
 
 
 def test_d0_multi_index_closed_form():
@@ -126,7 +126,7 @@ def test_d0_check_d_squared():
 def heisenberg_diff(k=1, ring=Z):
     gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
     tau = {"y": cup(g("x1", ring), g("x2", ring)).scale(-k)}
-    return build_differential(gens, tau, ring)
+    return Differential(ring, gens, tau)
 
 
 def test_heisenberg_leibniz_sign():
@@ -160,7 +160,7 @@ def test_corrupted_tau_fails_d_squared():
     # dy = x1 T x2 + z2(x1) is not a cocycle for d0; d^2(y) != 0.
     gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
     tau = {"y": cup(g("x1"), g("x2")) + cup(g("x1"), zmono("x1", 2))}
-    d = build_differential(gens, tau, Z)
+    d = Differential(Z, gens, tau)
     report = check_d_squared(d, weight_cap=2)
     assert not report.passed
     assert report.first_failure() is not None
@@ -170,7 +170,7 @@ def test_level_violation_rejected():
     gens = GeneratorSet(["x", "y"], {"x": 1, "y": 2})
     tau = {"y": cup(g("y"), g("x"))}
     with pytest.raises(ValueError):
-        build_differential(gens, tau, Z)
+        Differential(Z, gens, tau)
 
 
 def test_weight_grading_of_d0():
@@ -324,28 +324,6 @@ def test_chain_homotopy_identity():
     assert checked > 30
 
 
-def test_cup1_high_and_circ_dispatch():
-    from cupone.differential import circ, cup1_high
-    from cupone.tensor import circ_22, circ_23_words, cup1_31
-
-    d = heisenberg_diff(2)
-    x, y = g("x1"), g("x2")
-    u3 = cup(cup(x, y), g("y"))
-    v2 = cup(x, y)
-    assert cup1_high(u3, x) == cup1_31(u3, x)
-    # (2,2) requires the context
-    with pytest.raises(ValueError):
-        cup1_high(v2, v2)
-    got = cup1_high(v2, v2, d)
-    assert got == cup1_22_words(v2, v2, d.d_poly)
-    assert circ(v2, v2) == circ_22(v2, v2)
-    with pytest.raises(ValueError):
-        circ(v2, u3)
-    assert circ(v2, u3, d) == circ_23_words(v2, u3, d.d_poly)
-    with pytest.raises(ValueError):
-        cup1_high(x, y)
-
-
 # -- the d-value cache ----------------------------------------------------
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -362,7 +340,7 @@ def stage2_differential(fixture, ring):
     names = [f"y{i + 1}" for i in range(len(s1.ker_basis or []))]
     tau = dict(s1.diff.tau)
     tau.update({n: rep.scale(-1) for n, rep in zip(names, s1.ker_basis or [])})
-    return build_differential(s1.gens.extend(names, 2), tau, s1.ring)
+    return Differential(s1.ring, s1.gens.extend(names, 2), tau)
 
 
 def fresh(d):
@@ -388,7 +366,7 @@ def test_cached_d_index_matches_fresh_differential(fixture, ring):
 def test_corrupted_tau_fails_d_squared_on_warm_cache():
     gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
     tau = {"y": cup(g("x1"), g("x2")) + cup(g("x1"), zmono("x1", 2))}
-    d = build_differential(gens, tau, Z)
+    d = Differential(Z, gens, tau)
     for idx in iter_indices(gens.names, 2):
         d.d_index(idx)
     warm = check_d_squared(d, weight_cap=2)
@@ -484,7 +462,7 @@ def test_corrupted_tau_fails_d_squared_like_oracle(monkeypatch, fixture,
     # d(x1 (x) zeta_{x1 x2}) = -x1 (x) (x1 (x) x2 + x2 (x) x1) is not zero.
     tau[y] = tau[y] + TensorElem(d.ring, {(MultiIndex.single(x1), MultiIndex(
         [(x1, 1), (x2, 1)])): 1})
-    bad = build_differential(d.gens, tau, d.ring)
+    bad = Differential(d.ring, d.gens, tau)
     got = check_d_squared(bad, weight_cap=3)
     monkeypatch.setattr(differential, "apply_d", d_oracle.apply_d)
     want = check_d_squared(fresh(bad), weight_cap=3)

@@ -12,15 +12,8 @@ from cupone.delta import (
     cyclic_group_magma,
     zeta_cochain,
 )
-from cupone.differential import GeneratorSet, zero_differential
-from cupone.interval import (
-    CylEl,
-    cylinder_over_complex,
-    cylinder_over_dga,
-    interval_algebra,
-)
+from cupone.interval import Cylinder, CylEl, interval_algebra
 from cupone.rings import RingSpec, binom_of
-from cupone.tensor import TensorElem
 
 Z = RingSpec.Z()
 
@@ -42,7 +35,7 @@ def wedge_subdivided(n, extra_vertices=True):
 
 def test_cylinder_d_squared_and_product():
     X = wedge_subdivided(2)
-    cyl = cylinder_over_complex(X, Z)
+    cyl = Cylinder(X, Z)
     rng = random.Random(0)
     for _ in range(15):
         f0 = Cochain(1, Z, {c: rng.randint(-2, 2) for c in X.cells[1]})
@@ -61,7 +54,7 @@ def test_cylinder_d_squared_and_product():
 def test_cylinder_d_matches_tensor_formula():
     # d(a (x) t0) = da (x) t0 + (-1)^{|a|} a (x) (-u)
     X = wedge_subdivided(1)
-    cyl = cylinder_over_complex(X, Z)
+    cyl = Cylinder(X, Z)
     a = Cochain(1, Z, {"a0": 3, "b0": -1})
     x = CylEl(1, a, Cochain(1, Z), Cochain(0, Z))
     dx = cyl.d(x)
@@ -73,7 +66,7 @@ def test_cylinder_d_matches_tensor_formula():
 
 def test_cylinder_cup1_rules():
     X = wedge_subdivided(2)
-    cyl = cylinder_over_complex(X, Z)
+    cyl = Cylinder(X, Z)
     rng = random.Random(1)
     for _ in range(20):
         a = Cochain(1, Z, {c: rng.randint(-2, 2) for c in X.cells[1]})
@@ -102,7 +95,7 @@ def test_cylinder_zeta_endpoints_and_cocycle_formula():
     # For a cocycle h in the cylinder, d zeta_k(h) = -sum zeta_l h zeta_{k-l} h,
     # and restriction commutes with zeta.
     X = wedge_subdivided(2)
-    cyl = cylinder_over_complex(X, Z)
+    cyl = Cylinder(X, Z)
     phi0 = Cochain(1, Z, {"a0": 2, "b0": 2, "a1": -1, "b1": -1})
     # phi1 = phi0 + delta(c); the u-component of the homotopy witness is
     # -c(x) with delta(c(x)) = phi0 - phi1, i.e. +c here.
@@ -121,24 +114,10 @@ def test_cylinder_zeta_endpoints_and_cocycle_formula():
         assert cyl.is_zero(cyl.add(dz, rhs))
 
 
-def test_cylinder_over_free_dga():
-    d0 = zero_differential(GeneratorSet(["x", "y"]), Z)
-    cyl = cylinder_over_dga(d0)
-    x = TensorElem.gen(Z, "x")
-    h = cyl.include(x, 1)
-    assert cyl.is_zero(cyl.d(h))
-    z2 = cyl.zeta(h, 2)
-    from cupone.tensor import zeta_apply
-    assert cyl.restrict(z2, 0) == zeta_apply(x, 2)
-    dz = cyl.d(z2)
-    rhs = cyl.cup(h, h)
-    assert cyl.is_zero(cyl.add(dz, rhs))
-
-
 def test_cylinder_zeta_scaled_interval_generator():
     # zeta_k(n * (a (x) t0)) restricts to C(n,k)-scaled values.
     X = wedge_subdivided(1)
-    cyl = cylinder_over_complex(X, Z)
+    cyl = Cylinder(X, Z)
     a = Cochain(1, Z, {"a0": 1, "b0": 1})
     h = cyl.include(a, 1)
     z3 = cyl.zeta(cyl.scale(h, 3), 2)

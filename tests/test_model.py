@@ -20,7 +20,7 @@ from cupone.model import (
     StageCapError,
     construct_homotopy,
     exterior_weight_cohomology,
-    express_in_h2_basis,
+    express_many_in_h2_basis,
     extend_stage,
     h2_stage2_Z,
     h2_stage_Zp,
@@ -209,19 +209,19 @@ def test_heisenberg_h2_representative_audit():
          + TensorElem(Z, {(MultiIndex.single("x1", 2),
                            MultiIndex.single("x2")): k}))
     assert apply_d(s2.diff, u).is_zero()
-    coords = express_in_h2_basis(s2, u)
+    coords = express_many_in_h2_basis(s2, [u])[0]
     assert any(coords)
 
 
 def synthetic_stage2(ring, k):
     """Stage-2 shape T({x1, x2, y1}) with dy1 = -k x1 T x2, no target."""
-    from cupone.differential import GeneratorSet, build_differential
+    from cupone.differential import Differential, GeneratorSet
     from cupone.model import ModelStage
 
     gens = GeneratorSet(["x1", "x2", "y1"], {"x1": 1, "x2": 1, "y1": 2})
     tau = {"y1": word_pair("x1", "x2", ring, -(k % ring.p if ring.is_modular
                                                else k))}
-    diff = build_differential(gens, tau, ring)
+    diff = Differential(ring, gens, tau)
     dummy = DeltaSet({0: ["v"]}, {})
     return ModelStage(n=2, ring=ring, gens=gens, diff=diff, target=dummy,
                       rho={}, h1_names=["x1", "x2"],
@@ -303,7 +303,6 @@ def test_borromean_massey_basis_unimodular():
 
     triples = [(1, 1, 2), (1, 2, 2), (1, 1, 3), (1, 3, 3),
                (2, 2, 3), (2, 3, 3), (1, 2, 3), (1, 3, 2)]
-    from cupone.model import express_many_in_h2_basis
     mat = express_many_in_h2_basis(s2, [massey_rep(*t) for t in triples])
     from cupone.linalg import smith_normal_form
     snf = smith_normal_form(mat, 8)
@@ -519,11 +518,11 @@ from cupone.differential import GeneratorSet as GeneratorSet_mod
 
 def test_h2_stage2_Z_no_second_level_generators():
     # With no level-2 generators, Lambda^2 is unchanged (all free).
-    from cupone.differential import build_differential
+    from cupone.differential import Differential
     from cupone.model import ModelStage, h2_stage2_Z
     gens = GeneratorSet_mod(["x1", "x2", "x3"], {"x1": 1, "x2": 1, "x3": 1})
     stage = ModelStage(n=2, ring=Z, gens=gens,
-                       diff=build_differential(gens, {}, Z),
+                       diff=Differential(Z, gens, {}),
                        target=DeltaSet({0: ["v"]}, {}), rho={},
                        h1_names=["x1", "x2", "x3"], h2x=None)
     gens_out = h2_stage2_Z(stage)
@@ -562,9 +561,9 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
     """Dual route: H^2 of the Heisenberg stage-2 model over Z_3 matches
     H^2 of the classifying complex of the realized order-27 group, and
     psi carries a basis to a basis (the structural quasi-isomorphism)."""
-    from cupone.delta import (delta_from_magma, magma_from_tau,
-                              psi_embed, segment_cohomology)
-    from cupone.differential import build_differential
+    from cupone.delta import (MagmaLaw, delta_from_magma, psi_embed,
+                              segment_cohomology)
+    from cupone.differential import Differential
     from cupone.linalg import ZpEliminator
     from cupone.model import ModelStage, h2_stage_Zp
 
@@ -573,8 +572,8 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
                             {"x1": 1, "x2": 1, "y1": 2})
     tau = {"y1": cup(TensorElem.gen(ring, "x1"),
                      TensorElem.gen(ring, "x2")).scale(-1)}
-    diff = build_differential(gens, tau, ring)
-    law = magma_from_tau(gens.names, tau, ring)
+    diff = Differential(ring, gens, tau)
+    law = MagmaLaw(gens.names, tau, ring)
     mc = delta_from_magma(law.to_finite_magma(), 3)
     bar_h2 = segment_cohomology(mc.delta, ring, 2)
     stage = ModelStage(n=2, ring=ring, gens=gens, diff=diff,
@@ -589,28 +588,12 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
         assert elim.insert({i: v for i, v in enumerate(coords) if v})
 
 
-def test_h2_free_d0_surface():
-    from cupone.model import h2_free_d0
-    data = h2_free_d0(["x1", "x2", "x3"], Z)
-    assert data.basis == [("x1", "x2"), ("x1", "x3"), ("x2", "x3")]
-    assert data.coords(word_pair("x2", "x1", Z)) == [-1, 0, 0]
-    for rep in data.reps:
-        assert apply_d(zero_differential_mod(data.names), rep).is_zero()
-    with pytest.raises(Exception):
-        h2_free_d0(["x"], RingSpec.Zp(2))
-
-
-def zero_differential_mod(names):
-    from cupone.differential import zero_differential
-    return zero_differential(GeneratorSet_mod(names), Z)
-
-
 def stage_diff(fixture: str, p: int, n: int = 2):
     """The stage-n differential the CLI builds for a fixture over Z_p,
     without computing the H^2 of stage n itself."""
     import pathlib
     from cupone.cli import LoadedInput
-    from cupone.differential import build_differential
+    from cupone.differential import Differential
     path = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     inp = LoadedInput(str(path / f"{fixture}.pres"), f"Zp:{p}")
     if n == 1:
@@ -622,7 +605,7 @@ def stage_diff(fixture: str, p: int, n: int = 2):
     gens = prev.gens.extend(ys, n)
     tau = dict(prev.diff.tau)
     tau.update({y: rep.scale(-1) for y, rep in zip(ys, prev.ker_basis)})
-    return gens.names, build_differential(gens, tau, prev.ring)
+    return gens.names, Differential(prev.ring, gens, tau)
 
 
 def stage2_diff(fixture: str, p: int):
