@@ -36,27 +36,26 @@ class DeltaSet:
         self._cohomology: dict = {}
 
     def validate(self):
+        faces, dim_of = self.faces, self.dim_of
         for d in range(1, 4):
             for c in self.cells[d]:
-                fs = self.faces.get(c)
+                fs = faces.get(c)
                 if fs is None or len(fs) != d + 1:
                     raise ValueError(f"cell {c!r} needs {d + 1} faces")
                 for f in fs:
-                    if self.dim_of.get(f) != d - 1:
+                    if dim_of.get(f) != d - 1:
                         raise ValueError(
                             f"face {f!r} of {c!r} is not a {d - 1}-cell")
         # d_i d_j = d_{j-1} d_i for i < j.
         for d in range(2, 4):
+            pairs = [(i, j) for j in range(1, d + 1) for i in range(j)]
             for c in self.cells[d]:
-                fs = self.faces[c]
-                for j in range(1, d + 1):
-                    for i in range(j):
-                        left = self.faces[fs[j]][i]
-                        right = self.faces[fs[i]][j - 1]
-                        if left != right:
-                            raise ValueError(
-                                f"face identity fails on {c!r}: "
-                                f"d_{i} d_{j} != d_{j - 1} d_{i}")
+                ffs = [faces[f] for f in faces[c]]
+                for i, j in pairs:
+                    if ffs[j][i] != ffs[i][j - 1]:
+                        raise ValueError(
+                            f"face identity fails on {c!r}: "
+                            f"d_{i} d_{j} != d_{j - 1} d_{i}")
 
     def face(self, cell: str, i: int) -> str:
         return self.faces[cell][i]
@@ -361,33 +360,37 @@ def delta_from_magma(m: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
 
 
 def _magma_complex(m: FiniteMagma, max_dim: int) -> MagmaComplex:
-    nm = m.name_fn
-    cells = {0: ["*"], 1: [], 2: [], 3: []}
-    faces = {}
-    cell_elems = {}
-    for a in m.elements:
-        cid = f"[{nm(a)}]"
-        cells[1].append(cid)
-        faces[cid] = ("*", "*")
-        cell_elems[cid] = a
-    id1 = {a: f"[{nm(a)}]" for a in m.elements}
+    # Elements by index: each is named once, each cell id is a per-a or
+    # per-(a, b) prefix plus one name, and prod[i][j] indexes a_i a_j.
+    elems = m.elements
+    names = [m.name_fn(a) for a in elems]
+    one = [f"[{x}]" for x in names]
+    cells = {0: ["*"], 1: one, 2: [], 3: []}
+    faces = dict.fromkeys(one, ("*", "*"))
+    cell_elems = dict(zip(one, elems))
     if max_dim >= 2:
-        for a in m.elements:
-            for b in m.elements:
-                cid = f"[{nm(a)}|{nm(b)}]"
+        index, table = m._index, m.table
+        prod = [[index[table[(a, b)]] for b in elems] for a in elems]
+        two = [[f"[{x}|{y}]" for y in names] for x in names]
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                cid = two[i][j]
                 cells[2].append(cid)
-                faces[cid] = (id1[b], id1[m.op(a, b)], id1[a])
+                faces[cid] = (one[j], one[prod[i][j]], one[i])
                 cell_elems[cid] = (a, b)
     if max_dim >= 3:
-        id2 = {(a, b): f"[{nm(a)}|{nm(b)}]"
-               for a in m.elements for b in m.elements}
-        for a in m.elements:
-            for b in m.elements:
-                for c in m.elements:
-                    cid = f"[{nm(a)}|{nm(b)}|{nm(c)}]"
-                    cells[3].append(cid)
-                    faces[cid] = (id2[(b, c)], id2[(m.op(a, b), c)],
-                                  id2[(a, m.op(b, c))], id2[(a, b)])
+        cells3 = cells[3]
+        for i, a in enumerate(elems):
+            two_a, prod_a = two[i], prod[i]
+            for j, b in enumerate(elems):
+                two_b, two_ab, prod_b = two[j], two[prod_a[j]], prod[j]
+                face3 = two_a[j]
+                pre = face3[:-1] + "|"
+                for k, c in enumerate(elems):
+                    cid = pre + names[k] + "]"
+                    cells3.append(cid)
+                    faces[cid] = (two_b[k], two_ab[k], two_a[prod_b[k]],
+                                  face3)
                     cell_elems[cid] = (a, b, c)
     return MagmaComplex(DeltaSet(cells, faces), m, cell_elems)
 

@@ -14,12 +14,13 @@ GF(p) one ``ZpEliminator`` with the columns of A tagged.
 ``image_solver`` factors any other integer matrix once per call site.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
-rows are dicts column -> value, or, for p <= 13, Python ints with one
-fixed-width field per column (1 bit for p = 2, one byte for odd p).  Each
-eliminator picks its format from the shape its caller announces: packed
-while a fully dense echelon, vectors x width fields, fits in 16 MiB
-(``PACK_LIMIT_BYTES``), dict rows otherwise.  Both formats store the same
-pivot rows, so results do not depend on the choice.
+rows are dicts column -> value, or, for p <= 13, one-hot bit masks: one
+Python int per nonzero value c, holding the columns whose value is c (a
+single mask for p = 2), so a row operation is a few AND/OR/XOR passes.
+Each eliminator picks its format from the shape its caller announces:
+packed while a fully dense echelon, vectors x width columns at p - 1 bits
+each, fits in 16 MiB (``PACK_LIMIT_BYTES``), dict rows otherwise.  Both
+formats store the same pivot rows, so results do not depend on the choice.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from .rings import RingSpec
 
@@ -447,6 +449,15 @@ def kernel_into_presented(img_cols: list[list[int]],
 PACK_LIMIT_BYTES = 16 << 20
 
 
+def _bits(x: int):
+    """Indices of the set bits of x >= 0, ascending."""
+    s = format(x, "b")[::-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
 class ZpEliminator:
     """Row space over GF(p) with combination tracking.
 
@@ -455,27 +466,32 @@ class ZpEliminator:
     how each stored pivot row decomposes over the tagged originals, which
     yields coordinate functionals on quotients.
 
-    Dict rows map column -> value.  A packed row and its combination are
-    each one int with a field per column (per tag).  For p = 2 a field is
-    one bit and a row operation is XOR; for odd p a field is one byte,
-    ``v + (p-f) row`` cannot carry between fields since p(p-1) < 256, and
-    one ``bytes.translate`` pass reduces every field mod p.  Packing pays
-    per column, dict rows per nonzero entry: tall problems whose pivot
-    rows stay sparse are faster and far smaller as dicts, which is why the
-    format follows the announced ``vectors`` x ``width`` shape.
+    Dict rows map column -> value, beside a dict tag -> coefficient.  A
+    packed row is one-hot: bit j of mask c is set when column j holds the
+    value c.  Its combination lives in the same masks, one bit per tag
+    from bit ``width`` up, so one row operation updates both.  For p = 2
+    the row is its single mask and a row operation is XOR.  For odd p a
+    row is a list whose entry c, for 0 < c < p, is the mask of value c
+    and whose entry 0 is the support, the OR of the others; scaling
+    permutes the masks and adding is AND/OR/XOR (``_add``), so no value
+    can spill into a neighbouring column.  Packing pays per column, dict
+    rows per nonzero entry: tall problems whose pivot rows stay sparse
+    are faster and far smaller as dicts, which is why the format follows
+    the announced ``vectors`` x ``width`` shape.
     """
 
     def __init__(self, p: int, vectors: int, width: int):
         self.p = p
-        self.pivots: dict[int, tuple] = {}
-        bits = 1 if p == 2 else 8 if p * (p - 1) < 256 else 0
-        self.packed = 0 < bits and \
-            vectors * width * bits <= PACK_LIMIT_BYTES * 8
+        self.pivots: dict[int, object] = {}
+        self.packed = p <= 13 and \
+            vectors * width * (p - 1) <= PACK_LIMIT_BYTES * 8
         if self.packed:
-            self._shift = bits.bit_length() - 1  # log2 of the field width
-            self._slots: dict = {}  # tag -> field of the combination int
+            self.width = width  # columns below, combination bits above
+            self._slots: dict = {}  # tag -> combination bit - width
             self._tags: list = []
-            self._table = bytes(i % p for i in range(256))
+            # _scale[m][k]: the mask of a row that holds k in m * row
+            self._scale = [None] + [[k * pow(m, -1, p) % p for k in range(p)]
+                                    for m in range(1, p)]
 
     @property
     def rank(self) -> int:
@@ -496,15 +512,18 @@ class ZpEliminator:
         """
         p = self.p
         if self.packed:
-            v, e = self._reduce_packed(self._pack(vec), self._tag_field(tag))
-            if not v:
-                return {self._tags[s]: c for s, c in self._fields(e)}
-            lead = ((v & -v).bit_length() - 1) >> self._shift
-            f = 1 if p == 2 else (v >> (lead << 3)) & 255
-            if f != 1:
-                inv = pow(f, p - 2, p)
-                v, e = self._mod(v * inv), self._mod(e * inv)
-            self.pivots[lead] = (v, e)
+            v = self._reduce_packed(self._pack(vec, tag))
+            s = v if p == 2 else v[0]
+            lead = (s & -s).bit_length() - 1
+            if not 0 <= lead < self.width:
+                return {self._tags[t]: c for t, c in self._combination(v)}
+            if p != 2:
+                f = 1
+                while not (v[f] >> lead) & 1:
+                    f += 1
+                if f != 1:
+                    v = [v[k * f % p] for k in range(p)]  # mask k of v / f
+            self.pivots[lead] = v
             return None
         vec, expr = self._reduce(vec, {} if tag is None else {tag: 1})
         if not vec:
@@ -525,10 +544,11 @@ class ZpEliminator:
         """
         p = self.p
         if self.packed:
-            v, e = self._reduce_packed(self._pack(vec), 0)
-            if v:
+            v = self._reduce_packed(self._pack(vec))
+            s = v if p == 2 else v[0]
+            if 0 <= (s & -s).bit_length() - 1 < self.width:
                 return None
-            return {self._tags[s]: p - c for s, c in self._fields(e)}
+            return {self._tags[t]: p - c for t, c in self._combination(v)}
         out, expr = self._reduce(vec, {})
         if out:
             return None
@@ -544,9 +564,9 @@ class ZpEliminator:
         # at[c]: functional index -> value at column c
         at: dict[int, dict[int, int]] = {f: {j: 1} for j, f in enumerate(free)}
         for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead][0]
+            row = self.pivots[lead]
             acc: dict[int, int] = {}
-            for c, v in self._fields(row) if self.packed else row.items():
+            for c, v in self._columns(row) if self.packed else row[0].items():
                 if c == lead:
                     continue
                 for j, y in at.get(c, {}).items():
@@ -586,71 +606,104 @@ class ZpEliminator:
 
     # packed rows
 
-    def _reduce_packed(self, v: int, e: int) -> tuple[int, int]:
-        pivots, p = self.pivots, self.p
-        if p == 2:
-            while v:
+    def _reduce_packed(self, v):
+        """Clear leads of v while a pivot row holds them.  A lead at or
+        above ``width`` is a combination bit, which no pivot holds."""
+        pivots = self.pivots
+        if self.p == 2:
+            while True:
                 hit = pivots.get((v & -v).bit_length() - 1)
                 if hit is None:
-                    break
-                v ^= hit[0]
-                e ^= hit[1]
-            return v, e
-        cleared = -1
-        while v:
-            lead = ((v & -v).bit_length() - 1) >> 3
-            if lead <= cleared:
-                raise ArithmeticError(
-                    f"packed row operation mod {p} carried between fields")
+                    return v
+                v ^= hit
+        p, add, scale = self.p, self._add, self._scale
+        while True:
+            s = v[0]
+            lead = (s & -s).bit_length() - 1
             hit = pivots.get(lead)
             if hit is None:
-                break
-            prow, pexpr = hit
-            m = p - ((v >> (lead << 3)) & 255)
-            v = self._mod(v + m * prow)
-            if pexpr:
-                e = self._mod(e + m * pexpr)
-            cleared = lead
-        return v, e
+                return v
+            f = 1
+            while not (v[f] >> lead) & 1:
+                f += 1
+            # v - f row = v + (p - f) row clears the lead
+            v = add(v, [hit[k] for k in scale[p - f]])
 
-    def _mod(self, x: int) -> int:
-        """Reduce every byte field of x mod p."""
-        raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(raw.translate(self._table), "little")
-
-    def _pack(self, vec: dict[int, int]) -> int:
-        if not vec:
-            return 0
-        if min(vec) < 0:
-            raise ValueError(f"negative column index {min(vec)}")
+    def _add(self, v: list, w: list) -> list:
+        """v + w on one-hot rows: mask k is (V_k | W_k) off the common
+        support, plus V_i & W_j for every i + j = k mod p on it.  And-not
+        is a ^ (a & b), since ~b on a wide int costs a two's-complement
+        pass over all of b."""
+        sv, sw = v[0], w[0]
+        both = sv & sw
+        if not both:
+            return [a | b for a, b in zip(v, w)]
+        out = [t ^ (t & both) for t in map(or_, v, w)]
         p = self.p
-        if p == 2:
-            buf = bytearray((max(vec) >> 3) + 1)
+        gone = 0  # columns where v and w cancel
+        for i in range(1, p):
+            vi = v[i]
+            if vi & both:
+                for j in range(1, p):
+                    x = vi & w[j]
+                    if x:
+                        k = i + j - p if i + j >= p else i + j
+                        if k:
+                            out[k] |= x
+                        else:
+                            gone |= x
+        out[0] = (sv | sw) ^ gone
+        return out
+
+    def _pack(self, vec: dict[int, int], tag=None):
+        """The packed row of vec, with the combination bit of tag set."""
+        p, width = self.p, self.width
+        bufs: dict[int, bytearray] = {}
+        if vec:
+            lo, hi = min(vec), max(vec)
+            if lo < 0 or hi >= width:
+                raise ValueError(f"column index {lo if lo < 0 else hi} "
+                                 f"outside 0..{width - 1}")
+            size = (hi >> 3) + 1
             for j, x in vec.items():
-                if x % 2:
+                x %= p
+                if x:
+                    buf = bufs.get(x)
+                    if buf is None:
+                        buf = bufs[x] = bytearray(size)
                     buf[j >> 3] |= 1 << (j & 7)
-        else:
-            buf = bytearray(max(vec) + 1)
-            for j, x in vec.items():
-                buf[j] = x % p
-        return int.from_bytes(buf, "little")
+        bit = 0
+        if tag is not None:
+            slot = self._slots.get(tag)
+            if slot is None:
+                slot = self._slots[tag] = len(self._tags)
+                self._tags.append(tag)
+            bit = 1 << (width + slot)
+        if p == 2:
+            return int.from_bytes(bufs[1], "little") | bit if bufs else bit
+        row = [bit, bit] + [0] * (p - 2)
+        for x, buf in bufs.items():
+            row[x] |= int.from_bytes(buf, "little")
+            row[0] |= row[x]
+        return row
 
-    def _fields(self, x: int) -> list[tuple[int, int]]:
-        """(field index, value) for every nonzero field of x, ascending."""
+    def _columns(self, row) -> list[tuple[int, int]]:
+        """(column, value) for every nonzero column of a packed row,
+        ascending."""
+        keep = (1 << self.width) - 1
         if self.p == 2:
-            return [(i, 1) for i, b in enumerate(reversed(format(x, "b")))
-                    if b == "1"]
-        raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
-        return [(i, c) for i, c in enumerate(raw) if c]
+            return [(i, 1) for i in _bits(row & keep)]
+        return sorted((i, c) for c in range(1, self.p)
+                      for i in _bits(row[c] & keep))
 
-    def _tag_field(self, tag) -> int:
-        if tag is None:
-            return 0
-        slot = self._slots.get(tag)
-        if slot is None:
-            slot = self._slots[tag] = len(self._tags)
-            self._tags.append(tag)
-        return 1 << (slot << self._shift)
+    def _combination(self, row) -> list[tuple[int, int]]:
+        """(tag slot, coefficient) for every nonzero combination bit of a
+        packed row, ascending."""
+        w = self.width
+        if self.p == 2:
+            return [(t, 1) for t in _bits(row >> w)]
+        return sorted((t, c) for c in range(1, self.p)
+                      for t in _bits(row[c] >> w))
 
 
 def kernel_mod_p(p: int, cols: list[dict[int, int]],

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .delta import (
     Cochain,
     DeltaSet,
+    MAGMA_CELL_LIMIT,
     MagmaLaw,
     check_admissible,
     check_magma_size,
@@ -767,7 +768,14 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
     if ring.is_modular:
         # The exhaustive check and the audits below share one magma; its
         # associativity scan is cubic in |G|.
-        check_magma_size(ring.p, 3, monoid=True, power=len(law.gens))
+        n = len(law.gens)
+        order = ring.p ** n
+        if order ** 3 > MAGMA_CELL_LIMIT:
+            raise PreconditionError(
+                f"group-realize refused: the realized group has |G| = "
+                f"{ring.p}^{n} = {order:,} elements, and checking its group "
+                f"axioms scans |G|^3 = {order ** 3:,} associativity triples "
+                f"(limit {MAGMA_CELL_LIMIT:,})")
         fm = law.to_finite_magma()
         verdict = check_admissible(fm)
     else:

@@ -9,12 +9,9 @@ import time
 import pytest
 
 from cupone.delta import (
-    bar_construction,
     cyclic_group_magma,
     coboundary,
-    cyclic_group_magma as _cg,
     extension_magma,
-    segment_cohomology,
 )
 from cupone.differential import (
     GeneratorSet,
@@ -26,7 +23,6 @@ from cupone.differential import (
 from cupone.linalg import AbelianInvariants, smith_normal_form
 from cupone.massey import magnus_gate
 from cupone.model import (
-    PsiComparison,
     construct_homotopy,
     exterior_weight_cohomology,
     express_many_in_h2_basis,
@@ -36,7 +32,6 @@ from cupone.model import (
     psi_cohomology_comparison,
     realize_group,
     rho_push,
-    stage1,
     word_pair,
 )
 from cupone.presentation import (

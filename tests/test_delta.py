@@ -4,7 +4,6 @@ import pytest
 
 from cupone.delta import (
     Cochain,
-    DeltaSet,
     FiniteMagma,
     MagmaLaw,
     bar_construction,

@@ -26,7 +26,6 @@ from cupone.tensor import (
     cup1_31,
     cup1_deg1,
     cup1_hirsch,
-    zeta_apply,
 )
 
 Z = RingSpec.Z()

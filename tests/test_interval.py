@@ -1,19 +1,15 @@
 import random
 
-import pytest
-
 from cupone.delta import (
     Cochain,
     DeltaSet,
-    bar_construction,
     coboundary,
     cup1_cochain,
     cup_cochain,
-    cyclic_group_magma,
     zeta_cochain,
 )
-from cupone.interval import Cylinder, CylEl, interval_algebra
-from cupone.rings import RingSpec, binom_of
+from cupone.interval import Cylinder, CylEl
+from cupone.rings import RingSpec
 
 Z = RingSpec.Z()
 

@@ -458,7 +458,7 @@ def random_sparse_vectors(rng, p, count, width):
     return vecs
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 17])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
 def test_zp_eliminator_formats_agree(p, monkeypatch):
     rng = random.Random(4000 + p)
     for _ in range(40):
@@ -501,23 +501,72 @@ def test_zp_eliminator_formats_agree(p, monkeypatch):
 
 
 def test_zp_eliminator_pack_rule():
-    # 16 MiB of fields: 1 bit each for p = 2, one byte for 3 <= p <= 13.
+    # 16 MiB of one-hot masks: p - 1 bits per column, for p <= 13.
     assert ZpEliminator(2, 16384, 8192).packed
     assert not ZpEliminator(2, 16384, 8193).packed
-    assert ZpEliminator(3, 2048, 8192).packed
-    assert not ZpEliminator(3, 2048, 8193).packed
-    assert ZpEliminator(13, 1, 1).packed
+    assert ZpEliminator(3, 8192, 8192).packed
+    assert not ZpEliminator(3, 8192, 8193).packed
+    assert ZpEliminator(5, 4096, 8192).packed
+    assert not ZpEliminator(5, 4096, 8193).packed
+    assert ZpEliminator(7, 2048, 10922).packed
+    assert not ZpEliminator(7, 2048, 10923).packed
+    assert ZpEliminator(13, 1024, 10922).packed
+    assert not ZpEliminator(13, 1024, 10923).packed
     assert not ZpEliminator(17, 1, 1).packed
-    # H^2(B(Z_3^3); Z_3): 729 cochains, 19683 upper cells.
+    # H^2 kernels: B(Z_3^3) over Z_3 (729 cochains, 19683 upper cells)
+    # and B(Z_7 x Z_2^2) over Z_7 (784 and 21952).
     assert ZpEliminator(3, 729, 19683).packed
+    assert ZpEliminator(7, 784, 21952).packed
 
 
 def test_packed_rows_reject_negative_columns():
-    # A negative index would wrap around the packing buffer silently.
+    # A column outside 0..width-1 would wrap around the packing buffer or
+    # land among the combination bits silently.
     for p in (2, 3):
         elim = ZpEliminator(p, 2, 4)
         with pytest.raises(ValueError):
             elim.insert({-1: 1, 2: 1})
+        with pytest.raises(ValueError):
+            elim.express({4: 1})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_annihilator_formats_agree(p, monkeypatch):
+    rng = random.Random(6100 + p)
+    for _ in range(30):
+        count, width = rng.randint(1, 12), rng.randint(1, 30)
+        vecs = random_sparse_vectors(rng, p, count, width)
+        elims = [make_eliminator(p, count, width, packed, monkeypatch)
+                 for packed in (False, True)]
+        for i, vec in enumerate(vecs):
+            tag = i if rng.random() < 0.5 else None
+            for e in elims:
+                e.insert(vec, tag)
+        # Past the announced width every column is free.
+        for dim in (width, width + 3):
+            funcs = [e.annihilator(dim) for e in elims]
+            assert funcs[0] == funcs[1]
+            assert len(funcs[0]) == dim - elims[0].rank
+            for phi in funcs[0]:
+                for vec in vecs:
+                    assert sum(c * vec.get(j, 0)
+                               for j, c in phi.items()) % p == 0
+
+
+@pytest.mark.parametrize("mods, p", [((3, 3, 2), 3), ((5, 2, 2), 5),
+                                     ((3, 3, 3), 3)], ids=str)
+def test_bar_delta2_kernel_formats_agree(mods, p, monkeypatch):
+    # The delta^2 kernels that H^2 of B(G) reads: dict rows (a zero packing
+    # limit) and one-hot rows give the same relations.
+    from cupone.delta import (bar_construction, coboundary_cols_sparse,
+                              cyclic_group_magma)
+    X = bar_construction(cyclic_group_magma(mods), 3).delta
+    cols = coboundary_cols_sparse(X, 2, p)
+    width = len(X.cells[3])
+    assert ZpEliminator(p, len(cols), width).packed
+    packed = kernel_mod_p(p, cols, width)
+    monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
+    assert kernel_mod_p(p, cols, width) == packed
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -556,7 +605,7 @@ def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(linalg, "ZpEliminator", Recording)
-    dense_bytes = mid * up * (1 if p == 2 else 8) // 8
+    dense_bytes = mid * up * (p - 1) // 8
     results = []
     for limit, packed in ((dense_bytes, True), (dense_bytes - 1, False)):
         monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", limit)

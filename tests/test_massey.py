@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from cupone.delta import Cochain, coboundary
+from cupone.delta import coboundary
 from cupone.massey import (
     MAGNUS_MASSEY_SIGN,
     MagnusSeries,

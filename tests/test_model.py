@@ -9,13 +9,10 @@ from cupone.delta import (
     coboundary,
     cyclic_group_magma,
     psi_embed,
-    segment_at,
 )
 from cupone.differential import apply_d, check_d_squared
-from cupone.linalg import AbelianInvariants, cohomology_at
+from cupone.linalg import AbelianInvariants
 from cupone.model import (
-    H2Gen,
-    KappaInvariant,
     PreconditionError,
     StageCapError,
     construct_homotopy,

@@ -1,11 +1,10 @@
 import pytest
 
-from cupone.delta import Cochain, coboundary, segment_at
+from cupone.delta import coboundary, segment_at
 from cupone.linalg import AbelianInvariants, cohomology_at
 from cupone.presentation import (
     PresentedGroup,
     borromean_presentation,
-    commutator,
     cyclic_presentation,
     heisenberg_presentation,
     presentation_complex,

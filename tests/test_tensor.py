@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cupone.rings import BinomialPoly, MultiIndex, RingSpec
+from cupone.rings import MultiIndex, RingSpec
 from cupone.tensor import (
     TensorElem,
     circ_22,

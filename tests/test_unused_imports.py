@@ -1,4 +1,5 @@
-"""Every top-level import of a cupone module is used by that module.
+"""Every top-level import of a cupone module or test module is used by
+that module.
 
 A stdlib-ast scan: a name bound by a module-level ``import`` or
 ``from ... import`` must occur as a name somewhere else in the module.
@@ -8,7 +9,8 @@ exempt.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cupone"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cupone"
 
 
 def _exported(tree: ast.Module) -> set:
@@ -39,6 +41,12 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 def test_src_has_no_unused_top_level_imports():
     found = [u for path in sorted(SRC.glob("*.py"))
+             for u in unused_imports(path)]
+    assert found == []
+
+
+def test_tests_have_no_unused_top_level_imports():
+    found = [u for path in sorted(TESTS.glob("*.py"))
              for u in unused_imports(path)]
     assert found == []
 
