@@ -9,6 +9,7 @@ face rule; the cup-one product of 1-cochains and the circle product of
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -520,8 +521,7 @@ def check_admissible(m, box: int = 4, samples: int = 200,
         raise TypeError("expected FiniteMagma or MagmaLaw")
     if m.ring.is_modular:
         return check_admissible(m.to_finite_magma())
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     n = len(m.gens)
     for _ in range(samples):
         a, b, c = (tuple(rng.randint(-box, box) for _ in range(n))

@@ -218,8 +218,8 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
             for wmid, cm in dv:
                 w = pre + wmid + post
                 acc[w] = get(w, 0) + sc * cm
-    return TensorElem(d.ring, [(tuple([indices[i] for i in w]), v)
-                               for w, v in acc.items() if v])
+    return TensorElem._tidy(d.ring, [(tuple([indices[i] for i in w]), v)
+                                     for w, v in acc.items() if v])
 
 
 @dataclass

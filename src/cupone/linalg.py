@@ -608,18 +608,26 @@ class ZpEliminator:
 
     def _reduce_packed(self, v):
         """Clear leads of v while a pivot row holds them.  A lead at or
-        above ``width`` is a combination bit, which no pivot holds."""
+        above ``width`` is a combination bit, which no pivot holds.  Each
+        step must raise the lead; a step that does not is a defect and
+        raises ArithmeticError instead of looping."""
         pivots = self.pivots
         if self.p == 2:
+            lead = (v & -v).bit_length() - 1
             while True:
-                hit = pivots.get((v & -v).bit_length() - 1)
+                hit = pivots.get(lead)
                 if hit is None:
                     return v
                 v ^= hit
+                nxt = (v & -v).bit_length() - 1
+                if 0 <= nxt <= lead:
+                    raise ArithmeticError(
+                        f"packed GF(2) reduction did not clear lead {lead}")
+                lead = nxt
         p, add, scale = self.p, self._add, self._scale
+        s = v[0]
+        lead = (s & -s).bit_length() - 1
         while True:
-            s = v[0]
-            lead = (s & -s).bit_length() - 1
             hit = pivots.get(lead)
             if hit is None:
                 return v
@@ -628,6 +636,12 @@ class ZpEliminator:
                 f += 1
             # v - f row = v + (p - f) row clears the lead
             v = add(v, [hit[k] for k in scale[p - f]])
+            s = v[0]
+            nxt = (s & -s).bit_length() - 1
+            if 0 <= nxt <= lead:
+                raise ArithmeticError(
+                    f"packed GF({p}) reduction did not clear lead {lead}")
+            lead = nxt
 
     def _add(self, v: list, w: list) -> list:
         """v + w on one-hot rows: mask k is (V_k | W_k) off the common

@@ -22,6 +22,7 @@ invariants ride along, being themselves an n-step invariant).
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .delta import (
@@ -786,8 +787,7 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
             f"group axioms fail: counterexample {verdict.counterexample}")
     n = len(stage.gens.names)
     zero = tuple(0 for _ in range(n))
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if ring.is_modular:
         audit["order"] = len(fm)
         audit["unit"] = all(fm.op(a, zero) == a and fm.op(zero, a) == a

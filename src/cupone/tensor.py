@@ -7,10 +7,20 @@ concatenation; the cup-one product on degree 1 is the polynomial
 product; the remaining cup-one and circle maps follow the Hirsch-style
 slot formulas, with the mixed-degree variants taking the canonical
 decompositions of differentials supplied by the caller.
+
+The products behind d-values build no polynomial per term: circ_22
+multiplies two basis monomials by reading their cached ``mono_product``
+tuple, and cup1_hirsch / cup1_31 multiply each distinct slot factor by
+v once per call (through ``BinomialPoly.__mul__``), reusing the product
+for every word and slot that holds the factor.  The results of this
+module's own arithmetic already have distinct, valid words, so
+``TensorElem._tidy`` builds them, only normalizing coefficients;
+``TensorElem(ring, terms)`` validates outside input.
 """
 from __future__ import annotations
 
-from .rings import BinomialPoly, InternalError, MultiIndex, RingSpec
+from .rings import (BinomialPoly, InternalError, MultiIndex, RingSpec,
+                    mono_product)
 
 Word = tuple  # tuple of MultiIndex, none of them the unit
 
@@ -41,6 +51,20 @@ class TensorElem:
                 if not ring.normalize(tidy[word]):
                     del tidy[word]
         self.terms = tidy
+
+    @classmethod
+    def _tidy(cls, ring: RingSpec, items) -> "TensorElem":
+        """Element from (word, coefficient) pairs whose words are distinct
+        and valid (a product of this module): normalizes the coefficients
+        and drops the zero ones, checking nothing else."""
+        t = cls.__new__(cls)
+        t.ring = ring
+        p = ring.p
+        if p:
+            t.terms = {w: c % p for w, c in items if c % p}
+        else:
+            t.terms = {w: c for w, c in items if c}
+        return t
 
     # -- constructors -------------------------------------------------
 
@@ -91,7 +115,7 @@ class TensorElem:
         acc = dict(self.terms)
         for w, c in other.terms.items():
             acc[w] = acc.get(w, 0) + c
-        return TensorElem(self.ring, acc)
+        return TensorElem._tidy(self.ring, acc.items())
 
     def __sub__(self, other: "TensorElem") -> "TensorElem":
         return self + other.scale(-1)
@@ -100,8 +124,8 @@ class TensorElem:
         return self.scale(-1)
 
     def scale(self, c: int) -> "TensorElem":
-        return TensorElem(self.ring,
-                          {w: v * c for w, v in self.terms.items()})
+        return TensorElem._tidy(self.ring,
+                                [(w, v * c) for w, v in self.terms.items()])
 
     def _check(self, other: "TensorElem"):
         if self.ring != other.ring:
@@ -161,7 +185,10 @@ def cup(u: TensorElem, v: TensorElem) -> TensorElem:
         for w2, c2 in v.terms.items():
             w = w1 + w2
             out[w] = out.get(w, 0) + c1 * c2
-    return TensorElem(u.ring, out)
+    prod = TensorElem._tidy(u.ring, out.items())
+    if any(len(w) > DEGREE_CAP for w in prod.terms):
+        raise ValueError(f"degree cap {DEGREE_CAP} exceeded")
+    return prod
 
 
 def cup1_deg1(u: TensorElem, v: TensorElem) -> TensorElem:
@@ -184,15 +211,29 @@ def zeta_apply(u: TensorElem, k: int) -> TensorElem:
     return TensorElem.from_poly(p.zeta(k))
 
 
-def _slot_mul(ring: RingSpec, word: Word, coeff: int, slot: int,
-              p: BinomialPoly, out: dict):
-    """Accumulate word with word[slot] multiplied by p (expanded)."""
-    base = BinomialPoly(ring, {word[slot]: 1}, _validated=True) * p
-    for idx, c in base.terms.items():
-        if idx.is_unit:
-            raise InternalError("constant-free product grew a constant")
-        w = word[:slot] + (idx,) + word[slot + 1:]
-        out[w] = out.get(w, 0) + coeff * c
+def _slot_products(u: TensorElem, vp: BinomialPoly, slots: int) -> TensorElem:
+    """Sum over words w of u and slots s < ``slots`` of w with w[s]
+    multiplied by vp (expanded); each distinct factor is multiplied once."""
+    ring = u.ring
+    prods: dict[MultiIndex, tuple] = {}
+    out: dict[Word, int] = {}
+    get = out.get
+    for w, c in u.terms.items():
+        for slot in range(slots):
+            f = w[slot]
+            prod = prods.get(f)
+            if prod is None:
+                prod = tuple((BinomialPoly(ring, {f: 1}, _validated=True)
+                              * vp).terms.items())
+                if any(idx.is_unit for idx, _ in prod):
+                    raise InternalError(
+                        "constant-free product grew a constant")
+                prods[f] = prod
+            pre, post = w[:slot], w[slot + 1:]
+            for idx, cc in prod:
+                nw = pre + (idx,) + post
+                out[nw] = get(nw, 0) + c * cc
+    return TensorElem._tidy(ring, out.items())
 
 
 def cup1_hirsch(u: TensorElem, v: TensorElem) -> TensorElem:
@@ -202,13 +243,7 @@ def cup1_hirsch(u: TensorElem, v: TensorElem) -> TensorElem:
         return TensorElem.zero(u.ring)
     if u.degree() != 2 or v.degree() != 1:
         raise ValueError("cup1_hirsch requires degrees (2, 1)")
-    ring = u.ring
-    vp = v.to_poly()
-    out: dict[Word, int] = {}
-    for w, c in u.terms.items():
-        _slot_mul(ring, w, c, 0, vp, out)
-        _slot_mul(ring, w, c, 1, vp, out)
-    return TensorElem(ring, out)
+    return _slot_products(u, v.to_poly(), 2)
 
 
 def cup1_31(u: TensorElem, v: TensorElem) -> TensorElem:
@@ -218,13 +253,7 @@ def cup1_31(u: TensorElem, v: TensorElem) -> TensorElem:
         return TensorElem.zero(u.ring)
     if u.degree() != 3 or v.degree() != 1:
         raise ValueError("cup1_31 requires degrees (3, 1)")
-    ring = u.ring
-    vp = v.to_poly()
-    out: dict[Word, int] = {}
-    for w, c in u.terms.items():
-        for slot in range(3):
-            _slot_mul(ring, w, c, slot, vp, out)
-    return TensorElem(ring, out)
+    return _slot_products(u, v.to_poly(), 3)
 
 
 def _decompose(t: TensorElem) -> list[tuple[BinomialPoly, BinomialPoly, int]]:
@@ -302,15 +331,20 @@ def circ_22(u: TensorElem, v: TensorElem) -> TensorElem:
         raise ValueError("circ_22 requires degrees (2, 2)")
     ring = u.ring
     out: dict[Word, int] = {}
+    get = out.get
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            p = _word_poly(ring, w1[0]) * _word_poly(ring, w2[0])
-            q = _word_poly(ring, w1[1]) * _word_poly(ring, w2[1])
-            for i0, a in p.terms.items():
-                for i1, b in q.terms.items():
+            c = c1 * c2
+            p = mono_product(ring, w1[0], w2[0])
+            q = mono_product(ring, w1[1], w2[1])
+            for i0, a in p:
+                for i1, b in q:
+                    if i0.is_unit or i1.is_unit:
+                        raise InternalError(
+                            "constant-free product grew a constant")
                     w = (i0, i1)
-                    out[w] = out.get(w, 0) + c1 * c2 * a * b
-    return TensorElem(ring, out)
+                    out[w] = get(w, 0) + c * a * b
+    return TensorElem._tidy(ring, out.items())
 
 
 def circ_23_words(a: TensorElem, v: TensorElem, d_of_poly) -> TensorElem:

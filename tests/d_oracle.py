@@ -1,13 +1,22 @@
-"""The Leibniz rule on MultiIndex keys, kept as the test oracle.
+"""Direct computations that the library replaced, kept as test oracles.
 
-The library's ``cupone.differential.apply_d`` accumulates on the integer
-codes of the Differential's interner.  This is the direct computation it
-replaced: it hashes tuples of MultiIndex words, so it is slow on large
-audits, but its terms (and their order) are the reference.
+``apply_d`` is the Leibniz rule on MultiIndex keys.  The library's
+``cupone.differential.apply_d`` accumulates on the integer codes of the
+Differential's interner; this version hashes tuples of MultiIndex
+words, so it is slow on large audits, but its terms (and their order)
+are the reference.
+
+``cup1_hirsch`` and ``circ_22`` are the products behind d-values as
+they were first written: every slot product and every product of two
+basis monomials goes through one-term ``BinomialPoly`` objects and
+``BinomialPoly.__mul__``, and every result through the validating
+``TensorElem`` constructor.  The library's versions must give the same
+terms in the same order.
 """
 from __future__ import annotations
 
 from cupone.differential import Differential
+from cupone.rings import BinomialPoly, InternalError
 from cupone.tensor import TensorElem
 
 
@@ -30,3 +39,53 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
                 w = pre + wmid + post
                 acc[w] = acc.get(w, 0) + c * cm * sign
     return TensorElem(ring, acc)
+
+
+def _monomial(ring, idx) -> BinomialPoly:
+    return BinomialPoly(ring, {idx: 1}, _validated=True)
+
+
+def _slot_mul(ring, word, coeff, slot, p, out):
+    """Accumulate word with word[slot] multiplied by p (expanded)."""
+    base = _monomial(ring, word[slot]) * p
+    for idx, c in base.terms.items():
+        if idx.is_unit:
+            raise InternalError("constant-free product grew a constant")
+        w = word[:slot] + (idx,) + word[slot + 1:]
+        out[w] = out.get(w, 0) + coeff * c
+
+
+def cup1_hirsch(u: TensorElem, v: TensorElem) -> TensorElem:
+    """(a x b) cup1 c = ac x b + a x bc, one slot product per word."""
+    u._check(v)
+    if u.is_zero() or v.is_zero():
+        return TensorElem.zero(u.ring)
+    if u.degree() != 2 or v.degree() != 1:
+        raise ValueError("cup1_hirsch requires degrees (2, 1)")
+    ring = u.ring
+    vp = v.to_poly()
+    out: dict = {}
+    for w, c in u.terms.items():
+        _slot_mul(ring, w, c, 0, vp, out)
+        _slot_mul(ring, w, c, 1, vp, out)
+    return TensorElem(ring, out)
+
+
+def circ_22(u: TensorElem, v: TensorElem) -> TensorElem:
+    """(a1 x a2) circ (b1 x b2) = a1 b1 x a2 b2 through BinomialPoly."""
+    u._check(v)
+    if u.is_zero() or v.is_zero():
+        return TensorElem.zero(u.ring)
+    if u.degree() != 2 or v.degree() != 2:
+        raise ValueError("circ_22 requires degrees (2, 2)")
+    ring = u.ring
+    out: dict = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            p = _monomial(ring, w1[0]) * _monomial(ring, w2[0])
+            q = _monomial(ring, w1[1]) * _monomial(ring, w2[1])
+            for i0, a in p.terms.items():
+                for i1, b in q.terms.items():
+                    w = (i0, i1)
+                    out[w] = out.get(w, 0) + c1 * c2 * a * b
+    return TensorElem(ring, out)

@@ -1,31 +1,37 @@
-"""Every function the benchmark's tracer hooks still exists under its name.
+"""The benchmark's tracer hooks stay on the code path they measure.
 
 The tracer (perfbench/tracer.py) wraps cupone functions by module and
-qualified name; renaming or deleting one breaks traced benchmark runs, so
-this test makes it fail the test suite as well.  It only reads the hook
-table and installs nothing.
+qualified name; renaming or deleting one breaks traced benchmark runs,
+and so does a change that routes a workload around a hooked function (a
+traced run fails when a hook its layer map expects records no calls).
+These tests make both fail the test suite as well.  They only read
+perfbench/ and change nothing there.
 """
 import importlib
 import importlib.util
 import pathlib
 import sys
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("z_invariants", "zp_bar", "models")
 
 
-def load_hooks():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look their module up here
     try:
         spec.loader.exec_module(mod)
     finally:
         del sys.modules[spec.name]
-    return mod.HOOKS
+    return mod
 
 
 def test_every_hook_target_resolves():
-    hooks = load_hooks()
+    hooks = load_perfbench("tracer").HOOKS
     assert hooks
     for h in hooks:
         owner = importlib.import_module(f"cupone.{h.module}")
@@ -36,3 +42,21 @@ def test_every_hook_target_resolves():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), f"cupone.{h.name} does not resolve"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_no_hook_is_silent_on_its_workload(workload, tmp_path):
+    # As in a traced benchmark run: one untraced round fills the memo
+    # caches, then a traced round runs and checks every job.
+    tracer = load_perfbench("tracer").Tracer()
+    jobs = load_perfbench("workloads").build(workload, 7, str(tmp_path),
+                                             small=True)
+    for job in jobs:
+        job.run()
+    tracer.install()
+    try:
+        checked = [(job.name, job.check(job.run())[1]) for job in jobs]
+    finally:
+        tracer.uninstall()
+    assert all(not errors for _, errors in checked), checked
+    assert tracer.silent_hooks(workload) == []

@@ -362,6 +362,29 @@ def test_cached_d_index_matches_fresh_differential(fixture, ring):
     assert warm.checked == cold.checked
 
 
+# -- d-values against the products they replaced ---------------------------
+
+MODEL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.pres"))
+
+
+def d_values(d, max_weight=4):
+    """Every d(zeta_I) up to max_weight as its list of terms, in order."""
+    return [list(d.d_index(idx).terms.items())
+            for idx in iter_indices(d.gens.names, max_weight, d.ring.max_zeta)]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zp:2", "Zp:3"])
+@pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+def test_d_values_match_replaced_products(monkeypatch, fixture, ring):
+    s1 = LoadedInput(str(FIXTURES / f"{fixture}.pres"), ring).build_model(1)[0]
+    stages = [s1.diff, stage2_differential(fixture, ring)]
+    got = [d_values(d) for d in stages]
+    monkeypatch.setattr(differential, "cup1_hirsch", d_oracle.cup1_hirsch)
+    monkeypatch.setattr(differential, "circ_22", d_oracle.circ_22)
+    # Same terms in the same order.
+    assert got == [d_values(fresh(d)) for d in stages]
+
+
 def test_corrupted_tau_fails_d_squared_on_warm_cache():
     gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
     tau = {"y": cup(g("x1"), g("x2")) + cup(g("x1"), zmono("x1", 2))}

@@ -530,6 +530,21 @@ def test_packed_rows_reject_negative_columns():
             elim.express({4: 1})
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_reduction_without_progress_raises(p):
+    # A pivot row that cannot clear its lead (the row stored under column
+    # 0 replaced by the one under column 1) must raise, not loop forever.
+    elim = ZpEliminator(p, 4, 4)
+    assert elim.packed
+    elim.insert({0: 1, 2: 1}, tag="a")
+    elim.insert({1: 1}, tag="b")
+    elim.pivots[0] = elim.pivots[1]
+    with pytest.raises(ArithmeticError, match="did not clear lead 0"):
+        elim.express({0: 1})
+    with pytest.raises(ArithmeticError, match="did not clear lead 0"):
+        elim.insert_relation({0: 1, 3: 1}, tag="c")
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_annihilator_formats_agree(p, monkeypatch):
     rng = random.Random(6100 + p)

@@ -185,6 +185,13 @@ def test_degree_errors():
         cup1_hirsch(g("x"), g("y"))
     with pytest.raises(ValueError):
         circ_22(g("x"), cup(g("y"), g("z")))
+    with pytest.raises(ValueError, match="degree cap"):
+        cup(cup(g("x"), g("y")), cup(g("x"), cup(g("y"), g("z"))))
+
+
+def test_unit_factor_rejected():
+    with pytest.raises(ValueError, match="unit factor"):
+        TensorElem(Z, {(MultiIndex.unit(),): 1})
 
 
 def test_render_deterministic():
