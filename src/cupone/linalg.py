@@ -14,13 +14,10 @@ GF(p) one ``ZpEliminator`` with the columns of A tagged.
 ``image_solver`` factors any other integer matrix once per call site.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
-rows are dicts column -> value, or, for p <= 13, one-hot bit masks: one
-Python int per nonzero value c, holding the columns whose value is c (a
-single mask for p = 2), so a row operation is a few AND/OR/XOR passes.
-Each eliminator picks its format from the shape its caller announces:
-packed while a fully dense echelon, vectors x width columns at p - 1 bits
-each, fits in 16 MiB (``PACK_LIMIT_BYTES``), dict rows otherwise.  Both
-formats store the same pivot rows, so results do not depend on the choice.
+row format follows p alone: for p <= 13 one-hot bit masks, one Python int
+per nonzero value c holding the columns whose value is c (a single mask
+for p = 2), so a row operation is a few AND/OR/XOR passes; for p >= 17
+dicts column -> value.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 
-from .rings import RingSpec
+from .rings import InternalError, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +441,6 @@ def kernel_into_presented(img_cols: list[list[int]],
 # ---------------------------------------------------------------------------
 # GF(p) elimination with combination tracking
 
-# A packed eliminator may hold a fully dense echelon of its announced
-# shape; this caps that size, so also the memory packed rows can take.
-PACK_LIMIT_BYTES = 16 << 20
-
-
 def _bits(x: int):
     """Indices of the set bits of x >= 0, ascending."""
     s = format(x, "b")[::-1]
@@ -466,27 +458,25 @@ class ZpEliminator:
     how each stored pivot row decomposes over the tagged originals, which
     yields coordinate functionals on quotients.
 
-    Dict rows map column -> value, beside a dict tag -> coefficient.  A
-    packed row is one-hot: bit j of mask c is set when column j holds the
-    value c.  Its combination lives in the same masks, one bit per tag
-    from bit ``width`` up, so one row operation updates both.  For p = 2
-    the row is its single mask and a row operation is XOR.  For odd p a
-    row is a list whose entry c, for 0 < c < p, is the mask of value c
-    and whose entry 0 is the support, the OR of the others; scaling
-    permutes the masks and adding is AND/OR/XOR (``_add``), so no value
-    can spill into a neighbouring column.  Packing pays per column, dict
-    rows per nonzero entry: tall problems whose pivot rows stay sparse
-    are faster and far smaller as dicts, which is why the format follows
-    the announced ``vectors`` x ``width`` shape.
+    The row format follows p.  For p >= 17 a row is a dict column ->
+    value, beside a dict tag -> coefficient.  For p <= 13 it is packed
+    one-hot: bit j of mask c is set when column j holds the value c.  Its
+    combination lives in the same masks, one bit per tag from bit
+    ``width`` up, so one row operation updates both.  For p = 2 the row
+    is its single mask and a row operation is XOR.  For odd p a row is a
+    list whose entry c, for 0 < c < p, is the mask of value c and whose
+    entry 0 is the support, the OR of the others; scaling permutes the
+    masks and adding is AND/OR/XOR (``_add``), so no value can spill into
+    a neighbouring column.  In both formats a column outside 0..width-1
+    is a caller's defect and raises InternalError.
     """
 
-    def __init__(self, p: int, vectors: int, width: int):
+    def __init__(self, p: int, width: int):
         self.p = p
+        self.width = width  # packed: columns below, combination bits above
         self.pivots: dict[int, object] = {}
-        self.packed = p <= 13 and \
-            vectors * width * (p - 1) <= PACK_LIMIT_BYTES * 8
+        self.packed = p <= 13
         if self.packed:
-            self.width = width  # columns below, combination bits above
             self._slots: dict = {}  # tag -> combination bit - width
             self._tags: list = []
             # _scale[m][k]: the mask of a row that holds k in m * row
@@ -578,10 +568,21 @@ class ZpEliminator:
                 out[j][c] = y
         return out
 
+    def _top_column(self, vec: dict[int, int]) -> int:
+        """The greatest column of a nonempty vec.  A column outside
+        0..width-1 would be stored or dropped silently, so it raises."""
+        lo, hi = min(vec), max(vec)
+        if lo < 0 or hi >= self.width:
+            raise InternalError(f"column index {lo if lo < 0 else hi} "
+                                f"outside 0..{self.width - 1}")
+        return hi
+
     # dict rows
 
     def _reduce(self, vec: dict[int, int], expr: dict) -> tuple[dict, dict]:
         p = self.p
+        if vec:
+            self._top_column(vec)
         vec = {j: v % p for j, v in vec.items() if v % p}
         while vec:
             lead = min(vec)
@@ -674,11 +675,7 @@ class ZpEliminator:
         p, width = self.p, self.width
         bufs: dict[int, bytearray] = {}
         if vec:
-            lo, hi = min(vec), max(vec)
-            if lo < 0 or hi >= width:
-                raise ValueError(f"column index {lo if lo < 0 else hi} "
-                                 f"outside 0..{width - 1}")
-            size = (hi >> 3) + 1
+            size = (self._top_column(vec) >> 3) + 1
             for j, x in vec.items():
                 x %= p
                 if x:
@@ -726,7 +723,7 @@ def kernel_mod_p(p: int, cols: list[dict[int, int]],
     (indices below ``width``): one sparse relation column -> coefficient
     per column that depends on the earlier ones, with coefficient 1 at
     that column."""
-    elim = ZpEliminator(p, len(cols), width)
+    elim = ZpEliminator(p, width)
     ker = []
     for j, col in enumerate(cols):
         rel = elim.insert_relation(col, tag=j)
@@ -892,7 +889,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
         ker = kernel_mod_p(p, b_cols, n_upper)
     # Column j of A carries the tag -1 - j and the i-th generator the tag
     # i, so one express yields both the class and a preimage under A.
-    quotient = ZpEliminator(p, len(a_cols) + len(ker), n_mid)
+    quotient = ZpEliminator(p, n_mid)
     for j, col in enumerate(a_cols):
         quotient.insert(col, tag=-1 - j)
     gens = []

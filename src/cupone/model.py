@@ -265,7 +265,7 @@ def stage1(X: DeltaSet, ring: RingSpec,
             raise RepresentativesRejected(
                 "wrong number of H^1 representatives")
         if ring.is_modular:
-            elim = ZpEliminator(ring.p, len(coords), k)
+            elim = ZpEliminator(ring.p, k)
             for v in coords:
                 elim.insert({i: x for i, x in enumerate(v) if x % ring.p})
             ok = elim.rank == k
@@ -516,7 +516,7 @@ def resolution_cohomology_Zp(names, ring: RingSpec,
     # them.
     # Distinct products, shortest first, keep the echelon sparse and the
     # reductions short; the pivot columns do not depend on the order.
-    square = ZpEliminator(p, n1, n1)
+    square = ZpEliminator(p, n1)
     for col in sorted({tuple(sorted(col.items())) for col in prod.values()},
                       key=lambda col: (len(col), col)):
         square.insert(dict(col))
@@ -525,7 +525,7 @@ def resolution_cohomology_Zp(names, ring: RingSpec,
     # Slot i*m of R^r is the unit of the i-th copy of R, slot i*m + 1 + a
     # is its e_a.  The units go in first, so sigma(e_b) stays short.
     m = n1 + 1
-    phi = ZpEliminator(p, len(gens) * m, n1)
+    phi = ZpEliminator(p, n1)
     for i, g in enumerate(gens):
         phi.insert({g: 1}, tag=i * m)
     k1 = []
@@ -540,7 +540,7 @@ def resolution_cohomology_Zp(names, ring: RingSpec,
     # sigma, built from pivot slots only, vanishes there.
     own = [max(k) for k in k1]
     coord = {t: j for j, t in enumerate(own)}
-    quot = ZpEliminator(p, len(k1), len(k1))
+    quot = ZpEliminator(p, len(k1))
     for g in gens:  # the g_i generate A, so A K_1 = span{g_i k}
         for k in k1:
             vec: dict[int, int] = {}
@@ -665,7 +665,7 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
         bar = segment_cohomology(X, ring, degree)
         dims_model[degree] = len(reps)
         dims_bar[degree] = len(bar.generators)
-        elim = ZpEliminator(ring.p, len(reps), dims_bar[degree])
+        elim = ZpEliminator(ring.p, dims_bar[degree])
         full = True
         for rep in reps:
             c = psi_embed(rep, mc, list(names), deg=degree)
@@ -697,7 +697,7 @@ def kappa(stage: "ModelStage") -> KappaInvariant:
     ring = stage.ring
     m = len(stage.h2x.generators)
     if ring.is_modular:
-        elim = ZpEliminator(ring.p, len(img), m)
+        elim = ZpEliminator(ring.p, m)
         for col in img:
             elim.insert({i: v for i, v in enumerate(col) if v})
         dim = m - elim.rank

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -29,7 +30,7 @@ from cupone.linalg import (
     solve_Z,
 )
 from cupone.presentation import presentation_complex
-from cupone.rings import RingSpec
+from cupone.rings import InternalError, RingSpec
 
 Z = RingSpec.Z()
 Z5 = RingSpec.Zp(5)
@@ -415,20 +416,18 @@ def test_cohomology_random_consistency():
                 assert all(x == 0 for x in mat_vec(B, rep))
 
 
-def make_eliminator(p, vectors, width, packed, monkeypatch):
-    """A ZpEliminator in the requested row format (dict rows by a zero
-    packing limit)."""
-    if not packed:
-        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
-    elim = ZpEliminator(p, vectors, width)
-    monkeypatch.undo()
-    assert elim.packed == packed
-    return elim
+class DictRows(ZpEliminator):
+    """The dict-row format that p >= 17 uses, at any p: the reference the
+    one-hot rows are tested against."""
+
+    def __init__(self, p, width):
+        super().__init__(p, width)
+        self.packed = False
 
 
-def test_zp_eliminator_express(monkeypatch):
-    for packed in (False, True):
-        elim = make_eliminator(5, 2, 4, packed, monkeypatch)
+def test_zp_eliminator_express():
+    for elim in (DictRows(5, 4), ZpEliminator(5, 4)):
+        assert elim.packed == (type(elim) is ZpEliminator)
         elim.insert({0: 1, 1: 2}, tag="a")
         elim.insert({1: 1, 2: 1}, tag="b")
         combo = elim.express({0: 2, 1: 4, 2: 0})
@@ -459,15 +458,14 @@ def random_sparse_vectors(rng, p, count, width):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
-def test_zp_eliminator_formats_agree(p, monkeypatch):
+def test_zp_eliminator_formats_agree(p):
     rng = random.Random(4000 + p)
     for _ in range(40):
         count, width = rng.randint(1, 14), rng.randint(1, 40)
         vecs = random_sparse_vectors(rng, p, count, width)
         tags = [i if rng.random() < 0.7 else None for i in range(count)]
-        elims = [make_eliminator(p, count, width, packed, monkeypatch)
-                 for packed in (False, p < 17)]
-        untagged = make_eliminator(p, count, width, False, monkeypatch)
+        elims = [DictRows(p, width), ZpEliminator(p, width)]
+        untagged = DictRows(p, width)
         for vec, tag in zip(vecs, tags):
             rels = [e.insert_relation(vec, tag) for e in elims]
             assert rels[0] == rels[1]
@@ -501,40 +499,41 @@ def test_zp_eliminator_formats_agree(p, monkeypatch):
 
 
 def test_zp_eliminator_pack_rule():
-    # 16 MiB of one-hot masks: p - 1 bits per column, for p <= 13.
-    assert ZpEliminator(2, 16384, 8192).packed
-    assert not ZpEliminator(2, 16384, 8193).packed
-    assert ZpEliminator(3, 8192, 8192).packed
-    assert not ZpEliminator(3, 8192, 8193).packed
-    assert ZpEliminator(5, 4096, 8192).packed
-    assert not ZpEliminator(5, 4096, 8193).packed
-    assert ZpEliminator(7, 2048, 10922).packed
-    assert not ZpEliminator(7, 2048, 10923).packed
-    assert ZpEliminator(13, 1024, 10922).packed
-    assert not ZpEliminator(13, 1024, 10923).packed
-    assert not ZpEliminator(17, 1, 1).packed
-    # H^2 kernels: B(Z_3^3) over Z_3 (729 cochains, 19683 upper cells)
-    # and B(Z_7 x Z_2^2) over Z_7 (784 and 21952).
-    assert ZpEliminator(3, 729, 19683).packed
-    assert ZpEliminator(7, 784, 21952).packed
+    # The row format follows p alone: one-hot rows for every p <= 13 at
+    # any width, the delta^3 widths of B(Z_3^3), B(Z_7^2) and B(Z_2^6)
+    # among them; dict rows from p = 17 on.
+    for p in (2, 3, 5, 7, 11, 13):
+        for width in (1, 8192, 8193, 10922, 10923, 19683, 117649, 262144):
+            assert ZpEliminator(p, width).packed
+    for p in (17, 19):
+        for width in (1, 8193):
+            assert not ZpEliminator(p, width).packed
 
 
 def test_packed_rows_reject_negative_columns():
     # A column outside 0..width-1 would wrap around the packing buffer or
-    # land among the combination bits silently.
-    for p in (2, 3):
-        elim = ZpEliminator(p, 2, 4)
-        with pytest.raises(ValueError):
-            elim.insert({-1: 1, 2: 1})
-        with pytest.raises(ValueError):
-            elim.express({4: 1})
+    # land among the combination bits (one-hot rows), or become a pivot
+    # outside the space (dict rows), silently.  Only a caller's defect
+    # makes one, so both formats raise InternalError, which exits 3.
+    for p in (2, 3, 17):
+        for bad in (-1, 4):
+            elim = ZpEliminator(p, 4)
+            msg = f"column index {bad} outside 0..3"
+            with pytest.raises(InternalError, match=msg):
+                elim.insert({bad: 1, 2: 1}, tag="a")
+            with pytest.raises(InternalError, match=msg):
+                elim.insert_relation({0: 1, bad: 1})
+            with pytest.raises(InternalError, match=msg):
+                elim.express({bad: 1})
+            assert elim.rank == 0
+            assert len(elim.annihilator(4)) == 4
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_packed_reduction_without_progress_raises(p):
     # A pivot row that cannot clear its lead (the row stored under column
     # 0 replaced by the one under column 1) must raise, not loop forever.
-    elim = ZpEliminator(p, 4, 4)
+    elim = ZpEliminator(p, 4)
     assert elim.packed
     elim.insert({0: 1, 2: 1}, tag="a")
     elim.insert({1: 1}, tag="b")
@@ -546,13 +545,12 @@ def test_packed_reduction_without_progress_raises(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
-def test_annihilator_formats_agree(p, monkeypatch):
+def test_annihilator_formats_agree(p):
     rng = random.Random(6100 + p)
     for _ in range(30):
         count, width = rng.randint(1, 12), rng.randint(1, 30)
         vecs = random_sparse_vectors(rng, p, count, width)
-        elims = [make_eliminator(p, count, width, packed, monkeypatch)
-                 for packed in (False, True)]
+        elims = [DictRows(p, width), ZpEliminator(p, width)]
         for i, vec in enumerate(vecs):
             tag = i if rng.random() < 0.5 else None
             for e in elims:
@@ -569,30 +567,41 @@ def test_annihilator_formats_agree(p, monkeypatch):
 
 
 @pytest.mark.parametrize("mods, p", [((3, 3, 2), 3), ((5, 2, 2), 5),
-                                     ((3, 3, 3), 3)], ids=str)
-def test_bar_delta2_kernel_formats_agree(mods, p, monkeypatch):
-    # The delta^2 kernels that H^2 of B(G) reads: dict rows (a zero packing
-    # limit) and one-hot rows give the same relations.
+                                     ((3, 3, 3), 3), ((13, 2), 13)], ids=str)
+def test_bar_delta2_kernel_closed_form(mods, p):
+    # The delta^2 kernel that H^2 of B(G) reads, for G = Z_p^r x H with p
+    # not dividing |H|, checked by facts no eliminator supplies: every
+    # relation vanishes on the columns; each is 1 at its own greatest
+    # column and those columns differ, so the relations are independent;
+    # and they number dim Z^2 = dim B^2 + dim H^2 = |G| - dim H^1 +
+    # dim H^2, where dim H^k(G; F_p) = C(r + k - 1, k).
     from cupone.delta import (bar_construction, coboundary_cols_sparse,
                               cyclic_group_magma)
     X = bar_construction(cyclic_group_magma(mods), 3).delta
+    order, r = math.prod(mods), mods.count(p)
+    assert len(X.cells[1]) == order
     cols = coboundary_cols_sparse(X, 2, p)
-    width = len(X.cells[3])
-    assert ZpEliminator(p, len(cols), width).packed
-    packed = kernel_mod_p(p, cols, width)
-    monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
-    assert kernel_mod_p(p, cols, width) == packed
+    ker = kernel_mod_p(p, cols, len(X.cells[3]))
+    for rel in ker:
+        assert rel[max(rel)] == 1
+        image: dict = {}
+        for t, c in rel.items():
+            for i, x in cols[t].items():
+                image[i] = (image.get(i, 0) + c * x) % p
+        assert not any(image.values())
+    assert len({max(rel) for rel in ker}) == len(ker)
+    assert len(ker) == order - math.comb(r, 1) + math.comb(r + 1, 2)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p, monkeypatch):
+@pytest.mark.parametrize("p", [2, 3, 17])
+def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p):
     rng = random.Random(70 + p)
     ring = RingSpec.Zp(p)
     mid, up, low = 24, 16, 6
     B = [[rng.choice([0, 0, 1, p - 1]) for _ in range(mid)]
          for _ in range(up - 1)]
     B.append([1] * mid)  # a nonzero last row: the eliminator is up wide
-    kb = ZpEliminator(p, mid, up)
+    kb = ZpEliminator(p, up)
     basis = []
     for j in range(mid):  # kernel of B from dependent columns
         col = {i: B[i][j] for i in range(up) if B[i][j] % p}
@@ -611,31 +620,19 @@ def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p, monkeypatch):
             for i, x in vec.items():
                 col[i] = (col.get(i, 0) + x) % p
         a_cols.append(col)
-
-    made = []
-
-    class Recording(ZpEliminator):
-        def __init__(self, *shape):
-            super().__init__(*shape)
-            made.append(self)
-
-    monkeypatch.setattr(linalg, "ZpEliminator", Recording)
-    dense_bytes = mid * up * (p - 1) // 8
-    results = []
-    for limit, packed in ((dense_bytes, True), (dense_bytes - 1, False)):
-        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", limit)
-        made.clear()
-        data = cohomology_sparse_zp(ring, mid, a_cols, b_cols)
-        assert made[0].packed == packed
-        sums = [[sum(c * rep[i] for c, (_, rep) in
-                     zip(coeffs, data.generators)) for i in range(mid)]
-                for coeffs in ([1] * len(data.generators),
-                               list(range(len(data.generators))))]
-        results.append((data.generators, [data.class_coords(v) for v in sums]))
-    assert results[0] == results[1]
-    n = len(results[0][0])
-    assert results[0][1] == [[1] * n, [i % p for i in range(n)]]
-    image = ZpEliminator(p, low, mid)
+    # One-hot rows at p = 2, 3 and dict rows at p = 17, each checked
+    # against the rank of im A.
+    data = cohomology_sparse_zp(ring, mid, a_cols, b_cols)
+    n = len(data.generators)
+    for _, rep in data.generators:
+        assert all(sum(x * y for x, y in zip(row, rep)) % p == 0
+                   for row in B)
+    sums = [[sum(c * rep[i] for c, (_, rep) in zip(coeffs, data.generators))
+             for i in range(mid)]
+            for coeffs in ([1] * n, list(range(n)))]
+    assert [data.class_coords(v) for v in sums] == \
+        [[1] * n, [i % p for i in range(n)]]
+    image = ZpEliminator(p, mid)
     for col in a_cols:
         image.insert(col)
     assert n == len(basis) - image.rank > 0
@@ -678,11 +675,11 @@ def test_cohomology_mod_p_dimension_oracle():
         seg = ComplexSegment(ring, list(range(low)), list(range(mid)),
                              list(range(up)), A, B)
         data = cohomology_at(seg)
-        elim_b = ZpEliminator(p, up, mid)
+        elim_b = ZpEliminator(p, mid)
         for row in (B or []):
             elim_b.insert({j: v % p for j, v in enumerate(row) if v % p})
         dim_ker = mid - elim_b.rank
-        elim_a = ZpEliminator(p, low, mid)
+        elim_a = ZpEliminator(p, mid)
         for col in cols:
             elim_a.insert({i: v % p for i, v in enumerate(col) if v % p})
         assert len(data.generators) == dim_ker - elim_a.rank
@@ -720,26 +717,15 @@ def rank_mod_p(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("packed", [False, True])
-def test_kernel_mod_p_relations(packed, monkeypatch):
-    made = []
-
-    class Recording(ZpEliminator):
-        def __init__(self, *shape):
-            super().__init__(*shape)
-            made.append(self)
-
-    monkeypatch.setattr(linalg, "ZpEliminator", Recording)
-    if not packed:
-        monkeypatch.setattr(linalg, "PACK_LIMIT_BYTES", 0)
-    rng = random.Random(5100 + packed)
-    for _ in range(60):
-        p = rng.choice((2, 3, 5, 7, 13))
+def test_kernel_mod_p_relations():
+    # One-hot rows for p <= 13, dict rows for p = 17, 19; the dense
+    # rank_mod_p is the oracle for both.
+    rng = random.Random(5100)
+    for _ in range(120):
+        p = rng.choice((2, 3, 5, 7, 13, 17, 19))
         ncols, width = rng.randint(1, 14), rng.randint(1, 12)
         cols = random_sparse_vectors(rng, p, ncols, width)
-        made.clear()
         ker = kernel_mod_p(p, cols, width)
-        assert made[0].packed == packed
         for rel in ker:
             j = max(rel)  # the dependent column, after the earlier ones
             assert rel[j] == 1
@@ -772,7 +758,7 @@ def test_preimage_matches_fresh_factor(ring):
                 snf = smith_normal_form(A, nl, want_u=True, want_v=True)
                 fresh = lambda v: snf.solve(v).ok
             else:
-                elim = ZpEliminator(p, nl, nm)
+                elim = ZpEliminator(p, nm)
                 for j in range(nl):
                     elim.insert({i: row[j] for i, row in enumerate(A)
                                  if row[j] % p}, tag=j)

@@ -578,7 +578,7 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
                        h1_names=["x1", "x2"], h2x=None)
     model_h2 = h2_stage_Zp(stage)
     assert len(model_h2) == len(bar_h2.generators) == 4
-    elim = ZpEliminator(3, len(model_h2), len(bar_h2.generators))
+    elim = ZpEliminator(3, len(bar_h2.generators))
     for g in model_h2:
         c = psi_embed(g.rep, mc, gens.names, deg=2)
         coords = bar_h2.class_coords(c.vector(mc.delta.cells[2]))
@@ -651,7 +651,7 @@ def assert_matches_oracle(names, ring, diff=None):
         data, basis, _ = t_cohomology_Zp(names, ring, degree, diff)
         assert len(reps) == len(data.generators)
         index = {w: i for i, w in enumerate(basis)}
-        elim = ZpEliminator(ring.p, len(reps), len(reps))
+        elim = ZpEliminator(ring.p, len(reps))
         for rep in reps:
             assert apply_d(diff, rep).is_zero()
             vec = [0] * len(basis)
