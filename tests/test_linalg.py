@@ -717,15 +717,27 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def test_kernel_mod_p_relations():
-    # One-hot rows for p <= 13, dict rows for p = 17, 19; the dense
-    # rank_mod_p is the oracle for both.
-    rng = random.Random(5100)
-    for _ in range(120):
-        p = rng.choice((2, 3, 5, 7, 13, 17, 19))
+@pytest.mark.parametrize("packed", [False, True])
+def test_kernel_mod_p_relations(packed, monkeypatch):
+    # The row format follows p: one-hot rows for p <= 13, dict rows for
+    # p >= 17.  The dense rank_mod_p is the oracle for both.
+    made = []
+
+    class Recording(ZpEliminator):
+        def __init__(self, *shape):
+            super().__init__(*shape)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "ZpEliminator", Recording)
+    primes = (2, 3, 5, 7, 13) if packed else (17, 19, 23)
+    rng = random.Random(5100 + packed)
+    for _ in range(60):
+        p = rng.choice(primes)
         ncols, width = rng.randint(1, 14), rng.randint(1, 12)
         cols = random_sparse_vectors(rng, p, ncols, width)
+        made.clear()
         ker = kernel_mod_p(p, cols, width)
+        assert made[0].packed == packed
         for rel in ker:
             j = max(rel)  # the dependent column, after the earlier ones
             assert rel[j] == 1
