@@ -197,7 +197,7 @@ def cmd_massey(args) -> int:
         us = [reps[i - 1] for i in t]
         try:
             entries.append((t, ctx.triple_massey(*us)))
-        except ValueError as e:
+        except PreconditionError as e:
             entries.append((t, str(e)))
     return emit(args, *reports.render_massey(inp.ring, entries))
 

@@ -32,9 +32,11 @@ class DeltaSet:
                     raise ValueError(f"duplicate cell id {c!r}")
                 self.dim_of[c] = d
         self.validate()
-        # (ring, k) -> H^k(X; R), filled by segment_cohomology; nothing
-        # changes a Delta-set after validation.
+        # (ring, k) -> H^k(X; R) and, over Z, j -> the Smith factor of
+        # delta^j, filled by segment_cohomology; nothing changes a
+        # Delta-set after validation.
         self._cohomology: dict = {}
+        self._factors: dict = {}
 
     def validate(self):
         faces, dim_of = self.faces, self.dim_of
@@ -651,13 +653,23 @@ def coboundary_cols_sparse(X: DeltaSet, k: int, p: int) -> list[dict]:
 def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
     """H^k(X; R), computed once per (ring, k) and kept on X; sparse
     elimination over Z_p, Smith normal form over Z.  Its ``preimage``
-    solves delta^{k-1} x = vec on the same factor."""
-    from .linalg import cohomology_at, cohomology_sparse_zp
+    solves delta^{k-1} x = vec on the same factor.
+
+    Over Z, X also keeps one Smith factor per coboundary delta^j.  H^k
+    reads ker delta^k from the factor of delta^k; when it has no upper
+    term its image matrix is delta^{k-1} itself, so it reads im delta^{k-1}
+    from the factor that H^{k-1} reads its kernel from."""
+    from .linalg import cohomology_Z, cohomology_sparse_zp
     data = X._cohomology.get((ring, k))
     if data is not None:
         return data
     if not ring.is_modular:
-        data = cohomology_at(segment_at(X, ring, k))
+        seg = segment_at(X, ring, k)
+        if seg.upper:
+            data = cohomology_Z(seg, _coboundary_factor(X, k, seg.B), None)
+        else:
+            data = cohomology_Z(seg, None,
+                                _coboundary_factor(X, k - 1, seg.A))
     else:
         p = ring.p
         a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
@@ -667,3 +679,21 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
                                     X.cells[k])
     X._cohomology[(ring, k)] = data
     return data
+
+
+def _coboundary_factor(X: DeltaSet, j: int, rows: list[list[int]]):
+    """The Smith factor of delta^j: C^j -> C^{j+1} (``rows``; j = -1 is
+    the map from 0), built once per Delta-set.  It keeps V and Vinv when
+    H^j reads its kernel, and U, V and Uinv when H^{j+1} has no upper
+    term and reads its image."""
+    from .linalg import smith_normal_form
+    fac = X._factors.get(j)
+    if fac is None:
+        def has_upper(k):
+            return 0 <= k < 3 and bool(X.cells[k + 1])
+
+        image = not has_upper(j + 1)
+        fac = X._factors[j] = smith_normal_form(
+            rows, len(X.cells[j]) if j >= 0 else 0, want_u=image,
+            want_v=True, want_uinv=image, want_vinv=has_upper(j))
+    return fac

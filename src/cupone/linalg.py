@@ -1,16 +1,20 @@
 """Exact linear algebra over Z and Z_p.
 
 Factor once, query many.  Over Z one ``smith_normal_form`` call returns
-the factor U M V = D of a matrix M (an ``SNFResult``, keeping U, V and
-Uinv as asked); the same factor then serves every ``solve`` (through
-``solve_Z``, with the SNF-residue certificate of ``solve_in_image``),
-``kernel`` and the ``class_coords`` of the cohomology of three-term
-complexes with labeled bases.  A query touches only the nonzero entries
-of its vector (``mat_vec``) and only the transform rows its answer needs.
-The cohomology of a segment C^{k-1} --A--> C^k --B--> C^{k+1} factors
-im A once per ring and answers both ``class_coords`` and ``preimage``
-(x with A x = vec) from that factor: over Z its Smith normal form, over
-GF(p) one ``ZpEliminator`` with the columns of A tagged.
+the factor U M V = D of a matrix M (an ``SNFResult``), keeping the
+transforms it is asked for in the sparse form the elimination builds:
+U and Vinv by rows, Uinv and V by columns.  The same factor then serves
+every ``solve`` (through ``solve_Z``, with the SNF-residue certificate
+of ``solve_in_image``), ``kernel`` (basis vectors of ker M),
+``kernel_coords`` and the ``class_coords`` of the cohomology of
+three-term complexes with labeled bases; a query costs the transform
+entries it touches.  The cohomology of a segment
+C^{k-1} --A--> C^k --B--> C^{k+1} factors im A once per ring and
+answers both ``class_coords`` and ``preimage`` (x with A x = vec) from
+that factor: over Z its Smith normal form, over GF(p) one
+``ZpEliminator`` with the columns of A tagged.  ``cohomology_Z`` takes
+its Smith factors as arguments, so that a Delta-set can share the
+factor of delta^k between H^k and H^{k+1} (``segment_cohomology``).
 ``image_solver`` factors any other integer matrix once per call site.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import or_
 
 from .rings import InternalError, RingSpec
@@ -85,27 +90,96 @@ class SolveResult:
         return self.solution is not None
 
 
+def _rows_times(rows: list[dict[int, int]], v: list[int]) -> list[int]:
+    """R v for R given by sparse rows (dicts column -> value)."""
+    return [sum(v[j] * x for j, x in r.items()) for r in rows]
+
+
+def _dense(vec: dict[int, int], n: int) -> list[int]:
+    return [vec.get(i, 0) for i in range(n)]
+
+
+def _densify(m: list[dict[int, int]] | None, n: int,
+             by_cols: bool = False) -> list[list[int]] | None:
+    """The dense matrix of sparse rows of length n, or of sparse columns
+    of height n."""
+    if m is None:
+        return None
+    if by_cols:
+        return [[c.get(i, 0) for c in m] for i in range(n)]
+    return [_dense(r, n) for r in m]
+
+
 @dataclass
 class SNFResult:
     """U M V = D, and the factor of M that every later query reuses.
 
-    ``kernel`` needs V; ``solve`` needs U and V.  The row and column
-    operations do not depend on a right-hand side, so U b is exactly what
-    carrying b through the elimination would give.
+    The transforms stay in the sparse form the elimination builds, each
+    kept only when asked for: U and Vinv by rows, Uinv and V by columns
+    (dicts index -> value).  ``kernel`` returns basis vectors read off
+    V, ``kernel_coords`` reads Vinv, ``solve`` U (transposed once) and
+    V, ``uinv_column`` Uinv; a query costs the nonzeros it touches.  The
+    dense ``U``, ``V``, ``Uinv`` and ``Vinv`` are built afresh on each
+    access, for inspection; no query reads them.  The row and column
+    operations do not depend on a right-hand side, so U b is exactly
+    what carrying b through the elimination would give.
     """
     diag: list[int]
     rank: int
     nrows: int
     ncols: int
-    U: list[list[int]] | None = None
-    V: list[list[int]] | None = None
-    Uinv: list[list[int]] | None = None
-    Vinv: list[list[int]] | None = None
+    u_rows: list[dict[int, int]] | None = None
+    v_cols: list[dict[int, int]] | None = None
+    uinv_cols: list[dict[int, int]] | None = None
+    vinv_rows: list[dict[int, int]] | None = None
     carry: list[list[int]] | None = None  # U*vec for each input carry vector
 
+    @property
+    def U(self) -> list[list[int]] | None:
+        return _densify(self.u_rows, self.nrows)
+
+    @property
+    def V(self) -> list[list[int]] | None:
+        return _densify(self.v_cols, self.ncols, by_cols=True)
+
+    @property
+    def Uinv(self) -> list[list[int]] | None:
+        return _densify(self.uinv_cols, self.nrows, by_cols=True)
+
+    @property
+    def Vinv(self) -> list[list[int]] | None:
+        return _densify(self.vinv_rows, self.ncols)
+
+    @cached_property
+    def _u_cols(self) -> list[dict[int, int]]:
+        """U by columns, so that U b walks only the columns where b is
+        nonzero; transposed from the rows once per factor."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.nrows)]
+        for i, row in enumerate(self.u_rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
     def kernel(self) -> list[list[int]]:
-        """Basis of the integer kernel lattice {v : M v = 0} (as columns)."""
-        return [[row[j] for row in self.V] for j in range(self.rank, self.ncols)]
+        """Basis vectors of the integer kernel lattice {v : M v = 0}: the
+        columns of V beyond the rank."""
+        return [_dense(self.v_cols[j], self.ncols)
+                for j in range(self.rank, self.ncols)]
+
+    def kernel_coords(self, vec: list[int]) -> list[int] | None:
+        """Coordinates of vec in the ``kernel`` basis, or None when
+        M vec != 0.  M = Uinv D Vinv, so M vec = 0 exactly when Vinv vec
+        vanishes up to the rank, and then vec is V (Vinv vec)."""
+        w = _rows_times(self.vinv_rows, vec)
+        if any(w[:self.rank]):
+            return None
+        return w[self.rank:]
+
+    def uinv_column(self, i: int) -> list[int]:
+        """Column i of Uinv: the target basis vector whose diag[i]-fold
+        spans im M in that direction (i < rank) or a free direction of
+        the cokernel (i >= rank)."""
+        return _dense(self.uinv_cols[i], self.nrows)
 
     def solve(self, b: list[int]) -> SolveResult:
         """Particular solution of M x = b, or a certificate.
@@ -114,19 +188,28 @@ class SNFResult:
         either a diagonal entry that fails to divide U b, or a nonzero
         coordinate of U b beyond the rank (divisor 0).
         """
-        c = mat_vec(self.U, b)
-        y = [0] * self.ncols
+        c = [0] * self.nrows
+        u_cols = self._u_cols
+        for j, x in enumerate(b):
+            if x:
+                for i, u in u_cols[j].items():
+                    c[i] += x * u
         for i, d in enumerate(self.diag):
-            q, r = divmod(c[i], d)
+            r = c[i] % d
             if r:
                 return SolveResult(None, {"index": i, "divisor": d,
                                           "residue": r})
-            y[i] = q
         for i in range(self.rank, len(c)):
             if c[i]:
                 return SolveResult(None, {"index": i, "divisor": 0,
                                           "residue": c[i]})
-        return SolveResult(mat_vec(self.V, y), None)
+        x = [0] * self.ncols
+        for col, ci, d in zip(self.v_cols, c, self.diag):
+            if ci:
+                q = ci // d
+                for j, v in col.items():
+                    x[j] += q * v
+        return SolveResult(x, None)
 
 
 def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
@@ -357,21 +440,13 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
         raise ArithmeticError(f"Smith normal form diagonal {diag} is not a "
                               f"positive divisibility chain")
 
-    def dense(m, n, by_cols=False):
-        if m is None:
-            return None
-        if by_cols:
-            return [[c.get(i, 0) for c in m] for i in range(n)]
-        return [[r.get(j, 0) for j in range(n)] for r in m]
-
     return SNFResult(diag=diag, rank=ndiag, nrows=nrows, ncols=ncols,
-                     U=dense(U, nrows), V=dense(V_cols, ncols, True),
-                     Uinv=dense(Uinv_cols, nrows, True),
-                     Vinv=dense(Vinv, ncols), carry=carried)
+                     u_rows=U, v_cols=V_cols, uinv_cols=Uinv_cols,
+                     vinv_rows=Vinv, carry=carried)
 
 
 def kernel_basis_Z(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the integer kernel lattice {v : M v = 0} (as columns)."""
+    """Basis vectors of the integer kernel lattice {v : M v = 0}."""
     return smith_normal_form(rows, ncols, want_v=True).kernel()
 
 
@@ -413,10 +488,8 @@ def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
         return []
     rows = [[v[i] for v in vectors] for i in range(dim)]
     snf = smith_normal_form(rows, len(vectors), want_uinv=True)
-    basis = []
-    for i, d in enumerate(snf.diag):
-        basis.append([d * snf.Uinv[r][i] for r in range(dim)])
-    return basis
+    return [[d * x for x in snf.uinv_column(i)]
+            for i, d in enumerate(snf.diag)]
 
 
 def kernel_into_presented(img_cols: list[list[int]],
@@ -817,9 +890,18 @@ class CohomologyData:
         return [o for o, _ in self.generators]
 
 
-def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
+def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
+                 image: SNFResult | None) -> CohomologyData:
+    """H^k = ker B / im A over Z from Smith factors built by the caller.
+
+    With an upper term, ``kernel`` is the factor of B (V and Vinv kept):
+    ker B is read off V and coordinates on it off Vinv, and im A is
+    factored here in those coordinates.  Without one, ker B is everything,
+    and ``image`` is the factor of A itself (U, V and Uinv kept), which a
+    Delta-set shares with the H^{k-1} that reads its kernel.
+    """
     nm, nl = len(seg.mid), len(seg.lower)
-    K = kernel_basis_Z(seg.B, nm) if seg.upper else None
+    K = kernel.kernel() if seg.upper else None
     k = nm if K is None else len(K)
     if k == 0:
         # ker B = 0, so only the zero vector is a coboundary.
@@ -828,44 +910,46 @@ def _cohomology_Z(seg: ComplexSegment) -> CohomologyData:
                               lambda v: None if any(v) else [0] * nl,
                               seg.mid)
     # Coordinates on ker B in the basis K (None off ker B); without an
-    # upper term K is the identity and needs no factor.
+    # upper term K is the identity.
     to_kernel = from_kernel = list
     if K is not None:
         Krows = [[v[i] for v in K] for i in range(nm)]
-        kfac = smith_normal_form(Krows, k, want_u=True, want_v=True)
-        if kfac.diag != [1] * k:
-            raise ArithmeticError(f"kernel basis is not primitive: Smith "
-                                  f"normal form diagonal {kfac.diag}")
-
-        def to_kernel(vec):
-            return kfac.solve(vec).solution
+        # The coordinates must invert the basis, which a basis that is
+        # not primitive does not allow.
+        if [kernel.kernel_coords(v) for v in K] != identity(k):
+            diag = smith_normal_form(Krows, k).diag
+            raise ArithmeticError(
+                f"kernel basis is not primitive: Smith normal form "
+                f"diagonal {diag}" if diag != [1] * k else
+                "kernel coordinates do not invert the kernel basis")
+        to_kernel = kernel.kernel_coords
 
         def from_kernel(w):
             return mat_vec(Krows, w)
 
-    cols = [to_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
-    Crows = [[cols[j][i] for j in range(nl)] for i in range(k)]
-    csnf = smith_normal_form(Crows, nl, want_u=True, want_v=True,
-                             want_uinv=True)
-    order_slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
-    order_slots += [(i, 0) for i in range(csnf.rank, k)]
-    gens = [(d, from_kernel([row[i] for row in csnf.Uinv]))
-            for i, d in order_slots]
-    inv = AbelianInvariants(rank=k - csnf.rank,
+        cols = [to_kernel([seg.A[i][j] for i in range(nm)])
+                for j in range(nl)]
+        image = smith_normal_form([[c[i] for c in cols] for i in range(k)],
+                                  nl, want_u=True, want_v=True,
+                                  want_uinv=True)
+    order_slots = [(i, d) for i, d in enumerate(image.diag) if d > 1]
+    order_slots += [(i, 0) for i in range(image.rank, k)]
+    gens = [(d, from_kernel(image.uinv_column(i))) for i, d in order_slots]
+    inv = AbelianInvariants(rank=k - image.rank,
                             torsion=tuple(d for _, d in order_slots if d))
-    slot_rows = [csnf.U[i] for i, _ in order_slots]
+    slot_rows = [image.u_rows[i] for i, _ in order_slots]
 
     def coord_fn(vec):
         y = to_kernel(vec)
         if y is None:
             raise ValueError("vector is not a cocycle")
-        c = mat_vec(slot_rows, y)
+        c = _rows_times(slot_rows, y)
         return [x % d if d else x for x, (_, d) in zip(c, order_slots)]
 
     def preimage_fn(vec):
         # K is injective, so A x = vec exactly when C x = K^-1 vec.
         y = to_kernel(vec)
-        return None if y is None else csnf.solve(y).solution
+        return None if y is None else image.solve(y).solution
 
     return CohomologyData(seg.ring, inv, gens, coord_fn, preimage_fn,
                           seg.mid)
@@ -936,6 +1020,12 @@ def _cohomology_Zp(seg: ComplexSegment) -> CohomologyData:
 
 
 def cohomology_at(seg: ComplexSegment) -> CohomologyData:
+    """H^k of a segment, with its own factors (over Z, ``cohomology_Z``
+    on the Smith factor of B, or of A without an upper term)."""
     if seg.ring.is_modular:
         return _cohomology_Zp(seg)
-    return _cohomology_Z(seg)
+    if seg.upper:
+        return cohomology_Z(seg, smith_normal_form(
+            seg.B, len(seg.mid), want_v=True, want_vinv=True), None)
+    return cohomology_Z(seg, None, smith_normal_form(
+        seg.A, len(seg.lower), want_u=True, want_v=True, want_uinv=True))

@@ -28,7 +28,7 @@ from .delta import (
 )
 from .linalg import CohomologyData, image_solver
 from .presentation import PresentedGroup, presentation_complex
-from .rings import InternalError, RingSpec
+from .rings import InternalError, PreconditionError, RingSpec
 
 MAGNUS_MASSEY_SIGN = -1  # fixed once by cross_validate on torus/Borromean
 
@@ -181,7 +181,13 @@ class MasseyContext:
         self.h1_reps = h1_reps
 
     def h2_coords(self, c: Cochain) -> list[int]:
-        return self.h2.class_coords(c.vector(self.X.cells[2]))
+        """Class coordinates of a product built from checked cocycles;
+        a failure here is a defect, not a refusal."""
+        try:
+            return self.h2.class_coords(c.vector(self.X.cells[2]))
+        except ValueError as e:
+            raise InternalError(f"class coordinates of a product of "
+                                f"cocycles failed: {e}") from e
 
     def solve_coboundary(self, target: Cochain) -> Cochain | None:
         # H^2 factors im delta^1 once; every coboundary solve reuses it.
@@ -195,13 +201,13 @@ class MasseyContext:
         X, ring = self.X, self.ring
         for u in (u1, u2, u3):
             if not coboundary(X, u).is_zero():
-                raise ValueError("Massey inputs must be cocycles")
+                raise PreconditionError("Massey inputs must be cocycles")
         p12 = cup_cochain(X, u1, u2)
         p23 = cup_cochain(X, u2, u3)
         for label, prod in (("u1 u2", p12), ("u2 u3", p23)):
             coords = self.h2_coords(prod)
             if any(coords):
-                raise ValueError(
+                raise PreconditionError(
                     f"Massey product undefined: [{label}] = {coords} != 0")
         c12 = self.solve_coboundary(p12)
         c23 = self.solve_coboundary(p23)
@@ -287,7 +293,7 @@ def cross_validate(group: PresentedGroup,
                 ua, ub, uc = (duals[gens[t - 1]] for t in (a, b, c))
                 try:
                     res = ctx.triple_massey(ua, ub, uc)
-                except ValueError:
+                except PreconditionError:
                     continue
                 if res.indeterminacy:
                     continue

@@ -23,7 +23,7 @@ invariants ride along, being themselves an n-step invariant).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .delta import (
     Cochain,
@@ -92,6 +92,9 @@ class ModelStage:
     h2_image: list[list[int]] | None = None  # h2x coords of rho(h2_model)
     ker_basis: list[TensorElem] | None = None
     complete: bool = False
+    # I -> rho(zeta_I), filled by rho_push; rho is fixed once the stage
+    # is built.
+    rho_zeta: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +227,19 @@ def rho_poly(stage_rho: dict, X: DeltaSet, ring, idx: MultiIndex) -> Cochain:
 
 
 def rho_push(stage: "ModelStage", t: TensorElem) -> Cochain:
-    """Apply the structural morphism to a tensor element (degree <= 3)."""
+    """Apply the structural morphism to a tensor element (degree <= 3).
+    Each rho(zeta_I) is computed once per stage and kept on it."""
     X, ring = stage.target, stage.ring
     deg = t.degree() if not t.is_zero() else 2
     acc = Cochain(deg, ring, {})
+    cache = stage.rho_zeta
     for word, c in t.terms.items():
-        factors = [rho_poly(stage.rho, X, ring, idx) for idx in word]
+        factors = []
+        for idx in word:
+            f = cache.get(idx)
+            if f is None:
+                f = cache[idx] = rho_poly(stage.rho, X, ring, idx)
+            factors.append(f)
         cur = factors[0]
         for f in factors[1:]:
             cur = cup_cochain(X, cur, f)
@@ -416,9 +426,8 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
         for i, d in enumerate(diag):
             if d == 1:
                 continue
-            wvec = [snf.Uinv[r][i] for r in range(len(basis2))]
             rep = TensorElem.zero(ring)
-            for coeff, (a, b) in zip(wvec, basis2):
+            for coeff, (a, b) in zip(snf.uinv_column(i), basis2):
                 if coeff:
                     rep = rep + word_pair(a, b, ring, coeff)
             label = f"[{rep.render()}]"

@@ -355,9 +355,9 @@ def test_cli_internal_error_exits_3(flags):
          "heisenberg_k1",
          "internal error: rho-lift unsolvable: kernel representative is "
          "not in ker H^2(rho) (internal consistency failure)\n"),
-        ("basis = linalg.kernel_basis_Z\n"
-         "linalg.kernel_basis_Z = lambda rows, n: "
-         "[[2 * x for x in v] for v in basis(rows, n)]\n",
+        ("kernel = linalg.SNFResult.kernel\n"
+         "linalg.SNFResult.kernel = lambda self: "
+         "[[2 * x for x in v] for v in kernel(self)]\n",
          "borromean_n2",
          "internal error: kernel basis is not primitive: Smith normal "
          "form diagonal [2, 2, 2]\n"),
@@ -372,6 +372,23 @@ def test_cli_internal_error_exits_3(flags):
         assert r.returncode == 3, r.stderr
         assert r.stdout == ""
         assert r.stderr == stderr
+
+
+def test_cli_massey_defect_is_not_a_result(capsys, monkeypatch):
+    # Only the two documented refusals (inputs not cocycles, product
+    # undefined) print as a table entry; a ValueError from the class
+    # coordinates of a product of checked cocycles is a defect: exit 3.
+    from cupone import linalg
+
+    def broken(self, vec):
+        raise ValueError("vector is not a cocycle")
+
+    monkeypatch.setattr(linalg.CohomologyData, "class_coords", broken)
+    code, out, err = run_cli(capsys, "massey",
+                             str(FIXTURES / "borromean_n1.pres"))
+    assert (code, out) == (3, "")
+    assert err == ("internal error: class coordinates of a product of "
+                   "cocycles failed: vector is not a cocycle\n")
 
 
 @pytest.mark.parametrize("fixture, ring", [

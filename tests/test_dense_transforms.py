@@ -1,0 +1,35 @@
+"""No cupone module but ``linalg`` reads a dense Smith transform.
+
+``SNFResult.U``, ``V``, ``Uinv`` and ``Vinv`` build a dense matrix on
+every access, so one read inside a loop costs a full densification per
+entry.  Queries go through the sparse transforms (``solve``, ``kernel``,
+``kernel_coords``, ``uinv_column``).  A stdlib-ast scan: any load of an
+attribute with one of those names outside ``linalg.py`` fails.
+"""
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cupone"
+DENSE = {"U", "V", "Uinv", "Vinv"}
+
+
+def dense_transform_reads(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{n.lineno}: .{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in DENSE
+            and isinstance(n.ctx, ast.Load)]
+
+
+def test_no_dense_transform_reads_outside_linalg():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             if path.name != "linalg.py"
+             for hit in dense_transform_reads(path)]
+    assert found == []
+
+
+def test_scan_flags_a_dense_read(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def f(snf, r, i):\n"
+                   "    snf.U = None\n"
+                   "    return snf.Uinv[r][i] + snf.kernel()[0][0]\n")
+    assert dense_transform_reads(mod) == ["m.py:3: .Uinv"]

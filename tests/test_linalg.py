@@ -271,6 +271,66 @@ def test_class_coords_match_dense_computation():
             assert data.class_coords(vec) == coords(vec)
 
 
+def shared_factor_complexes():
+    """The fixtures (bar_z2.delta has 3-cells, so its H^2 has an upper
+    term) and bar complexes of Z/3 and Z/4 up to 3-cells, with torsion in
+    H^2 over Z."""
+    from cupone.delta import bar_construction, cyclic_group_magma
+    return fixture_complexes() + [
+        bar_construction(cyclic_group_magma((n,)), 3).delta for n in (3, 4)]
+
+
+def test_shared_factors_match_fresh_cohomology():
+    # segment_cohomology factors each coboundary once per Delta-set and
+    # shares it between H^k (kernel) and H^{k+1} (image, without an upper
+    # term); cohomology_at builds its own factors for one segment.
+    from cupone.delta import segment_cohomology
+    rng = random.Random(14)
+    for X in shared_factor_complexes():
+        for k in (0, 1, 2):
+            shared = segment_cohomology(X, Z, k)
+            seg = segment_at(X, Z, k)
+            fresh = cohomology_at(seg)
+            assert shared.invariants == fresh.invariants
+            assert shared.generators == fresh.generators
+            nm, nl = len(seg.mid), len(seg.lower)
+            for _ in range(4):
+                x = [rng.randint(-3, 3) for _ in range(nl)]
+                cob = mat_vec(seg.A, x) if nl else [0] * nm
+                y = shared.preimage(cob)
+                assert y == fresh.preimage(cob)
+                assert y is not None and mat_vec(seg.A, y) == cob
+                vec = cob
+                for _, rep in shared.generators:
+                    c = rng.randint(-3, 3)
+                    vec = [a + c * b for a, b in zip(vec, rep)]
+                assert shared.class_coords(vec) == fresh.class_coords(vec)
+            for _, rep in shared.generators:
+                assert shared.preimage(rep) is None
+                assert fresh.preimage(rep) is None
+
+
+def test_delta1_is_factored_once_for_h1_and_h2(monkeypatch):
+    from cupone.delta import segment_cohomology
+    path = FIXTURES / "borromean_n2.pres"
+    X = presentation_complex(detect_and_parse(path.read_text(),
+                                              str(path))[1]).delta
+    delta1 = coboundary_matrix(X, 1)
+    seen = []
+    snf = linalg.smith_normal_form
+
+    def counting(rows, *args, **kwargs):
+        seen.append(rows == delta1)
+        return snf(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    h1 = segment_cohomology(X, Z, 1)
+    h2 = segment_cohomology(X, Z, 2)
+    assert h1.invariants == AbelianInvariants(3, ())
+    assert h2.invariants.rank == 2
+    assert seen.count(True) == 1
+
+
 def test_internal_checks_survive_optimize():
     # python -O strips assert statements; the unimodular-kernel check of
     # the Z cohomology and the n!-divisibility check of binom_of must
@@ -278,9 +338,9 @@ def test_internal_checks_survive_optimize():
     script = (
         "from cupone import linalg, rings\n"
         "from cupone.rings import RingSpec\n"
-        "basis = linalg.kernel_basis_Z\n"
-        "linalg.kernel_basis_Z = lambda rows, n: "
-        "[[2 * x for x in v] for v in basis(rows, n)]\n"
+        "kernel = linalg.SNFResult.kernel\n"
+        "linalg.SNFResult.kernel = lambda self: "
+        "[[2 * x for x in v] for v in kernel(self)]\n"
         "seg = linalg.ComplexSegment(RingSpec.Z(), [], ['a', 'b'], ['c'], "
         "[], [[1, 1]])\n"
         "rings.factorial = lambda n: 7\n"

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from cupone.delta import coboundary
+from cupone.delta import Cochain, coboundary
 from cupone.massey import (
     MAGNUS_MASSEY_SIGN,
     MagnusSeries,
@@ -24,7 +24,7 @@ from cupone.presentation import (
     wedge_presentation,
     word,
 )
-from cupone.rings import RingSpec
+from cupone.rings import InternalError, PreconditionError, RingSpec
 
 Z = RingSpec.Z()
 GENS = ("a", "b", "c")
@@ -137,8 +137,23 @@ def test_triple_massey_undefined_when_cup_nonzero():
     u1 = pc.dual_cochain("g1", Z)
     u2 = pc.dual_cochain("g2", Z)
     ctx = MasseyContext(pc.delta, Z, [u1, u2])
-    with pytest.raises(ValueError, match="undefined"):
+    with pytest.raises(PreconditionError, match="undefined"):
         ctx.triple_massey(u1, u2, u1)
+    with pytest.raises(PreconditionError, match="must be cocycles"):
+        ctx.triple_massey(u1, u2, Cochain(1, Z, {pc.delta.cells[1][0]: 1}))
+
+
+def test_cross_validate_raises_on_a_defect(monkeypatch):
+    # cross_validate skips the documented refusals only; a ValueError
+    # from the class coordinates of a product is a defect.
+    from cupone import linalg
+
+    def broken(self, vec):
+        raise ValueError("vector is not a cocycle")
+
+    monkeypatch.setattr(linalg.CohomologyData, "class_coords", broken)
+    with pytest.raises(InternalError, match="vector is not a cocycle"):
+        cross_validate(borromean_presentation(1))
 
 
 def test_massey_indeterminacy_under_rerun():
