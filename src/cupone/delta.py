@@ -33,10 +33,12 @@ class DeltaSet:
                 self.dim_of[c] = d
         self.validate()
         # (ring, k) -> H^k(X; R) and, over Z, j -> the Smith factor of
-        # delta^j, filled by segment_cohomology; nothing changes a
+        # delta^j, filled by segment_cohomology; (p, q) -> the cup
+        # product's face table, filled by face_table.  Nothing changes a
         # Delta-set after validation.
         self._cohomology: dict = {}
         self._factors: dict = {}
+        self._face_tables: dict = {}
 
     def validate(self):
         faces, dim_of = self.faces, self.dim_of
@@ -78,6 +80,16 @@ class DeltaSet:
             cell = self.faces[cell][0]
             d -= 1
         return cell
+
+    def face_table(self, p: int, q: int) -> list[tuple[str, str, str]]:
+        """(s, front p-face, back q-face) for every (p+q)-cell s, in
+        cells[p + q] order: the Alexander-Whitney faces, built once."""
+        table = self._face_tables.get((p, q))
+        if table is None:
+            table = self._face_tables[(p, q)] = [
+                (s, self.front_face(s, p), self.back_face(s, q))
+                for s in self.cells[p + q]]
+        return table
 
     def max_dim(self) -> int:
         return max((d for d in range(4) if self.cells[d]), default=0)
@@ -178,14 +190,14 @@ def cup_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     p, q = u.dim, v.dim
     if p + q > 3:
         raise ValueError("cup product capped at total dimension 3")
+    uv, vv = u.values, v.values
     out = {}
-    for s in X.cells[p + q]:
-        a = u.values.get(X.front_face(s, p), 0)
-        if not a:
-            continue
-        b = v.values.get(X.back_face(s, q), 0)
-        if b:
-            out[s] = a * b
+    for s, front, back in X.face_table(p, q):
+        a = uv.get(front)
+        if a:
+            b = vv.get(back)
+            if b:
+                out[s] = a * b
     return Cochain(p + q, u.ring, out)
 
 
@@ -253,12 +265,14 @@ def steenrod_cup1_21(X: DeltaSet, u: Cochain, b: Cochain) -> Cochain:
     makes the rewriting independent of the chosen decomposition."""
     if u.dim != 2 or b.dim != 1:
         raise ValueError("requires a 2-cochain and a 1-cochain")
+    uv, bv = u.values, b.values
     out = {}
-    for s, val in u.values.items():
-        f = b.values.get(X.front_face(s, 1), 0) + \
-            b.values.get(X.back_face(s, 1), 0)
-        if f:
-            out[s] = val * f
+    for s, front, back in X.face_table(1, 1):
+        val = uv.get(s)
+        if val:
+            f = bv.get(front, 0) + bv.get(back, 0)
+            if f:
+                out[s] = val * f
     return Cochain(2, u.ring, out)
 
 

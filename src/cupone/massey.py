@@ -166,8 +166,21 @@ class MasseyResult:
         return image_solver(rows, len(cols))(list(delta_coords)) is not None
 
 
+def _content(c: Cochain) -> tuple:
+    """What Cochain.__hash__ hashes, frozen: an equal copy of c finds
+    the same cache entry, and c changed later does not."""
+    return (c.dim, c.ring, frozenset(c.values.items()))
+
+
 class MasseyContext:
-    """Simplicial Massey products on C*(X; R)."""
+    """Simplicial Massey products on C*(X; R).
+
+    Work on fewer than three inputs runs once per context and is read
+    back by every later triple: per input its cocycle check and its
+    indeterminacy rows, the classes of u h and h u over h1_reps; per
+    ordered pair (u, v) its cup product, its H^2 class and, once asked
+    for, a cochain it bounds.  The caches are keyed on cochain content
+    and live with the context."""
 
     def __init__(self, X: DeltaSet, ring: RingSpec,
                  h1_reps: list[Cochain] | None = None):
@@ -179,6 +192,10 @@ class MasseyContext:
             h1_reps = [Cochain(1, ring, dict(zip(X.cells[1], rep)))
                        for _, rep in h1data.generators]
         self.h1_reps = h1_reps
+        self._cocycle: dict = {}  # key -> is a cocycle
+        self._pairs: dict = {}    # (key, key) -> (u v, its H^2 coords)
+        self._bounds: dict = {}   # (key, key) -> c, delta c = u v, or None
+        self._rows: dict = {}     # (key, left) -> coords of u h (h u) per h
 
     def h2_coords(self, c: Cochain) -> list[int]:
         """Class coordinates of a product built from checked cocycles;
@@ -196,33 +213,61 @@ class MasseyContext:
             return None
         return Cochain(1, self.ring, dict(zip(self.X.cells[1], x)))
 
+    def _cocycle_key(self, u: Cochain) -> tuple:
+        key = _content(u)
+        ok = self._cocycle.get(key)
+        if ok is None:
+            ok = self._cocycle[key] = coboundary(self.X, u).is_zero()
+        if not ok:
+            raise PreconditionError("Massey inputs must be cocycles")
+        return key
+
+    def _pair(self, u: Cochain, ku: tuple, v: Cochain, kv: tuple) -> tuple:
+        entry = self._pairs.get((ku, kv))
+        if entry is None:
+            prod = cup_cochain(self.X, u, v)
+            entry = self._pairs[(ku, kv)] = (prod, self.h2_coords(prod))
+        return entry
+
+    def _bound(self, pair: tuple) -> Cochain:
+        if pair not in self._bounds:
+            self._bounds[pair] = self.solve_coboundary(self._pairs[pair][0])
+        c = self._bounds[pair]
+        if c is None:
+            raise InternalError("cup product with zero class must bound")
+        return c
+
+    def _rows_of(self, u: Cochain, key: tuple, left: bool) -> list:
+        rows = self._rows.get((key, left))
+        if rows is None:
+            rows = []
+            for h in self.h1_reps:
+                kh = _content(h)
+                pair = (self._pair(u, key, h, kh) if left
+                        else self._pair(h, kh, u, key))
+                rows.append(pair[1])
+            self._rows[(key, left)] = rows
+        return rows
+
     def triple_massey(self, u1: Cochain, u2: Cochain,
                       u3: Cochain) -> MasseyResult:
-        X, ring = self.X, self.ring
-        for u in (u1, u2, u3):
-            if not coboundary(X, u).is_zero():
-                raise PreconditionError("Massey inputs must be cocycles")
-        p12 = cup_cochain(X, u1, u2)
-        p23 = cup_cochain(X, u2, u3)
-        for label, prod in (("u1 u2", p12), ("u2 u3", p23)):
-            coords = self.h2_coords(prod)
+        X = self.X
+        k1, k2, k3 = (self._cocycle_key(u) for u in (u1, u2, u3))
+        p12 = self._pair(u1, k1, u2, k2)
+        p23 = self._pair(u2, k2, u3, k3)
+        for label, (_, coords) in (("u1 u2", p12), ("u2 u3", p23)):
             if any(coords):
                 raise PreconditionError(
                     f"Massey product undefined: [{label}] = {coords} != 0")
-        c12 = self.solve_coboundary(p12)
-        c23 = self.solve_coboundary(p23)
-        if c12 is None or c23 is None:
-            raise InternalError("cup product with zero class must bound")
+        c12 = self._bound((k1, k2))
+        c23 = self._bound((k2, k3))
         rep = cup_cochain(X, u1, c23) + cup_cochain(X, c12, u3)
         if not coboundary(X, rep).is_zero():
             raise InternalError("Massey representative is not a cocycle")
         coords = self.h2_coords(rep)
-        indet = []
-        for h in self.h1_reps:
-            for c in (cup_cochain(X, u1, h), cup_cochain(X, h, u3)):
-                v = self.h2_coords(c)
-                if any(v):
-                    indet.append(v)
+        left = self._rows_of(u1, k1, True)
+        right = self._rows_of(u3, k3, False)
+        indet = [list(v) for row in zip(left, right) for v in row if any(v)]
         return MasseyResult(coords=coords, indeterminacy=indet,
                             representative=rep)
 

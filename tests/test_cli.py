@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -405,3 +406,19 @@ def test_cli_group_realize_refuses_large_zp_group(capsys, fixture, ring):
     assert (code, out) == (1, "")
     assert "group-realize refused" in err
     assert "associativity triples" in err
+
+
+def test_massey_output_frozen(capsys):
+    # stdout and exit code of massey on every presentation fixture x Z,
+    # Zp:2, Zp:3, text and json; the digest was taken before the Massey
+    # context cached its pair-level work.
+    h = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.pres")):
+        for ring in ("Z", "Zp:2", "Zp:3"):
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(capsys, "massey", str(path),
+                                       "--ring", ring, "--format", fmt)
+                h.update(f"{path.name} {ring} {fmt} {code}\n".encode())
+                h.update(out.encode())
+    assert h.hexdigest() == \
+        "e849340e68a004ce580bfbc48e58988d4b15a8ce7d3a25318b7b738aa1f6d43e"

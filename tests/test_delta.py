@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -19,10 +20,13 @@ from cupone.delta import (
     psi_embed,
     segment_at,
     segment_cohomology,
+    steenrod_cup1_21,
     zeta_cochain,
 )
+from cupone.formats import detect_and_parse
 from cupone.interval import interval_algebra
 from cupone.linalg import AbelianInvariants, cohomology_at
+from cupone.presentation import presentation_complex
 from cupone.rings import MultiIndex, RingSpec, binom_of
 from cupone.tensor import TensorElem, cup
 
@@ -30,6 +34,7 @@ Z = RingSpec.Z()
 Z2 = RingSpec.Zp(2)
 Z3 = RingSpec.Zp(3)
 Z5 = RingSpec.Zp(5)
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def bar_z(n, max_dim=2):
@@ -458,3 +463,47 @@ def test_zeta_of_indicator_cochain():
     X = mc.delta
     ind = Cochain(1, Z, {X.cells[1][0]: 1, X.cells[1][2]: 1})
     assert zeta_cochain(X, ind, 2).is_zero()
+
+
+def face_table_complexes():
+    """Every fixture Delta-set, and bar complexes of Z/3 and Z/4 with
+    3-cells."""
+    out = []
+    for path in sorted(FIXTURES.iterdir()):
+        kind, parsed = detect_and_parse(path.read_text(), str(path))
+        out.append(parsed[0] if kind == "delta"
+                   else presentation_complex(parsed).delta)
+    return out + [bar_z(n, 3).delta for n in (3, 4)]
+
+
+def test_face_table_matches_front_and_back_faces():
+    # cup_cochain and steenrod_cup1_21 read one face table per (p, q)
+    # and Delta-set; the references walk front_face / back_face per cell.
+    def reference_cup(X, u, v):
+        p, q = u.dim, v.dim
+        return Cochain(p + q, u.ring,
+                       {s: u(X.front_face(s, p)) * v(X.back_face(s, q))
+                        for s in X.cells[p + q]})
+
+    def reference_cup1_21(X, u, b):
+        return Cochain(2, u.ring,
+                       {s: u(s) * (b(X.front_face(s, 1))
+                                   + b(X.back_face(s, 1)))
+                        for s in X.cells[2]})
+
+    rng = random.Random(15)
+    for X in face_table_complexes():
+        for p in range(4):
+            for q in range(4 - p):
+                table = X.face_table(p, q)
+                assert table == [(s, X.front_face(s, p), X.back_face(s, q))
+                                 for s in X.cells[p + q]]
+                assert X.face_table(p, q) is table
+                for ring in (Z, Z3):
+                    u = random_cochain(rng, X, p, ring)
+                    v = random_cochain(rng, X, q, ring)
+                    assert cup_cochain(X, u, v) == reference_cup(X, u, v)
+        for ring in (Z, Z3):
+            u = random_cochain(rng, X, 2, ring)
+            b = random_cochain(rng, X, 1, ring)
+            assert steenrod_cup1_21(X, u, b) == reference_cup1_21(X, u, b)

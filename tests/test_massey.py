@@ -1,8 +1,11 @@
+import pathlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from cupone.cli import LoadedInput
 from cupone.delta import Cochain, coboundary
 from cupone.massey import (
     MAGNUS_MASSEY_SIGN,
@@ -28,6 +31,7 @@ from cupone.rings import InternalError, PreconditionError, RingSpec
 
 Z = RingSpec.Z()
 GENS = ("a", "b", "c")
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rand_word(rng, length):
@@ -129,6 +133,77 @@ def test_borromean_job_factors_delta1_at_most_twice(monkeypatch):
     for t in product(range(3), repeat=3):
         ctx.triple_massey(*(duals[i] for i in t))
     assert 0 < len(factored) <= 2
+
+
+def massey_outcome(ctx, us):
+    try:
+        res = ctx.triple_massey(*us)
+    except PreconditionError as e:
+        return "refused", str(e)
+    return res, (res.coords, res.indeterminacy,
+                 sorted(res.representative.values.items()))
+
+
+def test_memoized_massey_matches_fresh_context():
+    # One context answers all n^3 triples in a shuffled order, every other
+    # input a fresh equal copy; a new context per triple is the reference.
+    rng = random.Random(15)
+    cases = 0
+    for path in sorted(FIXTURES.glob("*.pres")):
+        for ring in ("Z", "Zp:2", "Zp:3"):
+            inp = LoadedInput(str(path), ring)
+            reps = inp.h1_reps()
+            if reps is None:
+                continue
+            X, R = inp.delta, inp.ring
+            ctx = MasseyContext(X, R, reps)
+            triples = list(product(range(len(reps)), repeat=3))
+            rng.shuffle(triples)
+            for n, t in enumerate(triples):
+                us = [Cochain(1, R, reps[i].values) if (3 * n + j) % 2
+                      else reps[i] for j, i in enumerate(t)]
+                res, got = massey_outcome(ctx, us)
+                _, want = massey_outcome(MasseyContext(X, R, reps),
+                                         [reps[i] for i in t])
+                assert got == want, (path.name, ring, t)
+                cases += 1
+                if res != "refused":
+                    # results share no list with the context's caches
+                    res.coords.append(99)
+                    for row in res.indeterminacy:
+                        row.append(99)
+    assert cases > 100
+
+
+def test_massey_context_runs_pair_work_once(monkeypatch):
+    # 27 triples on X(5): per triple the cups u1 c23 and c12 u3 and the
+    # representative's cocycle check; per ordered pair of the 3 inputs one
+    # cup, one class and one bound; per input one cocycle check and its
+    # indeterminacy rows.  The parent made 270 cups, 108 coboundaries and
+    # 54 solves.
+    from cupone import massey
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(massey, "cup_cochain",
+                        counted("cup", massey.cup_cochain))
+    monkeypatch.setattr(massey, "coboundary",
+                        counted("coboundary", massey.coboundary))
+    monkeypatch.setattr(MasseyContext, "solve_coboundary",
+                        counted("solve", MasseyContext.solve_coboundary))
+    pc = presentation_complex(borromean_presentation(5))
+    duals = [pc.dual_cochain(g, Z) for g in pc.group.generators]
+    ctx = MasseyContext(pc.delta, Z, duals)
+    for t in product(range(3), repeat=3):
+        ctx.triple_massey(*(duals[i] for i in t))
+    assert calls["cup"] <= 2 * 27 + 9 + 18
+    assert calls["coboundary"] <= 27 + 3
+    assert calls["solve"] <= 9
 
 
 def test_triple_massey_undefined_when_cup_nonzero():
