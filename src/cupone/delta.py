@@ -697,17 +697,12 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
 
 def _coboundary_factor(X: DeltaSet, j: int, rows: list[list[int]]):
     """The Smith factor of delta^j: C^j -> C^{j+1} (``rows``; j = -1 is
-    the map from 0), built once per Delta-set.  It keeps V and Vinv when
-    H^j reads its kernel, and U, V and Uinv when H^{j+1} has no upper
+    the map from 0), built once per Delta-set.  Its two operation logs
+    serve H^j, which reads its kernel, and H^{j+1} when that has no upper
     term and reads its image."""
     from .linalg import smith_normal_form
     fac = X._factors.get(j)
     if fac is None:
-        def has_upper(k):
-            return 0 <= k < 3 and bool(X.cells[k + 1])
-
-        image = not has_upper(j + 1)
         fac = X._factors[j] = smith_normal_form(
-            rows, len(X.cells[j]) if j >= 0 else 0, want_u=image,
-            want_v=True, want_uinv=image, want_vinv=has_upper(j))
+            rows, len(X.cells[j]) if j >= 0 else 0)
     return fac

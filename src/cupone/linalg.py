@@ -1,14 +1,14 @@
 """Exact linear algebra over Z and Z_p.
 
 Factor once, query many.  Over Z one ``smith_normal_form`` call returns
-the factor U M V = D of a matrix M (an ``SNFResult``), keeping the
-transforms it is asked for in the sparse form the elimination builds:
-U and Vinv by rows, Uinv and V by columns.  The same factor then serves
-every ``solve`` (through ``solve_Z``, with the SNF-residue certificate
-of ``solve_in_image``), ``kernel`` (basis vectors of ker M),
+the factor U M V = D of a matrix M (an ``SNFResult``).  It keeps no
+transform matrix: the elimination logs its row operations (whose
+product is U) and its column operations (whose product is V), and each
+query replays a log on one vector.  The same factor then serves every
+``solve`` (through ``solve_Z``, with the SNF-residue certificate of
+``solve_in_image``), ``kernel`` (basis vectors of ker M),
 ``kernel_coords`` and the ``class_coords`` of the cohomology of
-three-term complexes with labeled bases; a query costs the transform
-entries it touches.  The cohomology of a segment
+three-term complexes with labeled bases.  The cohomology of a segment
 C^{k-1} --A--> C^k --B--> C^{k+1} factors im A once per ring and
 answers both ``class_coords`` and ``preimage`` (x with A x = vec) from
 that factor: over Z its Smith normal form, over GF(p) one
@@ -30,11 +30,10 @@ by the rest of the package and makes every output deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import or_
 
-from .rings import InternalError, RingSpec
+from .rings import InternalError, PreconditionError, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +55,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
             for ra in a]
 
 
-def rank_over_Q(rows: list[list[int]]) -> int:
-    """Independent rank oracle: Gaussian elimination over the rationals."""
-    work = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        work[rank] = [x * inv for x in prow]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -90,87 +68,107 @@ class SolveResult:
         return self.solution is not None
 
 
-def _rows_times(rows: list[dict[int, int]], v: list[int]) -> list[int]:
-    """R v for R given by sparse rows (dicts column -> value)."""
-    return [sum(v[j] * x for j, x in r.items()) for r in rows]
+Op = tuple[int, int, int]
 
 
-def _dense(vec: dict[int, int], n: int) -> list[int]:
-    return [vec.get(i, 0) for i in range(n)]
+def _replay(ops: list[Op], x: list[int], backward: bool = False,
+            transpose: bool = False, inverse: bool = False) -> list[int]:
+    """Apply the logged elementary matrices to x in place and return it.
+
+    An entry (i, t, q) with q != 0 is E = I + q e_i e_t^T, which adds q x_t
+    to x_i; (i, t, 0) with i != t swaps x_i and x_t, and (i, i, 0) negates
+    x_i.  A log E_1, ..., E_m stands for the product E_m ... E_1, so a
+    forward replay multiplies x by it and a backward one by E_1 ... E_m.
+    ``transpose`` and ``inverse`` apply E^T or E^-1 in place of each E;
+    a swap and a negation are their own transpose and inverse.
+    """
+    for i, t, q in reversed(ops) if backward else ops:
+        if q:
+            if transpose:
+                i, t = t, i
+            if x[t]:
+                x[i] += -q * x[t] if inverse else q * x[t]
+        elif i == t:
+            x[i] = -x[i]
+        else:
+            x[i], x[t] = x[t], x[i]
+    return x
 
 
-def _densify(m: list[dict[int, int]] | None, n: int,
-             by_cols: bool = False) -> list[list[int]] | None:
-    """The dense matrix of sparse rows of length n, or of sparse columns
-    of height n."""
-    if m is None:
-        return None
-    if by_cols:
-        return [[c.get(i, 0) for c in m] for i in range(n)]
-    return [_dense(r, n) for r in m]
+def _unit(n: int, i: int) -> list[int]:
+    x = [0] * n
+    x[i] = 1
+    return x
+
+
+def _matrix(ops: list[Op], n: int, backward: bool = False,
+            inverse: bool = False) -> list[list[int]]:
+    """The dense n x n matrix whose column j is the replay on e_j."""
+    cols = [_replay(ops, _unit(n, j), backward, inverse=inverse)
+            for j in range(n)]
+    return [list(r) for r in zip(*cols)]
 
 
 @dataclass
 class SNFResult:
     """U M V = D, and the factor of M that every later query reuses.
 
-    The transforms stay in the sparse form the elimination builds, each
-    kept only when asked for: U and Vinv by rows, Uinv and V by columns
-    (dicts index -> value).  ``kernel`` returns basis vectors read off
-    V, ``kernel_coords`` reads Vinv, ``solve`` U (transposed once) and
-    V, ``uinv_column`` Uinv; a query costs the nonzeros it touches.  The
-    dense ``U``, ``V``, ``Uinv`` and ``Vinv`` are built afresh on each
-    access, for inspection; no query reads them.  The row and column
-    operations do not depend on a right-hand side, so U b is exactly
-    what carrying b through the elimination would give.
+    The elimination logs its operations instead of building U and V
+    (entries as in ``_replay``): ``row_ops`` holds the row operations, so
+    U is their forward product, and ``col_ops`` the column operations, so
+    V is their backward product.  A query replays a log on one vector:
+    ``u_times`` is U b (forward), ``u_row`` a row of U (backward,
+    transposed), ``uinv_column`` a column of Uinv (backward, inverted),
+    ``kernel`` columns of V (backward), ``kernel_coords`` Vinv vec
+    (forward, inverted), and ``solve`` both U b and V y.  The operations
+    do not depend on a right-hand side, so U b is exactly what carrying b
+    through the elimination would give.  The dense ``U``, ``V``, ``Uinv``
+    and ``Vinv`` are built from the logs on first access and cached, for
+    inspection; no query reads them.
     """
     diag: list[int]
     rank: int
     nrows: int
     ncols: int
-    u_rows: list[dict[int, int]] | None = None
-    v_cols: list[dict[int, int]] | None = None
-    uinv_cols: list[dict[int, int]] | None = None
-    vinv_rows: list[dict[int, int]] | None = None
-    carry: list[list[int]] | None = None  # U*vec for each input carry vector
-
-    @property
-    def U(self) -> list[list[int]] | None:
-        return _densify(self.u_rows, self.nrows)
-
-    @property
-    def V(self) -> list[list[int]] | None:
-        return _densify(self.v_cols, self.ncols, by_cols=True)
-
-    @property
-    def Uinv(self) -> list[list[int]] | None:
-        return _densify(self.uinv_cols, self.nrows, by_cols=True)
-
-    @property
-    def Vinv(self) -> list[list[int]] | None:
-        return _densify(self.vinv_rows, self.ncols)
+    row_ops: list[Op]
+    col_ops: list[Op]
 
     @cached_property
-    def _u_cols(self) -> list[dict[int, int]]:
-        """U by columns, so that U b walks only the columns where b is
-        nonzero; transposed from the rows once per factor."""
-        cols: list[dict[int, int]] = [{} for _ in range(self.nrows)]
-        for i, row in enumerate(self.u_rows):
-            for j, x in row.items():
-                cols[j][i] = x
-        return cols
+    def U(self) -> list[list[int]]:
+        return _matrix(self.row_ops, self.nrows)
+
+    @cached_property
+    def V(self) -> list[list[int]]:
+        return _matrix(self.col_ops, self.ncols, backward=True)
+
+    @cached_property
+    def Uinv(self) -> list[list[int]]:
+        return _matrix(self.row_ops, self.nrows, backward=True, inverse=True)
+
+    @cached_property
+    def Vinv(self) -> list[list[int]]:
+        return _matrix(self.col_ops, self.ncols, inverse=True)
+
+    def u_times(self, b: list[int]) -> list[int]:
+        """U b."""
+        return _replay(self.row_ops, list(b))
+
+    def u_row(self, r: int) -> list[int]:
+        """Row r of U."""
+        return _replay(self.row_ops, _unit(self.nrows, r), backward=True,
+                       transpose=True)
 
     def kernel(self) -> list[list[int]]:
         """Basis vectors of the integer kernel lattice {v : M v = 0}: the
         columns of V beyond the rank."""
-        return [_dense(self.v_cols[j], self.ncols)
+        return [_replay(self.col_ops, _unit(self.ncols, j), backward=True)
                 for j in range(self.rank, self.ncols)]
 
     def kernel_coords(self, vec: list[int]) -> list[int] | None:
         """Coordinates of vec in the ``kernel`` basis, or None when
         M vec != 0.  M = Uinv D Vinv, so M vec = 0 exactly when Vinv vec
         vanishes up to the rank, and then vec is V (Vinv vec)."""
-        w = _rows_times(self.vinv_rows, vec)
+        w = _replay(self.col_ops, list(vec), inverse=True)
         if any(w[:self.rank]):
             return None
         return w[self.rank:]
@@ -179,7 +177,8 @@ class SNFResult:
         """Column i of Uinv: the target basis vector whose diag[i]-fold
         spans im M in that direction (i < rank) or a free direction of
         the cokernel (i >= rank)."""
-        return _dense(self.uinv_cols[i], self.nrows)
+        return _replay(self.row_ops, _unit(self.nrows, i), backward=True,
+                       inverse=True)
 
     def solve(self, b: list[int]) -> SolveResult:
         """Particular solution of M x = b, or a certificate.
@@ -188,12 +187,7 @@ class SNFResult:
         either a diagonal entry that fails to divide U b, or a nonzero
         coordinate of U b beyond the rank (divisor 0).
         """
-        c = [0] * self.nrows
-        u_cols = self._u_cols
-        for j, x in enumerate(b):
-            if x:
-                for i, u in u_cols[j].items():
-                    c[i] += x * u
+        c = self.u_times(b)
         for i, d in enumerate(self.diag):
             r = c[i] % d
             if r:
@@ -203,23 +197,19 @@ class SNFResult:
             if c[i]:
                 return SolveResult(None, {"index": i, "divisor": 0,
                                           "residue": c[i]})
-        x = [0] * self.ncols
-        for col, ci, d in zip(self.v_cols, c, self.diag):
-            if ci:
-                q = ci // d
-                for j, v in col.items():
-                    x[j] += q * v
-        return SolveResult(x, None)
+        y = [0] * self.ncols
+        for i, d in enumerate(self.diag):
+            y[i] = c[i] // d
+        return SolveResult(_replay(self.col_ops, y, backward=True), None)
 
 
-def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
-                      want_u: bool = False, want_v: bool = False,
-                      want_uinv: bool = False, want_vinv: bool = False,
-                      carry: list[list[int]] | None = None) -> SNFResult:
+def smith_normal_form(rows: list[list[int]],
+                      ncols: int | None = None) -> SNFResult:
     """U * M * V = D with U, V unimodular and D a divisibility chain.
 
     The matrix is given as a list of dense rows; internally the
-    elimination runs on a sparse dict-of-dicts copy.
+    elimination runs on a sparse dict-of-dicts copy and logs each row and
+    column operation for ``SNFResult`` to replay.
     """
     nrows = len(rows)
     if ncols is None:
@@ -231,24 +221,8 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
             if v:
                 work.setdefault(i, {})[j] = v
                 colidx.setdefault(j, set()).add(i)
-
-    # Transforms are sparse: U and Vinv by rows, Uinv and V by columns,
-    # so that every update is one sparse row operation.
-    U = [{i: 1} for i in range(nrows)] if want_u else None
-    Uinv_cols = [{i: 1} for i in range(nrows)] if want_uinv else None
-    V_cols = [{j: 1} for j in range(ncols)] if want_v else None
-    Vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
-    carried = [list(v) for v in carry] if carry else None
-
-    def axpy(m, i, t, q):
-        # m[i] += q * m[t]
-        mi = m[i]
-        for j, x in m[t].items():
-            v = mi.get(j, 0) + q * x
-            if v:
-                mi[j] = v
-            else:
-                del mi[j]
+    row_ops: list[Op] = []
+    col_ops: list[Op] = []
 
     def get(i, j):
         return work.get(i, {}).get(j, 0)
@@ -280,13 +254,7 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
                 colidx[j].discard(i)
         if not dst:
             del work[i]
-        if U is not None:
-            axpy(U, i, t, q)
-        if carried is not None:
-            for v in carried:
-                v[i] += q * v[t]
-        if Uinv_cols is not None:
-            axpy(Uinv_cols, t, i, -q)
+        row_ops.append((i, t, q))
 
     def row_swap(i, t):
         if i == t:
@@ -303,35 +271,20 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
             work[t] = ri
             for j in ri:
                 colidx.setdefault(j, set()).add(t)
-        if U is not None:
-            U[i], U[t] = U[t], U[i]
-        if carried is not None:
-            for v in carried:
-                v[i], v[t] = v[t], v[i]
-        if Uinv_cols is not None:
-            Uinv_cols[i], Uinv_cols[t] = Uinv_cols[t], Uinv_cols[i]
+        row_ops.append((i, t, 0))
 
     def row_negate(i):
         for j, v in list(work.get(i, {}).items()):
             work[i][j] = -v
-        if U is not None:
-            U[i] = {j: -x for j, x in U[i].items()}
-        if carried is not None:
-            for v in carried:
-                v[i] = -v[i]
-        if Uinv_cols is not None:
-            Uinv_cols[i] = {j: -x for j, x in Uinv_cols[i].items()}
+        row_ops.append((i, i, 0))
 
     def col_add(j, t, q):
-        # col_j += q * col_t
+        # col_j += q * col_t: M F with F = I + q e_t e_j^T, logged (t, j, q)
         if not q:
             return
         for i in list(colidx.get(t, ())):
             setval(i, j, get(i, j) + q * get(i, t))
-        if V_cols is not None:
-            axpy(V_cols, j, t, q)
-        if Vinv is not None:
-            axpy(Vinv, t, j, -q)
+        col_ops.append((t, j, q))
 
     def col_swap(j, t):
         if j == t:
@@ -350,10 +303,7 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
             else:
                 row.pop(t, None)
         colidx[j], colidx[t] = rows_t, rows_j
-        if V_cols is not None:
-            V_cols[j], V_cols[t] = V_cols[t], V_cols[j]
-        if Vinv is not None:
-            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
+        col_ops.append((j, t, 0))
 
     limit = min(nrows, ncols)
     t = 0
@@ -440,21 +390,19 @@ def smith_normal_form(rows: list[list[int]], ncols: int | None = None,
         raise ArithmeticError(f"Smith normal form diagonal {diag} is not a "
                               f"positive divisibility chain")
 
-    return SNFResult(diag=diag, rank=ndiag, nrows=nrows, ncols=ncols,
-                     u_rows=U, v_cols=V_cols, uinv_cols=Uinv_cols,
-                     vinv_rows=Vinv, carry=carried)
+    return SNFResult(diag, ndiag, nrows, ncols, row_ops, col_ops)
 
 
 def kernel_basis_Z(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis vectors of the integer kernel lattice {v : M v = 0}."""
-    return smith_normal_form(rows, ncols, want_v=True).kernel()
+    return smith_normal_form(rows, ncols).kernel()
 
 
 def solve_Z(factor: SNFResult, b: list[int]) -> list[int] | None:
     """Particular integer solution of M x = b, or None (SNF residue fails).
 
-    ``factor`` is ``smith_normal_form(M, ncols, want_u=True, want_v=True)``,
-    built once and shared by every right-hand side.
+    ``factor`` is ``smith_normal_form(M, ncols)``, built once and shared
+    by every right-hand side; each solve replays its two operation logs.
     """
     return factor.solve(b).solution
 
@@ -464,7 +412,7 @@ def image_solver(rows: list[list[int]], ncols: int):
     is not in the image of M.  Each solve goes through ``solve_Z``.
     Coboundaries of a Delta-set are solved by the ``preimage`` of their
     cohomology instead, over either ring."""
-    factor = smith_normal_form(rows, ncols, want_u=True, want_v=True)
+    factor = smith_normal_form(rows, ncols)
     return lambda b: solve_Z(factor, b)
 
 
@@ -479,7 +427,7 @@ def solve_in_image(rows: list[list[int]], b: list[int], ncols: int,
         x = cohomology_at(seg).preimage(b)
         cert = None if x is not None else {"reason": "not in column span"}
         return SolveResult(x, cert)
-    return smith_normal_form(rows, ncols, want_u=True, want_v=True).solve(b)
+    return smith_normal_form(rows, ncols).solve(b)
 
 
 def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
@@ -487,7 +435,7 @@ def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
     if not vectors:
         return []
     rows = [[v[i] for v in vectors] for i in range(dim)]
-    snf = smith_normal_form(rows, len(vectors), want_uinv=True)
+    snf = smith_normal_form(rows, len(vectors))
     return [[d * x for x in snf.uinv_column(i)]
             for i, d in enumerate(snf.diag)]
 
@@ -854,7 +802,7 @@ class ComplexSegment:
         self.B = B  # len(upper) rows x len(mid) cols
         prod = mat_mul(B, A) if (upper and lower) else []
         if any(any(ring.normalize(x) for x in row) for row in prod):
-            raise ValueError("B*A != 0: not a complex segment")
+            raise PreconditionError("B*A != 0: not a complex segment")
 
 
 class CohomologyData:
@@ -894,11 +842,13 @@ def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
                  image: SNFResult | None) -> CohomologyData:
     """H^k = ker B / im A over Z from Smith factors built by the caller.
 
-    With an upper term, ``kernel`` is the factor of B (V and Vinv kept):
-    ker B is read off V and coordinates on it off Vinv, and im A is
-    factored here in those coordinates.  Without one, ker B is everything,
-    and ``image`` is the factor of A itself (U, V and Uinv kept), which a
-    Delta-set shares with the H^{k-1} that reads its kernel.
+    With an upper term, ``kernel`` is the factor of B: ker B is read off
+    V and coordinates on it off Vinv, and im A is factored here in those
+    coordinates.  Without one, ker B is everything, and ``image`` is the
+    factor of A itself, which a Delta-set shares with the H^{k-1} that
+    reads its kernel.  Generators are columns of Uinv, and the class
+    coordinates are the rows of U at the cokernel slots, each replayed
+    once here.
     """
     nm, nl = len(seg.mid), len(seg.lower)
     K = kernel.kernel() if seg.upper else None
@@ -930,20 +880,19 @@ def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
         cols = [to_kernel([seg.A[i][j] for i in range(nm)])
                 for j in range(nl)]
         image = smith_normal_form([[c[i] for c in cols] for i in range(k)],
-                                  nl, want_u=True, want_v=True,
-                                  want_uinv=True)
+                                  nl)
     order_slots = [(i, d) for i, d in enumerate(image.diag) if d > 1]
     order_slots += [(i, 0) for i in range(image.rank, k)]
     gens = [(d, from_kernel(image.uinv_column(i))) for i, d in order_slots]
     inv = AbelianInvariants(rank=k - image.rank,
                             torsion=tuple(d for _, d in order_slots if d))
-    slot_rows = [image.u_rows[i] for i, _ in order_slots]
+    slot_rows = [image.u_row(i) for i, _ in order_slots]
 
     def coord_fn(vec):
         y = to_kernel(vec)
         if y is None:
-            raise ValueError("vector is not a cocycle")
-        c = _rows_times(slot_rows, y)
+            raise PreconditionError("vector is not a cocycle")
+        c = [sum(u * x for u, x in zip(row, y)) for row in slot_rows]
         return [x % d if d else x for x, (_, d) in zip(c, order_slots)]
 
     def preimage_fn(vec):
@@ -991,7 +940,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     def coord_fn(vec):
         combo = express(vec)
         if combo is None:
-            raise ValueError("vector is not a cocycle")
+            raise PreconditionError("vector is not a cocycle")
         return [combo.get(i, 0) for i in range(len(gens))]
 
     def preimage_fn(vec):
@@ -1025,7 +974,5 @@ def cohomology_at(seg: ComplexSegment) -> CohomologyData:
     if seg.ring.is_modular:
         return _cohomology_Zp(seg)
     if seg.upper:
-        return cohomology_Z(seg, smith_normal_form(
-            seg.B, len(seg.mid), want_v=True, want_vinv=True), None)
-    return cohomology_Z(seg, None, smith_normal_form(
-        seg.A, len(seg.lower), want_u=True, want_v=True, want_uinv=True))
+        return cohomology_Z(seg, smith_normal_form(seg.B, len(seg.mid)), None)
+    return cohomology_Z(seg, None, smith_normal_form(seg.A, len(seg.lower)))

@@ -421,7 +421,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
              for i in range(len(basis2))]
     gens_out: list[H2Gen] = []
     if basis2:
-        snf = smith_normal_form(krows, len(ys), want_uinv=True)
+        snf = smith_normal_form(krows, len(ys))
         diag = snf.diag + [0] * (len(basis2) - len(snf.diag))
         for i, d in enumerate(diag):
             if d == 1:

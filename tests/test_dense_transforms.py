@@ -1,10 +1,12 @@
 """No cupone module but ``linalg`` reads a dense Smith transform.
 
-``SNFResult.U``, ``V``, ``Uinv`` and ``Vinv`` build a dense matrix on
-every access, so one read inside a loop costs a full densification per
-entry.  Queries go through the sparse transforms (``solve``, ``kernel``,
-``kernel_coords``, ``uinv_column``).  A stdlib-ast scan: any load of an
-attribute with one of those names outside ``linalg.py`` fails.
+``SNFResult.U``, ``V``, ``Uinv`` and ``Vinv`` are built from the
+factor's operation logs, one replay per column, on first access, and are
+then cached for the factor's lifetime; one read costs n replays and keeps
+an n x n matrix alive.  Queries replay a log on one vector instead
+(``solve``, ``u_times``, ``u_row``, ``kernel``, ``kernel_coords``,
+``uinv_column``).  A stdlib-ast scan: any load of an attribute with one
+of those names outside ``linalg.py`` fails.
 """
 import ast
 import pathlib

@@ -24,13 +24,13 @@ from cupone.linalg import (
     lattice_basis,
     mat_mul,
     mat_vec,
-    rank_over_Q,
     smith_normal_form,
     solve_in_image,
     solve_Z,
 )
 from cupone.presentation import presentation_complex
-from cupone.rings import InternalError, RingSpec
+from cupone.rings import InternalError, PreconditionError, RingSpec
+from q_oracle import rank_over_Q
 
 Z = RingSpec.Z()
 Z5 = RingSpec.Zp(5)
@@ -42,7 +42,7 @@ def random_matrix(rng, r, c, lo=-6, hi=6):
 
 
 def factor(m, c):
-    return smith_normal_form(m, c, want_u=True, want_v=True)
+    return smith_normal_form(m, c)
 
 
 def is_unimodular(m):
@@ -61,8 +61,7 @@ def test_snf_transforms_exact():
     for _ in range(30):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, r, c)
-        snf = smith_normal_form(m, c, want_u=True, want_v=True,
-                                want_uinv=True, want_vinv=True)
+        snf = smith_normal_form(m, c)
         d = mat_mul(mat_mul(snf.U, m), snf.V)
         for i in range(r):
             for j in range(c):
@@ -83,11 +82,9 @@ def test_snf_transforms_frozen():
     for _ in range(100):
         r, c, lo = rng.randint(2, 9), rng.randint(2, 9), rng.choice((1, 2, 9))
         m = [[rng.randint(-lo, lo) for _ in range(c)] for _ in range(r)]
-        snf = smith_normal_form(m, c, want_u=True, want_v=True,
-                                want_uinv=True, want_vinv=True,
-                                carry=[[1] * r])
+        snf = smith_normal_form(m, c)
         h.update(repr((snf.diag, snf.U, snf.V, snf.Uinv, snf.Vinv,
-                       snf.carry)).encode())
+                       [mat_vec(snf.U, [1] * r)])).encode())
     assert h.hexdigest() == \
         "83c900ef7e63db53c79d11936de9b4c4c9e17b282b559928ad4509f207d6c4fe"
 
@@ -167,8 +164,8 @@ def random_test_matrices(rng):
 def one_shot_solve(m, b, ncols):
     """Reference solve: a fresh SNF per right-hand side, carrying b
     through the elimination, then dense V."""
-    snf = smith_normal_form(m, ncols, want_v=True, carry=[b])
-    c = snf.carry[0]
+    snf = smith_normal_form(m, ncols)
+    c = mat_vec(snf.U, b)
     y = [0] * ncols
     for i, d in enumerate(snf.diag):
         q, r = divmod(c[i], d)
@@ -211,7 +208,7 @@ def dense_cohomology(seg):
     K = kernel_basis_Z(seg.B, nm) if seg.upper else identity(nm)
     k = len(K)
     ksnf = smith_normal_form([[K[j][i] for j in range(k)] for i in range(nm)],
-                             k, want_u=True, want_v=True)
+                             k)
 
     def in_kernel(vec):
         c = dense_mat_vec(ksnf.U, vec)
@@ -220,8 +217,7 @@ def dense_cohomology(seg):
 
     cols = [in_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
     csnf = smith_normal_form([[cols[j][i] for j in range(nl)]
-                              for i in range(k)], nl,
-                             want_u=True, want_uinv=True)
+                              for i in range(k)], nl)
     slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
     slots += [(i, 0) for i in range(csnf.rank, k)]
     gens = [(d, [sum(K[j][r] * csnf.Uinv[j][i] for j in range(k))
@@ -310,6 +306,74 @@ def test_shared_factors_match_fresh_cohomology():
                 assert fresh.preimage(rep) is None
 
 
+def frozen_random_matrices():
+    # The draws of test_snf_transforms_frozen, one for one.
+    rng = random.Random(31)
+    for _ in range(100):
+        r, c, lo = rng.randint(2, 9), rng.randint(2, 9), rng.choice((1, 2, 9))
+        yield [[rng.randint(-lo, lo) for _ in range(c)] for _ in range(r)], c
+
+
+def column(m, j):
+    return [row[j] for row in m]
+
+
+def check_replays(m, c, rng):
+    """Each query of the factor of m, which replays an operation log,
+    against the dense transform it stands for.  The digest above pins
+    the dense transforms; here they must also give U M V = D and invert
+    each other."""
+    snf = smith_normal_form(m, c)
+    r, rank = len(m), snf.rank
+    U, V, Uinv, Vinv = snf.U, snf.V, snf.Uinv, snf.Vinv
+    assert mat_mul(mat_mul(U, m), V) == [
+        [snf.diag[i] if i == j and i < rank else 0 for j in range(c)]
+        for i in range(r)]
+    assert mat_mul(U, Uinv) == identity(r)
+    assert mat_mul(V, Vinv) == identity(c)
+    inside = [mat_vec(m, [rng.randint(-3, 3) for _ in range(c)])
+              for _ in range(3)]
+    anywhere = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
+    for b in inside + anywhere:
+        assert snf.u_times(b) == mat_vec(U, b)  # forward
+    for i in range(r):
+        assert snf.u_row(i) == U[i]  # backward, transposed
+        assert snf.uinv_column(i) == column(Uinv, i)  # backward, inverted
+    kernel = snf.kernel()
+    assert kernel == [column(V, j) for j in range(rank, c)]  # backward
+    vecs = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(3)]
+    if kernel:
+        vecs += [mat_vec([list(t) for t in zip(*kernel)],
+                         [rng.randint(-3, 3) for _ in kernel])
+                 for _ in range(3)]
+    for v in vecs:
+        w = mat_vec(Vinv, v)  # forward, inverted
+        assert snf.kernel_coords(v) == (None if any(w[:rank]) else w[rank:])
+    for b in inside + anywhere:
+        u = mat_vec(U, b)
+        ok = (all(u[i] % d == 0 for i, d in enumerate(snf.diag))
+              and not any(u[rank:]))
+        y = [u[i] // d for i, d in enumerate(snf.diag)] + [0] * (c - rank)
+        assert snf.solve(b).solution == (mat_vec(V, y) if ok else None)
+        assert ok or b not in inside
+
+
+def test_replays_match_dense_transforms():
+    # The frozen random matrices (four take the divisibility fix-up) and
+    # every coboundary of the fixtures and of the Z/3 and Z/4 bar
+    # complexes, which carry torsion.
+    rng = random.Random(5)
+    mats = list(frozen_random_matrices())
+    for X in shared_factor_complexes():
+        mats += [(coboundary_matrix(X, k), len(X.cells[k]))
+                 for k in range(3) if X.cells[k + 1]]
+    # delta^0..2 of bar_z2.delta and of both bars, delta^0 and delta^1 of
+    # the 11 .pres fixtures, delta^0 of interval.delta
+    assert len(mats) == 100 + 3 * 3 + 2 * 11 + 1
+    for m, c in mats:
+        check_replays(m, c, rng)
+
+
 def test_delta1_is_factored_once_for_h1_and_h2(monkeypatch):
     from cupone.delta import segment_cohomology
     path = FIXTURES / "borromean_n2.pres"
@@ -369,10 +433,10 @@ def coker(m, nrows, ncols):
 
 
 def test_snf_kernel_and_cokernel_frozen():
-    assert smith_normal_form([[3]], 1, want_v=True).kernel() == []
+    assert smith_normal_form([[3]], 1).kernel() == []
     assert coker([[3]], 1, 1) == AbelianInvariants(0, (3,))
     assert coker([[2, 0], [0, 2]], 2, 2) == AbelianInvariants(0, (2, 2))
-    kernel = smith_normal_form([[1, 2]], 2, want_v=True).kernel()
+    kernel = smith_normal_form([[1, 2]], 2).kernel()
     assert len(kernel) == 1
     assert mat_vec([[1, 2]], kernel[0]) == [0]
 
@@ -441,6 +505,20 @@ def test_cohomology_with_upper_term():
     rep = data.generators[0][1]
     assert rep[0] + rep[1] == 0
     with pytest.raises(ValueError):
+        data.class_coords([1, 0])
+
+
+def test_non_complex_segment_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="B\\*A != 0"):
+        ComplexSegment(Z, ["f"], ["a", "b"], ["c"], [[1], [0]], [[1, 1]])
+
+
+@pytest.mark.parametrize("ring", [Z, Z5], ids=str)
+def test_non_cocycle_coords_are_a_precondition_error(ring):
+    # Z goes through cohomology_Z, GF(p) through cohomology_sparse_zp.
+    data = cohomology_at(ComplexSegment(ring, [], ["a", "b"], ["c"], [],
+                                        [[1, 1]]))
+    with pytest.raises(PreconditionError, match="not a cocycle"):
         data.class_coords([1, 0])
 
 
@@ -827,7 +905,7 @@ def test_preimage_matches_fresh_factor(ring):
             nl, nm = len(X.cells[k - 1]), len(X.cells[k])
             data = segment_cohomology(X, ring, k)
             if p is None:
-                snf = smith_normal_form(A, nl, want_u=True, want_v=True)
+                snf = smith_normal_form(A, nl)
                 fresh = lambda v: snf.solve(v).ok
             else:
                 elim = ZpEliminator(p, nm)
