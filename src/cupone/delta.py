@@ -19,7 +19,17 @@ from .tensor import TensorElem
 
 
 class DeltaSet:
-    """Semi-simplicial set truncated at dimension 3."""
+    """Semi-simplicial set truncated at dimension 3.
+
+    The complex of a magma M checked associative also records
+    ``last_generators``, the indices of a set S that generates M as a
+    semigroup.  Then a k-cochain f is a cocycle once delta f vanishes on
+    the (k+1)-cells whose last entry lies in S (``generator_rows``): for
+    g = delta f, delta g = 0 on [a|b|c|s] reads g(a,b,cs) = g(a,b,c), and
+    every c is a product s_1...s_m, so g(a,b,c) = g(a,b,s_1) = 0; one
+    degree down the same holds on [a|s].  delta g = 0 is associativity
+    there, and without it the rule fails.
+    """
 
     def __init__(self, cells: dict[int, list[str]],
                  faces: dict[str, tuple[str, ...]]):
@@ -39,6 +49,7 @@ class DeltaSet:
         self._cohomology: dict = {}
         self._factors: dict = {}
         self._face_tables: dict = {}
+        self.last_generators: list[int] | None = None
 
     def validate(self):
         faces, dim_of = self.faces, self.dim_of
@@ -90,6 +101,17 @@ class DeltaSet:
                 (s, self.front_face(s, p), self.back_face(s, q))
                 for s in self.cells[p + q]]
         return table
+
+    def generator_rows(self, k: int) -> list[int] | None:
+        """Indices into cells[k + 1] of the cells whose last entry lies in
+        S, ascending, or None when no S is recorded.  A magma complex
+        lists its (k+1)-cells with the last entry varying fastest."""
+        gens = self.last_generators
+        if gens is None:
+            return None
+        n = len(self.cells[1])
+        return [q + s for q in range(0, len(self.cells[k + 1]), n)
+                for s in gens]
 
     def max_dim(self) -> int:
         return max((d for d in range(4) if self.cells[d]), default=0)
@@ -372,13 +394,40 @@ def delta_from_magma(m: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     (b, ab, a); 3-cells per the associativity tetrahedron."""
     check_magma_size(len(m), max_dim)
     if max_dim >= 3 and m.associativity_counterexample() is not None:
-        raise ValueError("dimension 3 requires an associative magma")
-    return _magma_complex(m, max_dim)
+        raise PreconditionError("dimension 3 requires an associative magma")
+    return _magma_complex(m, max_dim, associative=max_dim >= 3)
 
 
-def _magma_complex(m: FiniteMagma, max_dim: int) -> MagmaComplex:
+def _semigroup_generators(prod: list[list[int]], unit) -> list[int]:
+    """A set S that generates an associative magma with product table
+    ``prod`` (on indices) as a semigroup, ascending.  Each element that is
+    not yet a product of earlier picks is picked, the unit tried last: a
+    finite group never needs it, a monoid such as max on {0..3} does."""
+    n = len(prod)
+    gens: list[int] = []
+    reached = bytearray(n)
+    for g in sorted(range(n), key=lambda i: i == unit):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = 1
+        # Each product of picks is a shorter one times a pick.
+        queue = [i for i in range(n) if reached[i]]
+        for x in queue:
+            for s in gens:
+                y = prod[x][s]
+                if not reached[y]:
+                    reached[y] = 1
+                    queue.append(y)
+    return sorted(gens)
+
+
+def _magma_complex(m: FiniteMagma, max_dim: int,
+                   associative: bool) -> MagmaComplex:
     # Elements by index: each is named once, each cell id is a per-a or
     # per-(a, b) prefix plus one name, and prod[i][j] indexes a_i a_j.
+    # ``associative``: the caller has checked the magma, so the Delta-set
+    # may record its semigroup generators.
     elems = m.elements
     names = [m.name_fn(a) for a in elems]
     one = [f"[{x}]" for x in names]
@@ -409,7 +458,11 @@ def _magma_complex(m: FiniteMagma, max_dim: int) -> MagmaComplex:
                     faces[cid] = (two_b[k], two_ab[k], two_a[prod_b[k]],
                                   face3)
                     cell_elems[cid] = (a, b, c)
-    return MagmaComplex(DeltaSet(cells, faces), m, cell_elems)
+    delta = DeltaSet(cells, faces)
+    if associative and max_dim >= 2:
+        delta.last_generators = _semigroup_generators(
+            prod, index.get(m.unit))
+    return MagmaComplex(delta, m, cell_elems)
 
 
 def cyclic_group_magma(moduli: tuple[int, ...]) -> FiniteMagma:
@@ -428,9 +481,10 @@ def bar_construction(g: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     """Delta(M) of a finite monoid (the bar construction)."""
     check_magma_size(len(g), max_dim, monoid=True)
     if not g.is_monoid():
-        raise ValueError("bar construction requires a finite monoid")
-    # is_monoid has checked associativity, which dimension 3 needs.
-    return _magma_complex(g, max_dim)
+        raise PreconditionError("bar construction requires a finite monoid")
+    # is_monoid has checked associativity, which dimension 3 and the
+    # generator rows need.
+    return _magma_complex(g, max_dim, associative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +703,17 @@ def segment_at(X: DeltaSet, ring: RingSpec, k: int):
     return ComplexSegment(ring, lower, mid, upper, A, B)
 
 
-def coboundary_cols_sparse(X: DeltaSet, k: int, p: int) -> list[dict]:
-    """Columns of delta^k as sparse dicts (k+1)-cell-index -> value mod p."""
+def coboundary_cols_sparse(X: DeltaSet, k: int, p: int,
+                           rows: list[int] | None = None) -> list[dict]:
+    """Columns of delta^k as sparse dicts row -> value mod p.  The rows
+    are the (k+1)-cells, or only the cells[k + 1][r] for r in ``rows``,
+    numbered by their position there."""
     index = {c: i for i, c in enumerate(X.cells[k])}
     cols: list[dict] = [{} for _ in X.cells[k]]
-    for si, s in enumerate(X.cells[k + 1]):
+    upper = X.cells[k + 1]
+    if rows is not None:
+        upper = [upper[r] for r in rows]
+    for si, s in enumerate(upper):
         for i, f in enumerate(X.faces[s]):
             j = index[f]
             v = (cols[j].get(si, 0) + (1 if i % 2 == 0 else -1)) % p
@@ -668,6 +728,12 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
     """H^k(X; R), computed once per (ring, k) and kept on X; sparse
     elimination over Z_p, Smith normal form over Z.  Its ``preimage``
     solves delta^{k-1} x = vec on the same factor.
+
+    Over Z_p, ker delta^k is read from ``X.generator_rows(k)`` when X
+    records them: on the complex of an associative magma generated by S,
+    those (k+1)-cells ending in S cut out ker delta^k (see DeltaSet).
+    Kernel relations depend only on ker delta^k and the column order, so
+    every result is the one all rows give.  delta^{k-1} keeps all rows.
 
     Over Z, X also keeps one Smith factor per coboundary delta^j.  H^k
     reads ker delta^k from the factor of delta^k; when it has no upper
@@ -688,7 +754,8 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
         p = ring.p
         a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
         upper = X.cells[k + 1] if k + 1 <= 3 else []
-        b_cols = coboundary_cols_sparse(X, k, p) if upper else None
+        b_cols = (coboundary_cols_sparse(X, k, p, X.generator_rows(k))
+                  if upper else None)
         data = cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols,
                                     X.cells[k])
     X._cohomology[(ring, k)] = data
