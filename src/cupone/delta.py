@@ -1,11 +1,16 @@
 """Finite Delta-sets (dimension <= 3) and their binomial cup-one cochain
 algebras, magmas and their classifying complexes, magma extensions by
-2-cochains, and the psi embedding of tensor elements.
+2-cochains, and the pushforward of tensor elements into cochains.
 
 Cells are identified by strings; the face tuple of a k-cell lists
 (d_0, ..., d_k).  Cup products use the Alexander-Whitney front/back
 face rule; the cup-one product of 1-cochains and the circle product of
 2-cochains are pointwise.
+
+``push_tensor`` sends T(X) to cochains along given 1-cochains rho(x):
+zeta_I to the pointwise binomials of the rho-values, a word to the cup
+product of its factors.  psi is this map along the coordinate cochains
+[a] -> a_i of a magma; a model stage's ``rho_push`` is it along its rho.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .rings import (BinomialPoly, MultiIndex, PreconditionError, RingSpec,
-                    binom_of)
+                    eval_index)
 from .tensor import TensorElem
 
 
@@ -260,12 +265,7 @@ def zeta_cochain(X: DeltaSet, f: Cochain, k: int) -> Cochain:
         raise ValueError("zeta maps apply to 1-cochains")
     if k == 0:
         return Cochain(1, f.ring, {c: 1 for c in X.cells[1]})
-    out = {}
-    for cell in X.cells[1]:
-        v = binom_of(f.values.get(cell, 0), k, f.ring)
-        if v:
-            out[cell] = v
-    return Cochain(1, f.ring, out)
+    return push_zeta(X, {"f": f}, MultiIndex.single("f", k), f.ring)
 
 
 def cup1_21_from_decomposition(X: DeltaSet, decomposition, b: Cochain) -> Cochain:
@@ -400,25 +400,31 @@ def delta_from_magma(m: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
 
 def _semigroup_generators(prod: list[list[int]], unit) -> list[int]:
     """A set S that generates an associative magma with product table
-    ``prod`` (on indices) as a semigroup, ascending.  Each element that is
-    not yet a product of earlier picks is picked, the unit tried last: a
-    finite group never needs it, a monoid such as max on {0..3} does."""
-    n = len(prod)
-    gens: list[int] = []
-    reached = bytearray(n)
-    for g in sorted(range(n), key=lambda i: i == unit):
-        if reached[g]:
-            continue
-        gens.append(g)
-        reached[g] = 1
+    ``prod`` (on indices) as a semigroup, ascending.  Each pick is the
+    element not yet reached that adds most to the closure, the smallest
+    on a tie, and the unit only when nothing else is left: a finite group
+    never needs it, a monoid such as max on {0..3} does.  Every caller
+    has capped |M| at 64, so trying each element per pick is cheap."""
+
+    def closure(picks: list[int]) -> set[int]:
         # Each product of picks is a shorter one times a pick.
-        queue = [i for i in range(n) if reached[i]]
+        seen = set(picks)
+        queue = list(picks)
         for x in queue:
-            for s in gens:
+            for s in picks:
                 y = prod[x][s]
-                if not reached[y]:
-                    reached[y] = 1
+                if y not in seen:
+                    seen.add(y)
                     queue.append(y)
+        return seen
+
+    gens: list[int] = []
+    reached: set[int] = set()
+    while len(reached) < len(prod):
+        left = [g for g in range(len(prod))
+                if g not in reached and g != unit] or [unit]
+        gens.append(max(left, key=lambda g: len(closure(gens + [g]))))
+        reached = closure(gens)
     return sorted(gens)
 
 
@@ -504,32 +510,20 @@ class MagmaLaw:
         self.tau = {g: tau.get(g) for g in gens}
         for g, t in self.tau.items():
             if t is not None and not t.is_zero() and t.degree() != 2:
-                raise ValueError(f"tau({g}) must have degree 2")
-
-    def _point(self, a) -> dict:
-        return dict(zip(self.gens, a))
+                raise PreconditionError(f"tau({g}) must have degree 2")
 
     def f_tau(self, a, b) -> tuple:
-        pa, pb = self._point(a), self._point(b)
+        pa, pb = dict(zip(self.gens, a)), dict(zip(self.gens, b))
+        ring = self.ring
         out = []
         for g in self.gens:
             t = self.tau.get(g)
             total = 0
-            if t is not None and not t.is_zero():
-                for word, c in t.terms.items():
-                    i1, i2 = word
-                    v = c
-                    for name, e in i1.entries:
-                        v *= binom_of(pa.get(name, 0), e, self.ring)
-                        if not v:
-                            break
-                    if v:
-                        for name, e in i2.entries:
-                            v *= binom_of(pb.get(name, 0), e, self.ring)
-                            if not v:
-                                break
-                    total += v
-            out.append(self.ring.normalize(total))
+            for (i1, i2), c in (t.terms.items() if t is not None else ()):
+                v = c * eval_index(i1, pa, ring)
+                if v:
+                    total += v * eval_index(i2, pb, ring)
+            out.append(ring.normalize(total))
         return tuple(out)
 
     def apply(self, a, b) -> tuple:
@@ -558,7 +552,7 @@ class MagmaLaw:
 
     def to_finite_magma(self) -> FiniteMagma:
         if not self.ring.is_modular:
-            raise ValueError("finite carrier requires Z_p")
+            raise PreconditionError("finite carrier requires Z_p")
         p = self.ring.p
         elements = [tuple(t) for t in iproduct(range(p),
                                                repeat=len(self.gens))]
@@ -632,48 +626,66 @@ def extension_magma(m: FiniteMagma, moduli: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# the psi embedding
+# pushing tensor elements into cochains
 
-def eval_index(idx, point: dict, ring: RingSpec) -> int:
-    v = 1
-    for name, e in idx.entries:
-        v *= binom_of(point.get(name, 0), e, ring)
-        if not v:
-            return 0
-    return ring.normalize(v)
+def push_zeta(X: DeltaSet, rho: dict[str, Cochain], idx: MultiIndex,
+              ring: RingSpec) -> Cochain:
+    """The image of zeta_I, I not the unit: on each 1-cell e, zeta_I at
+    the point x -> rho[x](e).  C(0, k) = 0 for k >= 1, so only the cells
+    where the first generator of I has a value can be nonzero."""
+    vals = [(name, rho[name].values) for name in idx.support]
+    first = vals[0][1]
+    out = {}
+    for e in X.cells[1]:
+        if e in first:
+            v = eval_index(idx, {name: f.get(e, 0) for name, f in vals},
+                           ring)
+            if v:
+                out[e] = v
+    return Cochain(1, ring, out)
+
+
+def push_tensor(X: DeltaSet, rho: dict[str, Cochain], t: TensorElem,
+                deg: int, cache: dict) -> Cochain:
+    """The map T(X) -> C*(X) that sends each generator x to the 1-cochain
+    rho[x]: zeta_I goes to ``push_zeta`` (once per I, kept in ``cache``),
+    a word to the cup product of its factors, and a constant to the
+    constant on the 0-cells.  ``deg`` is the degree of a zero ``t``."""
+    ring = t.ring
+    if t.terms:
+        deg = t.degree()
+    if deg == 0:
+        c = t.terms.get((), 0)
+        return Cochain(0, ring, {v: c for v in X.cells[0]})
+    acc = Cochain(deg, ring, {})
+    for word, c in t.terms.items():
+        cur = None
+        for idx in word:
+            f = cache.get(idx)
+            if f is None:
+                f = cache[idx] = push_zeta(X, rho, idx, ring)
+            cur = f if cur is None else cup_cochain(X, cur, f)
+        acc = acc + cur.scale(c)
+    return acc
 
 
 def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],
               deg: int | None = None) -> Cochain:
-    """psi sends a polynomial to evaluation on 1-cells and a tensor word
-    to the product of slotwise evaluations on tuples."""
-    ring = u.ring
-    if u.is_zero():
-        return Cochain(deg if deg is not None else 1, ring, {})
-    deg = u.degree()
-    if deg == 0:
-        return Cochain(0, ring, {"*": u.terms.get((), 0)})
-    if deg > 3:
-        raise ValueError("psi embeds degrees <= 3")
-    if deg == 3 and not mc.delta.cells[3]:
-        raise ValueError("target complex lacks 3-cells")
-    out = {}
-    for cell in mc.delta.cells[deg]:
-        elem = mc.cell_elems[cell]
-        tup = (elem,) if deg == 1 else elem
-        points = [dict(zip(gens, t)) for t in tup]
-        total = 0
-        for word, c in u.terms.items():
-            v = c
-            for slot, idx in enumerate(word):
-                v *= eval_index(idx, points[slot], ring)
-                if not v:
-                    break
-            total += v
-        total = ring.normalize(total)
-        if total:
-            out[cell] = total
-    return Cochain(deg, ring, out)
+    """psi: T(X) -> C*(Delta(M)) for a magma of coordinate tuples aligned
+    with ``gens``, the pushforward along the coordinate cochains
+    [a] -> a_i.  ``deg`` is the degree of a zero ``u`` (default 1)."""
+    X = mc.delta
+    if not u.is_zero():
+        deg = u.degree()
+        if deg > 3:
+            raise PreconditionError("psi embeds degrees <= 3")
+        if deg == 3 and not X.cells[3]:
+            raise PreconditionError("target complex lacks 3-cells")
+    cells = X.cells[1]
+    columns = zip(*(mc.cell_elems[e] for e in cells))
+    coords = {g: Cochain(1, u.ring, zip(cells, col))
+              for g, col in zip(gens, columns)}
+    return push_tensor(X, coords, u, 1 if deg is None else deg, {})
 
 
 # ---------------------------------------------------------------------------

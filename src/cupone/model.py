@@ -16,6 +16,10 @@ algebra A = (T^1)^*, in dimension r (p^n - 1) for n generators and
 r = dim H^1 rather than over the (p^n - 1)^2 words of T^2.  Stages with
 p^n - 1 above ZP_STAGE_LIMIT are refused before any basis is built.
 
+The structure map rho: T(X) -> C*(X) of a stage (``rho_push``) is
+``delta.push_tensor`` along the 1-cochains rho(x), the same pushforward
+that gives psi along the coordinate cochains of a magma.
+
 kappa_n pushes an H^2(M_n) generating set through rho simplicially and
 reports the torsion of the cokernel inside H^2(X; R) (the full cokernel
 invariants ride along, being themselves an n-step invariant).
@@ -34,7 +38,7 @@ from .delta import (
     check_magma_size,
     coboundary,
     cup1_cochain,
-    cup_cochain,
+    push_tensor,
     segment_cohomology,
     zeta_cochain,
 )
@@ -58,8 +62,7 @@ from .linalg import (
     lattice_basis,
     smith_normal_form,
 )
-from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
-                    binom_of)
+from .rings import InternalError, MultiIndex, PreconditionError, RingSpec
 from .tensor import TensorElem, cup
 
 
@@ -211,40 +214,11 @@ def word_pair(a: str, b: str, ring, c: int = 1) -> TensorElem:
 # ---------------------------------------------------------------------------
 # pushing model elements into the cochain algebra
 
-def rho_poly(stage_rho: dict, X: DeltaSet, ring, idx: MultiIndex) -> Cochain:
-    """rho(zeta_I): pointwise product of binomials of the rho-values."""
-    out = {}
-    for e in X.cells[1]:
-        v = 1
-        for name, k in idx.entries:
-            v *= binom_of(stage_rho[name].values.get(e, 0), k, ring)
-            if not v:
-                break
-        v = ring.normalize(v)
-        if v:
-            out[e] = v
-    return Cochain(1, ring, out)
-
-
 def rho_push(stage: "ModelStage", t: TensorElem) -> Cochain:
-    """Apply the structural morphism to a tensor element (degree <= 3).
+    """Apply the structural morphism to a tensor element (degree <= 3; a
+    zero one gives a 2-cochain): the pushforward along ``stage.rho``.
     Each rho(zeta_I) is computed once per stage and kept on it."""
-    X, ring = stage.target, stage.ring
-    deg = t.degree() if not t.is_zero() else 2
-    acc = Cochain(deg, ring, {})
-    cache = stage.rho_zeta
-    for word, c in t.terms.items():
-        factors = []
-        for idx in word:
-            f = cache.get(idx)
-            if f is None:
-                f = cache[idx] = rho_poly(stage.rho, X, ring, idx)
-            factors.append(f)
-        cur = factors[0]
-        for f in factors[1:]:
-            cur = cup_cochain(X, cur, f)
-        acc = acc + cur.scale(c)
-    return acc
+    return push_tensor(stage.target, stage.rho, t, 2, stage.rho_zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ def binom_of(a: int, n: int, ring: RingSpec = ZZ) -> int:
     return ring.normalize(q)
 
 
+def eval_index(idx: "MultiIndex", point, ring: RingSpec = ZZ) -> int:
+    """zeta_I at a point: the product of C(point[x], e) over the entries
+    (x, e) of I; generators the point does not set are 0."""
+    v = 1
+    for name, e in idx.entries:
+        v *= binom_of(point.get(name, 0), e, ring)
+        if not v:
+            return 0
+    return ring.normalize(v)
+
+
 class MultiIndex:
     """Finitely supported map generator -> positive exponent.
 
@@ -403,15 +414,8 @@ class BinomialPoly:
     def evaluate(self, point: dict) -> int:
         """Evaluate at a point (unset generators default to 0)."""
         ring = self.ring
-        total = 0
-        for idx, c in self.terms.items():
-            v = c
-            for name, e in idx.entries:
-                v *= binom_of(point.get(name, 0), e, ring)
-                if not v:
-                    break
-            total += v
-        return ring.normalize(total)
+        return ring.normalize(sum(c * eval_index(idx, point, ring)
+                                  for idx, c in self.terms.items()))
 
     def reduce_mod_p(self, p: int) -> "BinomialPoly":
         """Quotient map Int(Z^X) -> Int(Z_p^X)."""
