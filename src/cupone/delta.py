@@ -2,10 +2,12 @@
 algebras, magmas and their classifying complexes, magma extensions by
 2-cochains, and the pushforward of tensor elements into cochains.
 
-Cells are identified by strings; the face tuple of a k-cell lists
-(d_0, ..., d_k).  Cup products use the Alexander-Whitney front/back
-face rule; the cup-one product of 1-cochains and the circle product of
-2-cochains are pointwise.
+Faces are kept by position, d_0, ..., d_k of a k-cell as positions in
+the list of (k-1)-cells; cell names are only labels, for cochains and
+reports.  A finite magma keeps one product table on positions, and its
+complex writes every face from it.  Cup products use the
+Alexander-Whitney front/back face rule; the cup-one product of
+1-cochains and the circle product of 2-cochains are pointwise.
 
 ``push_tensor`` sends T(X) to cochains along given 1-cochains rho(x):
 zeta_I to the pointwise binomials of the rho-values, a word to the cup
@@ -18,13 +20,16 @@ import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .rings import (BinomialPoly, MultiIndex, PreconditionError, RingSpec,
-                    eval_index)
+from .rings import (BinomialPoly, InternalError, MultiIndex,
+                    PreconditionError, RingSpec, eval_index)
 from .tensor import TensorElem
 
 
 class DeltaSet:
     """Semi-simplicial set truncated at dimension 3.
+
+    ``cells[d]`` lists the names of the d-cells and ``faces[d][i]`` the
+    positions in ``cells[d - 1]`` of the faces of the i-th d-cell.
 
     The complex of a magma M checked associative also records
     ``last_generators``, the indices of a set S that generates M as a
@@ -38,14 +43,50 @@ class DeltaSet:
 
     def __init__(self, cells: dict[int, list[str]],
                  faces: dict[str, tuple[str, ...]]):
-        self.cells = {d: list(cells.get(d, ())) for d in range(4)}
-        self.faces = {c: tuple(f) for c, f in faces.items()}
-        self.dim_of = {}
-        for d, cs in self.cells.items():
-            for c in cs:
-                if c in self.dim_of:
-                    raise ValueError(f"duplicate cell id {c!r}")
-                self.dim_of[c] = d
+        """``faces`` maps each name of a cell of dimension >= 1 to the
+        names of its faces, the format of the parsers."""
+        cells = {d: list(cells.get(d, ())) for d in range(4)}
+        self._check_names(cells)
+        by_pos = [[()] * len(cells[0])]
+        for d in range(1, 4):
+            position = {c: i for i, c in enumerate(cells[d - 1])}.__getitem__
+            rows = []
+            for c in cells[d]:
+                fs = faces.get(c)
+                if fs is None or len(fs) != d + 1:
+                    raise ValueError(f"cell {c!r} needs {d + 1} faces")
+                try:
+                    rows.append(tuple(map(position, fs)))
+                except KeyError as e:
+                    raise ValueError(f"face {e.args[0]!r} of {c!r} is not "
+                                     f"a {d - 1}-cell") from None
+            by_pos.append(rows)
+        self._setup(cells, by_pos)
+
+    @classmethod
+    def from_positions(cls, cells: dict, faces: list) -> "DeltaSet":
+        """A Delta-set cupone builds itself, faces by position; a failed
+        check is a defect, not a fault of the input."""
+        X = cls.__new__(cls)
+        try:
+            X._check_names(cells)
+            X._setup(cells, faces)
+        except ValueError as e:
+            raise InternalError(str(e)) from None
+        return X
+
+    @staticmethod
+    def _check_names(cells):
+        names = [c for d in range(4) for c in cells[d]]
+        if len(set(names)) != len(names):
+            first: dict[str, int] = {}
+            dup = next(c for i, c in enumerate(names)
+                       if first.setdefault(c, i) != i)
+            raise ValueError(f"duplicate cell id {dup!r}")
+
+    def _setup(self, cells, faces):
+        self.cells = cells
+        self.faces = faces
         self.validate()
         # (ring, k) -> H^k(X; R) and, over Z, j -> the Smith factor of
         # delta^j, filled by segment_cohomology; (p, q) -> the cup
@@ -57,54 +98,33 @@ class DeltaSet:
         self.last_generators: list[int] | None = None
 
     def validate(self):
-        faces, dim_of = self.faces, self.dim_of
-        for d in range(1, 4):
-            for c in self.cells[d]:
-                fs = faces.get(c)
-                if fs is None or len(fs) != d + 1:
-                    raise ValueError(f"cell {c!r} needs {d + 1} faces")
-                for f in fs:
-                    if dim_of.get(f) != d - 1:
-                        raise ValueError(
-                            f"face {f!r} of {c!r} is not a {d - 1}-cell")
-        # d_i d_j = d_{j-1} d_i for i < j.
+        """d_i d_j = d_{j-1} d_i for i < j on every 2- and 3-cell."""
         for d in range(2, 4):
+            lower = self.faces[d - 1]
             pairs = [(i, j) for j in range(1, d + 1) for i in range(j)]
-            for c in self.cells[d]:
-                ffs = [faces[f] for f in faces[c]]
+            for c, fs in zip(self.cells[d], self.faces[d]):
+                ffs = [lower[f] for f in fs]
                 for i, j in pairs:
                     if ffs[j][i] != ffs[i][j - 1]:
                         raise ValueError(
                             f"face identity fails on {c!r}: "
                             f"d_{i} d_{j} != d_{j - 1} d_{i}")
 
-    def face(self, cell: str, i: int) -> str:
-        return self.faces[cell][i]
-
-    def front_face(self, cell: str, p: int) -> str:
-        """Face spanned by the first p+1 vertices (drop last vertices)."""
-        d = self.dim_of[cell]
-        while d > p:
-            cell = self.faces[cell][d]
-            d -= 1
-        return cell
-
-    def back_face(self, cell: str, q: int) -> str:
-        """Face spanned by the last q+1 vertices (drop first vertices)."""
-        d = self.dim_of[cell]
-        while d > q:
-            cell = self.faces[cell][0]
-            d -= 1
-        return cell
-
     def face_table(self, p: int, q: int) -> list[tuple[str, str, str]]:
         """(s, front p-face, back q-face) for every (p+q)-cell s, in
-        cells[p + q] order: the Alexander-Whitney faces, built once."""
+        cells[p + q] order: the Alexander-Whitney faces, built once.  Front
+        faces drop the last vertices (d_d), back faces the first (d_0)."""
         table = self._face_tables.get((p, q))
         if table is None:
+            d = p + q
+            front = back = range(len(self.cells[d]))
+            for e in range(d, p, -1):
+                front = [self.faces[e][x][e] for x in front]
+            for e in range(d, q, -1):
+                back = [self.faces[e][x][0] for x in back]
             table = self._face_tables[(p, q)] = [
-                (s, self.front_face(s, p), self.back_face(s, q))
-                for s in self.cells[p + q]]
+                (s, self.cells[p][f], self.cells[q][b])
+                for s, f, b in zip(self.cells[d], front, back)]
         return table
 
     def generator_rows(self, k: int) -> list[int] | None:
@@ -200,11 +220,12 @@ class Cochain:
 def coboundary(X: DeltaSet, c: Cochain) -> Cochain:
     if c.dim >= 3:
         raise ValueError("coboundary capped at dimension 2 inputs")
+    vals = c.vector(X.cells[c.dim]) if X.cells[c.dim + 1] else []
     out = {}
-    for s in X.cells[c.dim + 1]:
+    for s, fs in zip(X.cells[c.dim + 1], X.faces[c.dim + 1]):
         v = 0
-        for i, f in enumerate(X.faces[s]):
-            v += (c.values.get(f, 0) if i % 2 == 0 else -c.values.get(f, 0))
+        for i, f in enumerate(fs):
+            v += vals[f] if i % 2 == 0 else -vals[f]
         if c.ring.normalize(v):
             out[s] = v
     return Cochain(c.dim + 1, c.ring, out)
@@ -237,12 +258,9 @@ def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     if u.dim != 1 or v.dim != 1:
         raise ValueError("cup-one on cochains supports dimensions (1,1) "
                          "and zero-dimensional factors only")
-    out = {}
-    for cell, a in u.values.items():
-        b = v.values.get(cell, 0)
-        if b:
-            out[cell] = a * b
-    return Cochain(1, u.ring, out)
+    vv = v.values
+    return Cochain(1, u.ring,
+                   {c: a * vv[c] for c, a in u.values.items() if c in vv})
 
 
 def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
@@ -251,12 +269,9 @@ def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
         raise ValueError("circle product requires two 2-cochains")
     if u.ring != v.ring:
         raise ValueError("ring mismatch")
-    out = {}
-    for cell, a in u.values.items():
-        b = v.values.get(cell, 0)
-        if b:
-            out[cell] = a * b
-    return Cochain(2, u.ring, out)
+    vv = v.values
+    return Cochain(2, u.ring,
+                   {c: a * vv[c] for c, a in u.values.items() if c in vv})
 
 
 def zeta_cochain(X: DeltaSet, f: Cochain, k: int) -> Cochain:
@@ -302,51 +317,51 @@ def steenrod_cup1_21(X: DeltaSet, u: Cochain, b: Cochain) -> Cochain:
 # magmas and their complexes
 
 class FiniteMagma:
-    """Finite carrier with a binary operation given by a table or callable."""
+    """Finite carrier with a binary operation given by a table or callable,
+    kept once on positions: elements[prod[i][j]] = elements[i] elements[j]."""
 
     def __init__(self, elements, op, unit=None, name_fn=None):
         self.elements = list(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        self._index = index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValueError("duplicate carrier elements")
-        if callable(op):
-            self.table = {(a, b): op(a, b)
-                          for a in self.elements for b in self.elements}
-        else:
-            self.table = dict(op)
-        for (a, b), c in self.table.items():
-            if c not in self._index:
+        if not callable(op):
+            op = lambda a, b, table=dict(op): table[(a, b)]
+        self.prod = [[index.get(op(a, b)) for b in self.elements]
+                     for a in self.elements]
+        for a, row in zip(self.elements, self.prod):
+            if None in row:
+                b = self.elements[row.index(None)]
                 raise ValueError(f"product {a}*{b} leaves the carrier")
         self.unit = unit
         self.name_fn = name_fn or (lambda e: str(e))
 
     def op(self, a, b):
-        return self.table[(a, b)]
+        return self.elements[self.prod[self._index[a]][self._index[b]]]
 
     def associativity_counterexample(self):
-        t = self.table
-        for a in self.elements:
-            for b in self.elements:
-                ab = t[(a, b)]
-                for c in self.elements:
-                    if t[(ab, c)] != t[(a, t[(b, c)])]:
-                        return (a, b, c)
+        prod, e = self.prod, self.elements
+        for a, row_a in enumerate(prod):
+            for b, row_b in enumerate(prod):
+                row_ab = prod[row_a[b]]
+                for c, bc in enumerate(row_b):
+                    if row_ab[c] != row_a[bc]:
+                        return (e[a], e[b], e[c])
         return None
 
     def is_monoid(self) -> bool:
         if self.unit is None:
             return False
-        e = self.unit
-        return (all(self.table[(a, e)] == a and self.table[(e, a)] == a
-                    for a in self.elements)
+        e = self._index[self.unit]
+        return (all(row[e] == a and self.prod[e][a] == a
+                    for a, row in enumerate(self.prod))
                 and self.associativity_counterexample() is None)
 
     def has_inverses(self) -> bool:
         if self.unit is None:
             return False
-        e = self.unit
-        return all(any(self.table[(a, b)] == e for b in self.elements)
-                   for a in self.elements)
+        e = self._index[self.unit]
+        return all(e in row for row in self.prod)
 
     def __len__(self):
         return len(self.elements)
@@ -354,18 +369,18 @@ class FiniteMagma:
 
 @dataclass
 class MagmaComplex:
-    """Delta(M) up to dimension <= 3 with the cell -> tuple dictionary."""
+    """Delta(M) up to dimension <= 3; its cells list the elements, pairs
+    and triples of ``magma.elements`` in order, the last entry fastest."""
     delta: DeltaSet
     magma: FiniteMagma
-    cell_elems: dict  # cell id -> element / pair / triple
 
 
 # Largest |G|^k that delta_from_magma and bar_construction take on, for
 # the |G|^max_dim top cells and, in the monoid check of bar_construction,
 # the |G|^3 associativity triples.  Measured on B(Z_2^k) at dimension 3:
-# 262,144 3-cells (k = 6) build in 3.8 s at 119 MB peak RSS, 2,097,152
-# (k = 7) in 34 s at 833 MB; 16.8M associativity triples (|G| = 256)
-# take 22 s (one core of a 2-core x86 host, Python 3.11).
+# 262,144 3-cells (k = 6) build in 0.4 s at 103 MB peak RSS, 2,097,152
+# (k = 7) in 3.8 s at 707 MB; 16.8M associativity triples (|G| = 256)
+# take 0.8 s (one core of a 2-core x86 host, Python 3.11).
 MAGMA_CELL_LIMIT = 262_144
 
 
@@ -430,45 +445,32 @@ def _semigroup_generators(prod: list[list[int]], unit) -> list[int]:
 
 def _magma_complex(m: FiniteMagma, max_dim: int,
                    associative: bool) -> MagmaComplex:
-    # Elements by index: each is named once, each cell id is a per-a or
-    # per-(a, b) prefix plus one name, and prod[i][j] indexes a_i a_j.
-    # ``associative``: the caller has checked the magma, so the Delta-set
-    # may record its semigroup generators.
-    elems = m.elements
-    names = [m.name_fn(a) for a in elems]
-    one = [f"[{x}]" for x in names]
-    cells = {0: ["*"], 1: one, 2: [], 3: []}
-    faces = dict.fromkeys(one, ("*", "*"))
-    cell_elems = dict(zip(one, elems))
+    # [a_i|a_j] is cell i n + j and [a_i|a_j|a_k] is (i n + j) n + k, so
+    # faces are arithmetic in the product table.  ``associative``: the
+    # caller has checked the magma, so the Delta-set may record its
+    # semigroup generators.
+    prod, n = m.prod, len(m)
+    names = [m.name_fn(a) for a in m.elements]
+    cells = {0: ["*"], 1: [f"[{x}]" for x in names], 2: [], 3: []}
+    faces = [[()], [(0, 0)] * n, [], []]
     if max_dim >= 2:
-        index, table = m._index, m.table
-        prod = [[index[table[(a, b)]] for b in elems] for a in elems]
-        two = [[f"[{x}|{y}]" for y in names] for x in names]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                cid = two[i][j]
-                cells[2].append(cid)
-                faces[cid] = (one[j], one[prod[i][j]], one[i])
-                cell_elems[cid] = (a, b)
+        # [a|b] -> (b, ab, a)
+        cells[2] = [f"[{x}|{y}]" for x in names for y in names]
+        faces[2] = [(j, ab, i) for i in range(n)
+                    for j, ab in enumerate(prod[i])]
     if max_dim >= 3:
-        cells3 = cells[3]
-        for i, a in enumerate(elems):
-            two_a, prod_a = two[i], prod[i]
-            for j, b in enumerate(elems):
-                two_b, two_ab, prod_b = two[j], two[prod_a[j]], prod[j]
-                face3 = two_a[j]
-                pre = face3[:-1] + "|"
-                for k, c in enumerate(elems):
-                    cid = pre + names[k] + "]"
-                    cells3.append(cid)
-                    faces[cid] = (two_b[k], two_ab[k], two_a[prod_b[k]],
-                                  face3)
-                    cell_elems[cid] = (a, b, c)
-    delta = DeltaSet(cells, faces)
+        # [a|b|c] -> (b|c, ab|c, a|bc, a|b), for each 2-cell [a|b]
+        for ij, two in enumerate(cells[2]):
+            i, j = divmod(ij, n)
+            pre, ab, i_n, j_n = two[:-1] + "|", prod[i][j] * n, i * n, j * n
+            cells[3].extend([pre + x + "]" for x in names])
+            faces[3].extend([(j_n + k, ab + k, i_n + bc, ij)
+                             for k, bc in enumerate(prod[j])])
+    delta = DeltaSet.from_positions(cells, faces)
     if associative and max_dim >= 2:
         delta.last_generators = _semigroup_generators(
-            prod, index.get(m.unit))
-    return MagmaComplex(delta, m, cell_elems)
+            prod, m._index.get(m.unit))
+    return MagmaComplex(delta, m)
 
 
 def cyclic_group_magma(moduli: tuple[int, ...]) -> FiniteMagma:
@@ -681,8 +683,9 @@ def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],
             raise PreconditionError("psi embeds degrees <= 3")
         if deg == 3 and not X.cells[3]:
             raise PreconditionError("target complex lacks 3-cells")
+    # The 1-cells list the elements in order.
     cells = X.cells[1]
-    columns = zip(*(mc.cell_elems[e] for e in cells))
+    columns = zip(*mc.magma.elements)
     coords = {g: Cochain(1, u.ring, zip(cells, col))
               for g, col in zip(gens, columns)}
     return push_tensor(X, coords, u, 1 if deg is None else deg, {})
@@ -693,14 +696,12 @@ def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],
 
 def coboundary_matrix(X: DeltaSet, k: int) -> list[list[int]]:
     """Matrix of delta^k: C^k -> C^{k+1} (rows: (k+1)-cells)."""
-    lower = X.cells[k]
-    upper = X.cells[k + 1]
-    index = {c: i for i, c in enumerate(lower)}
+    n = len(X.cells[k])
     rows = []
-    for s in upper:
-        row = [0] * len(lower)
-        for i, f in enumerate(X.faces[s]):
-            row[index[f]] += 1 if i % 2 == 0 else -1
+    for fs in X.faces[k + 1]:
+        row = [0] * n
+        for i, f in enumerate(fs):
+            row[f] += 1 if i % 2 == 0 else -1
         rows.append(row)
     return rows
 
@@ -720,14 +721,12 @@ def coboundary_cols_sparse(X: DeltaSet, k: int, p: int,
     """Columns of delta^k as sparse dicts row -> value mod p.  The rows
     are the (k+1)-cells, or only the cells[k + 1][r] for r in ``rows``,
     numbered by their position there."""
-    index = {c: i for i, c in enumerate(X.cells[k])}
     cols: list[dict] = [{} for _ in X.cells[k]]
-    upper = X.cells[k + 1]
+    upper = X.faces[k + 1]
     if rows is not None:
         upper = [upper[r] for r in rows]
-    for si, s in enumerate(upper):
-        for i, f in enumerate(X.faces[s]):
-            j = index[f]
+    for si, fs in enumerate(upper):
+        for i, j in enumerate(fs):
             v = (cols[j].get(si, 0) + (1 if i % 2 == 0 else -1)) % p
             if v:
                 cols[j][si] = v

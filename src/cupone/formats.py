@@ -90,8 +90,8 @@ def serialize_delta(X: DeltaSet, ring: RingSpec) -> str:
         if not X.cells[d]:
             continue
         lines.append(f"cells {d}")
-        for c in X.cells[d]:
-            fs = " ".join(X.faces.get(c, ()))
+        for c, pos in zip(X.cells[d], X.faces[d]):
+            fs = " ".join(X.cells[d - 1][f] for f in pos)
             lines.append(f"{c} : {fs}".rstrip())
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -39,6 +40,12 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def bar_z(n, max_dim=2):
     return bar_construction(cyclic_group_magma((n,)), max_dim)
+
+
+def face_names(X, dim, cell):
+    """The names of the faces d_0 .. d_dim of a named dim-cell."""
+    fs = X.faces[dim][X.cells[dim].index(cell)]
+    return [X.cells[dim - 1][f] for f in fs]
 
 
 def random_cochain(rng, X, dim, ring=Z, lo=-3, hi=3):
@@ -97,9 +104,9 @@ def test_bar_face_formula():
     mc = bar_z(5)
     X = mc.delta
     # d1 [g1|g2] = [g1 g2]
-    assert X.face("[2|4]", 1) == "[1]"
-    assert X.face("[2|4]", 0) == "[4]"
-    assert X.face("[2|4]", 2) == "[2]"
+    assert face_names(X, 2, "[2|4]")[1] == "[1]"
+    assert face_names(X, 2, "[2|4]")[0] == "[4]"
+    assert face_names(X, 2, "[2|4]")[2] == "[2]"
 
 
 def test_bar_cup_and_coboundary_formulas():
@@ -148,14 +155,14 @@ def test_bar_z3_cycle_mod_3():
     X = mc.delta
     boundary = {}
     for cell, mult in bar_generator_cycle(3).items():
-        for i, f in enumerate(X.faces[cell]):
+        for i, f in enumerate(face_names(X, 2, cell)):
             boundary[f] = boundary.get(f, 0) + mult * (1 if i % 2 == 0 else -1)
     assert all(v % 3 == 0 for v in boundary.values())
     # Without the correction the boundary is supported on the identity
     # cell only, which every normalized cochain kills.
     boundary = {}
     for cell in ("[1|1]", "[2|1]"):
-        for i, f in enumerate(X.faces[cell]):
+        for i, f in enumerate(face_names(X, 2, cell)):
             boundary[f] = boundary.get(f, 0) + (1 if i % 2 == 0 else -1)
     assert {c for c, v in boundary.items() if v % 3} == {"[0]"}
 
@@ -236,10 +243,10 @@ def test_face_identity_audit_on_magma_triples():
     mc = delta_from_magma(cyclic_group_magma((4,)), 3)
     # DeltaSet.validate already ran in the constructor; spot check one.
     X = mc.delta
-    c = X.cells[3][7]
+    c = X.faces[3][7]
     for j in range(1, 4):
         for i in range(j):
-            assert X.faces[X.faces[c][j]][i] == X.faces[X.faces[c][i]][j - 1]
+            assert X.faces[2][c[j]][i] == X.faces[2][c[i]][j - 1]
 
 
 def test_extension_magma_direct_product():
@@ -288,13 +295,12 @@ def test_psi_values_and_products():
     ring, gens, law, mc = psi_setup()
     x = TensorElem.gen(ring, "x")
     px = psi_embed(x, mc, gens)
-    for cell in mc.delta.cells[1]:
-        a = mc.cell_elems[cell]
+    elems = mc.magma.elements
+    for cell, a in zip(mc.delta.cells[1], elems):
         assert px(cell) == a[0] % 3
     xy = cup(x, TensorElem.gen(ring, "y"))
     pxy = psi_embed(xy, mc, gens)
-    for cell in mc.delta.cells[2]:
-        a, b = mc.cell_elems[cell]
+    for cell, (a, b) in zip(mc.delta.cells[2], iproduct(elems, elems)):
         assert pxy(cell) == (a[0] * b[1]) % 3
 
 
@@ -478,26 +484,38 @@ def face_table_complexes():
 
 def test_face_table_matches_front_and_back_faces():
     # cup_cochain and steenrod_cup1_21 read one face table per (p, q)
-    # and Delta-set; the references walk front_face / back_face per cell.
+    # and Delta-set; the references walk the faces of each cell by
+    # position, front (drop the last vertex) and back (drop the first).
+    def front_back(X, p, q):
+        """(s, front p-face, back q-face) for each (p+q)-cell s."""
+        d = p + q
+        out = []
+        for i, s in enumerate(X.cells[d]):
+            front = back = i
+            for e in range(d, p, -1):
+                front = X.faces[e][front][e]
+            for e in range(d, q, -1):
+                back = X.faces[e][back][0]
+            out.append((s, X.cells[p][front], X.cells[q][back]))
+        return out
+
     def reference_cup(X, u, v):
         p, q = u.dim, v.dim
         return Cochain(p + q, u.ring,
-                       {s: u(X.front_face(s, p)) * v(X.back_face(s, q))
-                        for s in X.cells[p + q]})
+                       {s: u(front) * v(back)
+                        for s, front, back in front_back(X, p, q)})
 
     def reference_cup1_21(X, u, b):
         return Cochain(2, u.ring,
-                       {s: u(s) * (b(X.front_face(s, 1))
-                                   + b(X.back_face(s, 1)))
-                        for s in X.cells[2]})
+                       {s: u(s) * (b(front) + b(back))
+                        for s, front, back in front_back(X, 1, 1)})
 
     rng = random.Random(15)
     for X in face_table_complexes():
         for p in range(4):
             for q in range(4 - p):
                 table = X.face_table(p, q)
-                assert table == [(s, X.front_face(s, p), X.back_face(s, q))
-                                 for s in X.cells[p + q]]
+                assert table == front_back(X, p, q)
                 assert X.face_table(p, q) is table
                 for ring in (Z, Z3):
                     u = random_cochain(rng, X, p, ring)
@@ -507,3 +525,95 @@ def test_face_table_matches_front_and_back_faces():
             u = random_cochain(rng, X, 2, ring)
             b = random_cochain(rng, X, 1, ring)
             assert steenrod_cup1_21(X, u, b) == reference_cup1_21(X, u, b)
+
+
+def frozen_complexes():
+    """(name, Delta-set, ring label, dense?) for the complexes whose
+    construction output ``test_complexes_frozen`` pins."""
+    from test_generator_rows import NON_ASSOCIATIVE, heisenberg_law
+    out = []
+    for path in sorted(FIXTURES.iterdir()):
+        kind, parsed = detect_and_parse(path.read_text(), str(path))
+        if kind == "delta":
+            out.append((path.name, parsed[0], parsed[1], True))
+        else:
+            out.append((path.name, presentation_complex(parsed).delta, Z,
+                        True))
+    out.append(("interval", interval_algebra(Z).delta, Z, False))
+    for moduli in ((3,), (4,), (2, 2, 2, 2), (3, 3, 2)):
+        X = bar_construction(cyclic_group_magma(moduli), 3).delta
+        out.append((f"bar{moduli}", X, Z, len(moduli) == 1))
+    heis = heisenberg_law(2).to_finite_magma()
+    out.append(("heis2", delta_from_magma(heis, 3).delta, Z, False))
+    non_assoc = FiniteMagma([0, 1], NON_ASSOCIATIVE)
+    out.append(("non-assoc", delta_from_magma(non_assoc, 2).delta, Z, False))
+    return out
+
+
+def test_complexes_frozen():
+    # Serialized cells and faces, semigroup generators, every
+    # Alexander-Whitney face table, the GF(3) coboundary columns on the
+    # generator rows and, on the small complexes, the dense coboundary
+    # matrices: one digest, computed before faces were stored by position.
+    import hashlib
+
+    from cupone.delta import coboundary_cols_sparse, coboundary_matrix
+    from cupone.formats import serialize_delta
+    h = hashlib.sha256()
+    for name, X, ring, dense in frozen_complexes():
+        h.update(repr((name, serialize_delta(X, ring),
+                       X.last_generators)).encode())
+        for p in range(4):
+            for q in range(4 - p):
+                h.update(repr(X.face_table(p, q)).encode())
+        for k in range(3):
+            if X.cells[k + 1]:
+                cols = coboundary_cols_sparse(X, k, 3, X.generator_rows(k))
+                h.update(repr([sorted(c.items()) for c in cols]).encode())
+            if dense:
+                h.update(repr(coboundary_matrix(X, k)).encode())
+    assert h.hexdigest() == (
+        "e99792d580457815aa89a17367485149da4c901673b0400d8eff838cf02f0afd")
+
+
+MALFORMED_DELTAS = {
+    "duplicate": ("ring Z\ncells 0\nv :\nv :\n", "duplicate cell id 'v'"),
+    "first-duplicate": ("ring Z\ncells 0\nv :\nw :\nw :\ncells 1\n"
+                        "v : w w\n", "duplicate cell id 'w'"),
+    "low-face": ("ring Z\ncells 0\nv :\ncells 1\ne : v v\ncells 2\n"
+                 "s : e v e\n", "face 'v' of 's' is not a 1-cell"),
+    "unknown-face": ("ring Z\ncells 0\nv :\ncells 1\ne : v v\ncells 2\n"
+                     "s : e x e\n", "face 'x' of 's' is not a 1-cell"),
+    "identity": ("ring Z\ncells 0\nv :\nw :\ncells 1\ne : w v\ncells 2\n"
+                 "s : e e e\n",
+                 "face identity fails on 's': d_0 d_2 != d_1 d_0"),
+    "first-failing": ("ring Z\ncells 0\nv :\nw :\ncells 1\ne : w v\n"
+                      "f : v v\ncells 2\ns : f f f\nt : e e e\n",
+                      "face identity fails on 't': d_0 d_2 != d_1 d_0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DELTAS))
+def test_malformed_delta_exits_2(tmp_path, capsys, case):
+    from cupone.cli import main
+    text, message = MALFORMED_DELTAS[case]
+    path = tmp_path / f"{case}.delta"
+    path.write_text(text)
+    assert main(["cohomology", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}:0: {message}\n"
+
+
+def test_face_identity_failure_on_built_complex_is_internal():
+    # A Delta-set cupone builds from positions that fails a face identity
+    # is a defect (exit 3), not a fault of the input.
+    from cupone.delta import DeltaSet, _magma_complex
+    from cupone.rings import InternalError
+    from test_generator_rows import NON_ASSOCIATIVE
+    m = FiniteMagma([0, 1], NON_ASSOCIATIVE)
+    with pytest.raises(InternalError, match="face identity fails"):
+        _magma_complex(m, 3, associative=False)
+    with pytest.raises(InternalError, match="duplicate cell id '\\*'"):
+        DeltaSet.from_positions({0: ["*", "*"], 1: [], 2: [], 3: []},
+                                [[(), ()], [], [], []])

@@ -57,7 +57,8 @@ def test_fan_boundary_audit():
         # chain boundary of the fan = sum of letters - z
         boundary = {}
         for cell in fan:
-            for i, f in enumerate(X.faces[cell]):
+            fs = X.faces[2][X.cells[2].index(cell)]
+            for i, f in enumerate(X.cells[1][f] for f in fs):
                 boundary[f] = boundary.get(f, 0) + (1 if i % 2 == 0 else -1)
         expect = {}
         for name, e in rel:
@@ -109,7 +110,8 @@ def test_relator_cycles_are_cycles():
         cyc = pc.relator_cycle(i)
         boundary = {}
         for cell, mult in cyc.items():
-            for j, f in enumerate(X.faces[cell]):
+            fs = X.faces[2][X.cells[2].index(cell)]
+            for j, f in enumerate(X.cells[1][f] for f in fs):
                 boundary[f] = boundary.get(f, 0) + mult * (1 if j % 2 == 0 else -1)
         assert all(v == 0 for v in boundary.values())
 

@@ -6,6 +6,7 @@ oracle below evaluates every word of u on every cell, slot by slot, as
 psi did before it went through ``push_tensor``.
 """
 import random
+from itertools import product
 
 import pytest
 
@@ -46,9 +47,10 @@ def psi_oracle(u, mc, gens, deg=None):
         return {c: ring.normalize(u.terms[()])
                 for c in mc.delta.cells[0]}, 0
     out = {}
-    for cell in mc.delta.cells[deg]:
-        elem = mc.cell_elems[cell]
-        points = [dict(zip(gens, t)) for t in ((elem,) if deg == 1 else elem)]
+    # The deg-cells list the deg-tuples of elements in order.
+    elems = product(mc.magma.elements, repeat=deg)
+    for cell, elem in zip(mc.delta.cells[deg], elems):
+        points = [dict(zip(gens, t)) for t in elem]
         total = 0
         for word, c in u.terms.items():
             v = c
