@@ -16,18 +16,12 @@ Differential is built (a new stage builds a new one), so a value never
 changes and every caller (apply_d, the d^2 audit, the Z_p stage
 cohomology of resolution_cohomology_Zp) computes it at most once.
 Callers share the cached elements and must not mutate them.
-
-Beside that cache each Differential interns multi-indices: code(I) is
-an int in first-use order (indices[code(I)] is I again), and coded(i)
-holds d(zeta_I) once as (int-word, coefficient) pairs read from the
-cache.  apply_d, the one Leibniz implementation, accumulates on those
-int words and decodes only the terms it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import BinomialPoly, MultiIndex, RingSpec
+from .rings import BinomialPoly, MultiIndex, PreconditionError, RingSpec
 from .tensor import (
     TensorElem,
     circ_22,
@@ -75,23 +69,20 @@ class Differential:
         self.gens = gens
         self.tau = dict(tau)
         self.cache: dict[MultiIndex, TensorElem] = {}
-        self.codes: dict[MultiIndex, int] = {}
-        self.indices: list[MultiIndex] = []
-        self.coded_values: list[tuple | None] = []
         for name in gens.names:
             val = self.tau.get(name)
             if val is None or val.is_zero():
                 self.tau[name] = TensorElem.zero(ring)
                 continue
             if val.degree() != 2:
-                raise ValueError(f"tau({name}) must have degree 2")
+                raise PreconditionError(f"tau({name}) must have degree 2")
             if val.ring != ring:
-                raise ValueError("ring mismatch in tau")
+                raise PreconditionError("ring mismatch in tau")
             lv = gens.level[name]
             allowed = set(gens.up_to_level(lv - 1))
             used = set(val.support_names())
             if not used <= allowed:
-                raise ValueError(
+                raise PreconditionError(
                     f"tau({name}) uses {sorted(used - allowed)}, not of "
                     f"lower level than {name} (level {lv})")
 
@@ -104,7 +95,7 @@ class Differential:
             return self.tau[name]
         cap = self.ring.max_zeta
         if cap is not None and k > cap:
-            raise ValueError(f"zeta_{k} undefined over {self.ring!r}")
+            raise PreconditionError(f"zeta_{k} undefined over {self.ring!r}")
         n = k - 1
         zn = MultiIndex.single(name, n)
         d_zn = self.d_index(zn)
@@ -157,26 +148,6 @@ class Differential:
         self.cache[idx] = val
         return val
 
-    def code(self, idx: MultiIndex) -> int:
-        """The int of idx in this Differential's interner."""
-        i = self.codes.get(idx)
-        if i is None:
-            i = self.codes[idx] = len(self.indices)
-            self.indices.append(idx)
-            self.coded_values.append(None)
-        return i
-
-    def coded(self, i: int) -> tuple:
-        """d(zeta_I) for I = indices[i] as (int-word, coefficient) pairs,
-        in the term order of d_index."""
-        val = self.coded_values[i]
-        if val is None:
-            code = self.code
-            val = self.coded_values[i] = tuple(
-                (tuple([code(f) for f in w]), c)
-                for w, c in self.d_index(self.indices[i]).terms.items())
-        return val
-
     def d_poly(self, p: BinomialPoly) -> TensorElem:
         """d of a polynomial in the zeta basis (the canonical-decomposition
         hook for the mixed-degree maps)."""
@@ -197,29 +168,26 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
     """Extend d over words by the graded Leibniz rule
     d(a cup b) = da cup b + (-1)^{|a|} a cup db.
 
-    Each factor is coded once; terms accumulate on int words in the
-    order the rule meets them and are decoded only when nonzero."""
-    code, table, indices = d.code, d.coded_values, d.indices
+    Terms accumulate on the words in the order the rule meets them."""
+    cache = d.cache
     acc: dict = {}
     get = acc.get
     for word, c in u.terms.items():
         if len(word) > 3:
             raise ValueError("degree cap exceeded in apply_d")
-        key = tuple([code(f) for f in word])
-        for slot, i in enumerate(key):
-            dv = table[i]
+        for slot, f in enumerate(word):
+            dv = cache.get(f)
             if dv is None:
-                dv = d.coded(i)
-            if not dv:
+                dv = d.d_index(f)
+            if not dv.terms:
                 continue
             sc = -c if slot % 2 else c
-            pre = key[:slot]
-            post = key[slot + 1:]
-            for wmid, cm in dv:
+            pre = word[:slot]
+            post = word[slot + 1:]
+            for wmid, cm in dv.terms.items():
                 w = pre + wmid + post
                 acc[w] = get(w, 0) + sc * cm
-    return TensorElem._tidy(d.ring, [(tuple([indices[i] for i in w]), v)
-                                     for w, v in acc.items() if v])
+    return TensorElem._tidy(d.ring, acc.items())
 
 
 @dataclass

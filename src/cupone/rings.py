@@ -129,27 +129,45 @@ def eval_index(idx: "MultiIndex", point, ring: RingSpec = ZZ) -> int:
     return ring.normalize(v)
 
 
+# The one MultiIndex per canonical entry tuple (see MultiIndex).
+_INTERNED: dict[tuple, "MultiIndex"] = {}
+
+
 class MultiIndex:
     """Finitely supported map generator -> positive exponent.
 
     The empty index is the unit (the constant monomial 1).  Entries are
     stored sorted by generator name, which makes the representation
-    canonical and hashable.
+    canonical.  Indices are hash-consed: the constructor returns the one
+    object for its sorted entries, so equal indices are the same object,
+    and equality and hashing are object identity, done in C.  Dict keys
+    and tensor words (tuples of indices) then hash and compare without
+    calling Python code, which is most of the lookups in the d-value
+    loops.  The table keeps every index built in the process.  Copies
+    and pickles come back through the constructor.
     """
 
-    __slots__ = ("entries", "weight", "_hash")
+    __slots__ = ("entries", "weight")
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         pairs = tuple(sorted((str(n), int(e)) for n, e in entries if e))
+        found = _INTERNED.get(pairs)
+        if found is not None:
+            return found
         for _, e in pairs:
             if e < 0:
                 raise ValueError("exponents must be positive")
         names = [n for n, _ in pairs]
         if len(set(names)) != len(names):
             raise ValueError("repeated generator in multi-index")
+        self = super().__new__(cls)
         self.entries = pairs
         self.weight = sum(e for _, e in pairs)
-        self._hash = hash(pairs)
+        # A concurrent builder of the same index may have won the insert.
+        return _INTERNED.setdefault(pairs, self)
+
+    def __reduce__(self):
+        return (MultiIndex, (self.entries,))
 
     @classmethod
     def unit(cls) -> "MultiIndex":
@@ -188,12 +206,6 @@ class MultiIndex:
 
     def sort_key(self):
         return (self.weight, self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

@@ -17,7 +17,7 @@ from cupone.differential import (
     iter_indices,
     zero_differential,
 )
-from cupone.rings import MultiIndex, RingSpec
+from cupone.rings import MultiIndex, PreconditionError, RingSpec
 from cupone.tensor import (
     TensorElem,
     circ_22,
@@ -29,6 +29,7 @@ from cupone.tensor import (
 )
 
 Z = RingSpec.Z()
+Z3 = RingSpec.Zp(3)
 
 
 def g(name, ring=Z):
@@ -170,6 +171,25 @@ def test_level_violation_rejected():
     tau = {"y": cup(g("y"), g("x"))}
     with pytest.raises(ValueError):
         Differential(Z, gens, tau)
+
+
+@pytest.mark.parametrize("tau, message", [
+    ({"y": g("x")}, r"^tau\(y\) must have degree 2$"),
+    ({"y": cup(g("x", Z3), g("x", Z3))}, "^ring mismatch in tau$"),
+    ({"y": cup(g("y"), g("x"))},
+     r"^tau\(y\) uses \['y'\], not of lower level than y \(level 2\)$"),
+], ids=["degree", "ring", "level"])
+def test_tau_refusals_are_precondition_errors(tau, message):
+    gens = GeneratorSet(["x", "y"], {"x": 1, "y": 2})
+    with pytest.raises(PreconditionError, match=message):
+        Differential(Z, gens, tau)
+
+
+def test_zeta_past_the_cap_is_a_precondition_error():
+    d = zero_differential(GeneratorSet(["x"]), Z3)
+    with pytest.raises(PreconditionError,
+                       match=r"^zeta_3 undefined over Zp\(3\)$"):
+        d.d_index(MultiIndex.single("x", 3))
 
 
 def test_weight_grading_of_d0():

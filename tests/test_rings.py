@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -201,3 +205,74 @@ def test_render_canonical_form():
 def test_zp_constructor_rejects_large_exponent():
     with pytest.raises(ValueError):
         BinomialPoly.zeta_monomial(Z3, MultiIndex.single("x", 3))
+
+
+# -- one MultiIndex object per multi-index -----------------------------
+
+def test_equal_indices_are_one_object():
+    a = MultiIndex((("y", 2), ("x", 1)))
+    assert MultiIndex((("x", 1), ("y", 2))) is a
+    assert MultiIndex([("x", 1), ("z", 0), ("y", 2)]) is a
+    assert MultiIndex({"y": 2, "x": 1}.items()) is a
+    assert MultiIndex.single("x").merge(MultiIndex.single("y", 2)) is a
+    assert MultiIndex((("x", 1), ("y", 2), ("w", 3))).drop("w") is a
+    assert a.drop("x").drop("y") is MultiIndex.unit()
+    assert MultiIndex(()) is MultiIndex.unit()
+    assert a.drop("x") is MultiIndex.single("y", 2)
+
+
+def test_copies_and_pickles_return_the_interned_index():
+    a = MultiIndex((("x", 3), ("y", 1)))
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy({(a, a): 1}) == {(a, a): 1}
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, proto)) is a
+        assert pickle.loads(pickle.dumps((a, MultiIndex.unit()), proto)) \
+            == (a, MultiIndex.unit())
+
+
+def test_threads_building_one_new_index_get_one_object():
+    names = [f"thread_gen_{i}" for i in range(2000)]
+    barrier = threading.Barrier(4)
+    built = [None] * 4
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [MultiIndex(((n, 2), ("x", 1))) for n in names]
+
+    threads = [threading.Thread(target=build, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for other in built[1:]:
+        assert all(u is v for u, v in zip(built[0], other))
+    assert all(MultiIndex((("x", 1), (n, 2))) is u
+               for n, u in zip(names, built[0]))
+
+
+def test_invalid_indices_keep_their_messages():
+    with pytest.raises(ValueError, match="^exponents must be positive$"):
+        MultiIndex((("x", -1),))
+    with pytest.raises(ValueError,
+                       match="^repeated generator in multi-index$"):
+        MultiIndex((("x", 1), ("x", 2)))
+    # A refused index is not left behind for a later lookup to find.
+    with pytest.raises(ValueError, match="repeated generator"):
+        MultiIndex((("x", 2), ("x", 1)))
+
+
+def test_multi_index_hashes_and_compares_in_c():
+    # A Python-level __eq__ or __hash__ would be called once per factor
+    # on every dict lookup of a tensor word; equal indices are one
+    # object, so object identity is the whole comparison.
+    assert MultiIndex.__hash__ is object.__hash__
+    assert MultiIndex.__eq__ is object.__eq__
+    assert MultiIndex.__ne__ is object.__ne__
