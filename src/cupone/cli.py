@@ -10,6 +10,7 @@ cupone, never a fault of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import reports
@@ -230,6 +231,9 @@ def cmd_verify_axioms(args) -> int:
     return code
 
 
+# One parser per process, built on first use: parse_args keeps no state
+# between calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cupone",

@@ -544,10 +544,9 @@ class MagmaLaw:
             if t is not None and not t.is_zero():
                 for word, c in t.terms.items():
                     i1, i2 = word
-                    left = BinomialPoly(self.ring, {i1: 1}, _validated=True)
+                    left = BinomialPoly._tidy(self.ring, [(i1, 1)])
                     primed = MultiIndex((n + prime, e) for n, e in i2.entries)
-                    right = BinomialPoly(self.ring, {primed: 1},
-                                         _validated=True)
+                    right = BinomialPoly._tidy(self.ring, [(primed, 1)])
                     p = p - (left * right).scale(c)
             out[g] = p
         return out

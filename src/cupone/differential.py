@@ -118,15 +118,30 @@ class Differential:
 
     def _d_cup1(self, a: TensorElem, b: TensorElem,
                 da: TensorElem, db: TensorElem) -> TensorElem:
-        """cup1-d formula for degree-1 a, b with known differentials."""
-        out = (-cup(a, b)) + (-cup(b, a))
-        if not da.is_zero():
-            out = out + cup1_hirsch(da, b)
-        if not db.is_zero():
-            out = out + cup1_hirsch(db, a)
-        if not (da.is_zero() or db.is_zero()):
-            out = out - circ_22(da, db)
-        return out
+        """cup1-d formula for degree-1 a, b with known differentials.
+
+        The parts add into one dict in the formula's order.  A word whose
+        sum reaches zero leaves the dict at once, so a later part that
+        meets it again appends it: the terms come out in the order that
+        chained ``TensorElem`` additions give."""
+        parts = [(cup(a, b), -1), (cup(b, a), -1)]
+        if da.terms:
+            parts.append((cup1_hirsch(da, b), 1))
+        if db.terms:
+            parts.append((cup1_hirsch(db, a), 1))
+        if da.terms and db.terms:
+            parts.append((circ_22(da, db), -1))
+        p = self.ring.p
+        acc: dict = {}
+        get = acc.get
+        for part, sign in parts:
+            for w, c in part.terms.items():
+                v = get(w, 0) + sign * c
+                if v % p if p else v:
+                    acc[w] = v
+                else:
+                    del acc[w]
+        return TensorElem._tidy(self.ring, acc.items())
 
     def d_index(self, idx: MultiIndex) -> TensorElem:
         """d(zeta_I), cached; composite indices split off their first
@@ -142,8 +157,8 @@ class Differential:
         else:
             head = MultiIndex.single(name, k)
             rest = idx.drop(name)
-            a = TensorElem(self.ring, {(head,): 1})
-            b = TensorElem(self.ring, {(rest,): 1})
+            a = TensorElem._tidy(self.ring, [((head,), 1)])
+            b = TensorElem._tidy(self.ring, [((rest,), 1)])
             val = self._d_cup1(a, b, self.d_index(head), self.d_index(rest))
         self.cache[idx] = val
         return val
@@ -168,11 +183,29 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
     """Extend d over words by the graded Leibniz rule
     d(a cup b) = da cup b + (-1)^{|a|} a cup db.
 
-    Terms accumulate on the words in the order the rule meets them."""
+    Terms accumulate on the words in the order the rule meets them.  A
+    two-factor word (a, b) takes da cup b, then -a cup db, each 3-word
+    built in one tuple display (d-values are 2-words); other words run
+    the slot loop."""
     cache = d.cache
     acc: dict = {}
     get = acc.get
     for word, c in u.terms.items():
+        if len(word) == 2:
+            a, b = word
+            dv = cache.get(a)
+            if dv is None:
+                dv = d.d_index(a)
+            for (x, y), cm in dv.terms.items():
+                w = (x, y, b)
+                acc[w] = get(w, 0) + c * cm
+            dv = cache.get(b)
+            if dv is None:
+                dv = d.d_index(b)
+            for (x, y), cm in dv.terms.items():
+                w = (a, x, y)
+                acc[w] = get(w, 0) - c * cm
+            continue
         if len(word) > 3:
             raise ValueError("degree cap exceeded in apply_d")
         for slot, f in enumerate(word):

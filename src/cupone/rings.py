@@ -248,27 +248,38 @@ def zeta_structure_constants(m: int, n: int) -> dict[int, int]:
     return coeffs
 
 
-# Cache of basis-monomial products zeta_I * zeta_J per ring (idempotent
-# inserts; safe to share across threads).
+# Cache of basis-monomial products zeta_I * zeta_J, keyed by (p, I, J)
+# in call order (p is None over Z); a product is stored under both orders
+# of its factors, so a hit costs one lookup (idempotent inserts; safe to
+# share across threads).
 _MONO_CACHE: dict = {}
 
 
 def mono_product(ring: RingSpec, i1: MultiIndex, i2: MultiIndex):
-    """zeta_I * zeta_J expanded in the basis, as a tuple of (index, coeff)."""
-    if i2.sort_key() < i1.sort_key():
-        i1, i2 = i2, i1
-    key = (ring.kind, ring.p, i1, i2)
+    """zeta_I * zeta_J expanded in the basis, as a tuple of (index, coeff).
+
+    The expansion runs on the factors in ``sort_key`` order, so both
+    argument orders give the same tuple."""
+    key = (ring.p, i1, i2)
     cached = _MONO_CACHE.get(key)
     if cached is not None:
         return cached
+    if i2.sort_key() < i1.sort_key():
+        out = _expand_product(ring, i2, i1)
+    else:
+        out = _expand_product(ring, i1, i2)
+    _MONO_CACHE[key] = _MONO_CACHE[(ring.p, i2, i1)] = out
+    return out
+
+
+def _expand_product(ring: RingSpec, i1: MultiIndex, i2: MultiIndex):
+    """zeta_I * zeta_J expanded in the basis, uncached."""
     cap = ring.max_zeta
     shared = set(i1.support) & set(i2.support)
     if not shared:
         idx = i1.merge(i2)
-        out = () if (cap is not None and idx.max_exponent() > cap) \
+        return () if (cap is not None and idx.max_exponent() > cap) \
             else ((idx, 1),)
-        _MONO_CACHE[key] = out
-        return out
     partial: dict[MultiIndex, int] = {UNIT_INDEX: 1}
     rest1 = dict(i1.entries)
     rest2 = dict(i2.entries)
@@ -290,9 +301,7 @@ def mono_product(ring: RingSpec, i1: MultiIndex, i2: MultiIndex):
             c = ring.normalize(cc)
             if c:
                 out_list.append((idx.merge(tail), c))
-    out = tuple(out_list)
-    _MONO_CACHE[key] = out
-    return out
+    return tuple(out_list)
 
 
 class BinomialPoly:
@@ -300,7 +309,7 @@ class BinomialPoly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingSpec, terms=None, _validated=False):
+    def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
         tidy: dict[MultiIndex, int] = {}
         if terms:
@@ -310,12 +319,26 @@ class BinomialPoly:
                     tidy[idx] = tidy.get(idx, 0) + c
                     if not ring.normalize(tidy[idx]):
                         del tidy[idx]
-        if not _validated and ring.is_modular:
+        if ring.is_modular:
             for idx in tidy:
                 if idx.max_exponent() > ring.max_zeta:
                     raise ValueError(
                         f"exponent exceeds p-1 in {idx!r} over {ring!r}")
         self.terms = tidy
+
+    @classmethod
+    def _tidy(cls, ring: RingSpec, items) -> "BinomialPoly":
+        """Element from (index, coefficient) pairs whose indices are
+        distinct and valid over ring (a product of the basis): normalizes
+        the coefficients and drops the zero ones, checking nothing else."""
+        t = cls.__new__(cls)
+        t.ring = ring
+        p = ring.p
+        if p:
+            t.terms = {i: r for i, c in items if (r := c % p)}
+        else:
+            t.terms = {i: c for i, c in items if c}
+        return t
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "BinomialPoly":
@@ -352,7 +375,7 @@ class BinomialPoly:
         acc = dict(self.terms)
         for idx, c in other.terms.items():
             acc[idx] = acc.get(idx, 0) + c
-        return BinomialPoly(self.ring, acc, _validated=True)
+        return BinomialPoly._tidy(self.ring, acc.items())
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -365,12 +388,11 @@ class BinomialPoly:
     def scale(self, c: int) -> "BinomialPoly":
         if not self.ring.normalize(c):
             return BinomialPoly.zero(self.ring)
-        return BinomialPoly(self.ring,
-                            {i: v * c for i, v in self.terms.items()},
-                            _validated=True)
+        return BinomialPoly._tidy(self.ring, [(i, v * c) for i, v
+                                              in self.terms.items()])
 
     def _check_ring(self, other: "BinomialPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
 
     def __mul__(self, other):
@@ -390,7 +412,7 @@ class BinomialPoly:
                 base = c1 * c2
                 for idx, cc in mono_product(ring, i1, i2):
                     out[idx] = out.get(idx, 0) + base * cc
-        return BinomialPoly(ring, out, _validated=True)
+        return BinomialPoly._tidy(ring, out.items())
 
     __rmul__ = __mul__
 
@@ -419,9 +441,8 @@ class BinomialPoly:
             if r:
                 raise ArithmeticError(
                     f"inexact division by {k}! at {idx!r} (coefficient {c})")
-            if q:
-                out[idx] = q
-        return BinomialPoly(ring, out, _validated=True)
+            out[idx] = q
+        return BinomialPoly._tidy(ring, out.items())
 
     def evaluate(self, point: dict) -> int:
         """Evaluate at a point (unset generators default to 0)."""
@@ -434,14 +455,9 @@ class BinomialPoly:
         if self.ring.is_modular:
             raise ValueError("already modular")
         target = RingSpec.Zp(p)
-        out = {}
-        for idx, c in self.terms.items():
-            if idx.max_exponent() >= p:
-                continue
-            c = c % p
-            if c:
-                out[idx] = c
-        return BinomialPoly(target, out, _validated=True)
+        return BinomialPoly._tidy(target, [
+            (idx, c) for idx, c in self.terms.items()
+            if idx.max_exponent() < p])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())

@@ -10,17 +10,18 @@ decompositions of differentials supplied by the caller.
 
 The products behind d-values build no polynomial per term: circ_22
 multiplies two basis monomials by reading their cached ``mono_product``
-tuple, and cup1_hirsch / cup1_31 multiply each distinct slot factor by
-v once per call (through ``BinomialPoly.__mul__``), reusing the product
-for every word and slot that holds the factor.  The results of this
-module's own arithmetic already have distinct, valid words, so
-``TensorElem._tidy`` builds them, only normalizing coefficients;
-``TensorElem(ring, terms)`` validates outside input.
+tuple (cached under the factors in call order, so a hit is one lookup),
+and cup1_hirsch / cup1_31 multiply each distinct slot factor by v once
+per call (through ``BinomialPoly.__mul__``), reusing the product for
+every word and slot that holds the factor.  The results of this module's
+own arithmetic already have distinct, valid words, so
+``TensorElem._tidy`` and ``BinomialPoly._tidy`` build them, only
+normalizing coefficients; the constructors validate outside input.
 """
 from __future__ import annotations
 
-from .rings import (BinomialPoly, InternalError, MultiIndex, RingSpec,
-                    mono_product)
+from .rings import (UNIT_INDEX, BinomialPoly, InternalError, MultiIndex,
+                    RingSpec, mono_product)
 
 Word = tuple  # tuple of MultiIndex, none of them the unit
 
@@ -61,7 +62,7 @@ class TensorElem:
         t.ring = ring
         p = ring.p
         if p:
-            t.terms = {w: c % p for w, c in items if c % p}
+            t.terms = {w: r for w, c in items if (r := c % p)}
         else:
             t.terms = {w: c for w, c in items if c}
         return t
@@ -106,9 +107,8 @@ class TensorElem:
     def to_poly(self) -> BinomialPoly:
         if any(len(w) != 1 for w in self.terms):
             raise ValueError("only degree-1 elements convert to polynomials")
-        return BinomialPoly(self.ring,
-                            {w[0]: c for w, c in self.terms.items()},
-                            _validated=True)
+        return BinomialPoly._tidy(self.ring, [(w[0], c) for w, c
+                                              in self.terms.items()])
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         self._check(other)
@@ -128,7 +128,7 @@ class TensorElem:
                                 [(w, v * c) for w, v in self.terms.items()])
 
     def _check(self, other: "TensorElem"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
     def __eq__(self, other):
@@ -211,6 +211,11 @@ def zeta_apply(u: TensorElem, k: int) -> TensorElem:
     return TensorElem.from_poly(p.zeta(k))
 
 
+def _word_poly(ring: RingSpec, idx: MultiIndex) -> BinomialPoly:
+    """The basis monomial zeta_idx, for an index valid over ring."""
+    return BinomialPoly._tidy(ring, ((idx, 1),))
+
+
 def _slot_products(u: TensorElem, vp: BinomialPoly, slots: int) -> TensorElem:
     """Sum over words w of u and slots s < ``slots`` of w with w[s]
     multiplied by vp (expanded); each distinct factor is multiplied once."""
@@ -223,12 +228,11 @@ def _slot_products(u: TensorElem, vp: BinomialPoly, slots: int) -> TensorElem:
             f = w[slot]
             prod = prods.get(f)
             if prod is None:
-                prod = tuple((BinomialPoly(ring, {f: 1}, _validated=True)
-                              * vp).terms.items())
-                if any(idx.is_unit for idx, _ in prod):
+                terms = (_word_poly(ring, f) * vp).terms
+                if UNIT_INDEX in terms:
                     raise InternalError(
                         "constant-free product grew a constant")
-                prods[f] = prod
+                prod = prods[f] = tuple(terms.items())
             pre, post = w[:slot], w[slot + 1:]
             for idx, cc in prod:
                 nw = pre + (idx,) + post
@@ -268,13 +272,8 @@ def _decompose(t: TensorElem) -> list[tuple[BinomialPoly, BinomialPoly, int]]:
     for w, c in t.sorted_terms():
         if len(w) != 2:
             raise ValueError("decomposition requires a degree-2 element")
-        out.append((BinomialPoly(ring, {w[0]: 1}, _validated=True),
-                    BinomialPoly(ring, {w[1]: 1}, _validated=True), c))
+        out.append((_word_poly(ring, w[0]), _word_poly(ring, w[1]), c))
     return out
-
-
-def _word_poly(ring: RingSpec, idx: MultiIndex) -> BinomialPoly:
-    return BinomialPoly(ring, {idx: 1}, _validated=True)
 
 
 def _add_products(out: dict, c: int, parts) -> None:
@@ -339,7 +338,7 @@ def circ_22(u: TensorElem, v: TensorElem) -> TensorElem:
             q = mono_product(ring, w1[1], w2[1])
             for i0, a in p:
                 for i1, b in q:
-                    if i0.is_unit or i1.is_unit:
+                    if i0 is UNIT_INDEX or i1 is UNIT_INDEX:
                         raise InternalError(
                             "constant-free product grew a constant")
                     w = (i0, i1)

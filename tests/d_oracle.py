@@ -1,10 +1,11 @@
 """Direct computations that the library replaced, kept as test oracles.
 
-``apply_d`` is the Leibniz rule on MultiIndex keys.  The library's
-``cupone.differential.apply_d`` accumulates on the integer codes of the
-Differential's interner; this version hashes tuples of MultiIndex
-words, so it is slow on large audits, but its terms (and their order)
-are the reference.
+``apply_d`` is the Leibniz rule as first written: one slot loop for
+every word length, with signed coefficients, and the result through the
+validating ``TensorElem`` constructor.  The library's
+``cupone.differential.apply_d`` builds the 3-words of two-factor words
+directly and skips the validation; its terms (and their order) must be
+the same.
 
 ``cup1_hirsch`` and ``circ_22`` are the products behind d-values as
 they were first written: every slot product and every product of two
@@ -12,9 +13,13 @@ basis monomials goes through one-term ``BinomialPoly`` objects and
 ``BinomialPoly.__mul__``, and every result through the validating
 ``TensorElem`` constructor.  The library's versions must give the same
 terms in the same order.
+
+``d_cup1`` is the cup1-d formula as chained ``TensorElem`` additions;
+the library's ``Differential._d_cup1`` adds the parts into one dict.
 """
 from __future__ import annotations
 
+from cupone import tensor
 from cupone.differential import Differential
 from cupone.rings import BinomialPoly, InternalError
 from cupone.tensor import TensorElem
@@ -42,7 +47,7 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
 
 
 def _monomial(ring, idx) -> BinomialPoly:
-    return BinomialPoly(ring, {idx: 1}, _validated=True)
+    return BinomialPoly.zeta_monomial(ring, idx)
 
 
 def _slot_mul(ring, word, coeff, slot, p, out):
@@ -89,3 +94,18 @@ def circ_22(u: TensorElem, v: TensorElem) -> TensorElem:
                     w = (i0, i1)
                     out[w] = out.get(w, 0) + c1 * c2 * a * b
     return TensorElem(ring, out)
+
+
+def d_cup1(self: Differential, a: TensorElem, b: TensorElem,
+           da: TensorElem, db: TensorElem) -> TensorElem:
+    """The cup1-d formula by chained ``TensorElem`` additions, as
+    ``Differential._d_cup1`` was first written; patch it in over the
+    method.  The parts are the library's products."""
+    out = (-tensor.cup(a, b)) + (-tensor.cup(b, a))
+    if not da.is_zero():
+        out = out + tensor.cup1_hirsch(da, b)
+    if not db.is_zero():
+        out = out + tensor.cup1_hirsch(db, a)
+    if not (da.is_zero() or db.is_zero()):
+        out = out - tensor.circ_22(da, db)
+    return out

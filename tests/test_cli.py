@@ -422,3 +422,47 @@ def test_massey_output_frozen(capsys):
                 h.update(out.encode())
     assert h.hexdigest() == \
         "e849340e68a004ce580bfbc48e58988d4b15a8ce7d3a25318b7b738aa1f6d43e"
+
+
+def test_back_to_back_calls_match_fresh_processes(capsys):
+    # main reuses one argument parser per process; no parsed state may
+    # leak from one call into the next, a usage error included.
+    torus = str(FIXTURES / "torus.pres")
+    wedge = str(FIXTURES / "wedge2.pres")
+    calls = [
+        ("minimal-model", "--format", "json", "--ring", "Zp:2",
+         "--stages", "3", "--weight-cap", "2", torus),
+        ("compare", "--forget-torsion", "--stages", "1", torus, wedge),
+        ("kappa", "--stages", "0", torus),  # usage error: exit 2
+        ("compare", torus, wedge),
+        ("kappa", torus),
+    ]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        r = run_module("-m", "cupone", *argv)
+        assert (code, out.out, out.err) == (r.returncode, r.stdout, r.stderr)
+
+
+def test_model_reports_frozen(capsys):
+    # stdout and exit code of minimal-model (json, weight cap 3) and kappa
+    # on every presentation fixture x Z, Zp:2, Zp:3, except heisenberg_k3
+    # and heisenberg_k6 over Zp:3 (about 2 s each); the digest was taken
+    # before d-values and the d^2 audit dropped their throwaway objects.
+    h = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.pres")):
+        for ring in ("Z", "Zp:2", "Zp:3"):
+            if ring == "Zp:3" and path.stem in ("heisenberg_k3",
+                                                "heisenberg_k6"):
+                continue
+            for verb in (("minimal-model", "--format", "json",
+                          "--weight-cap", "3"), ("kappa",)):
+                code, out, _ = run_cli(capsys, *verb, "--ring", ring,
+                                       str(path))
+                h.update(f"{path.name} {ring} {verb[0]} {code}\n".encode())
+                h.update(out.encode())
+    assert h.hexdigest() == \
+        "7e3120521cbc929a97abb687ec49f14603be3819757de5e3efec05a23f944ae2"

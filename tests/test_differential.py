@@ -405,6 +405,43 @@ def test_d_values_match_replaced_products(monkeypatch, fixture, ring):
     assert got == [d_values(fresh(d)) for d in stages]
 
 
+@pytest.mark.parametrize("ring", ["Z", "Zp:2", "Zp:3"])
+@pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+def test_d_values_match_chained_d_cup1(monkeypatch, fixture, ring):
+    s1 = LoadedInput(str(FIXTURES / f"{fixture}.pres"), ring).build_model(1)[0]
+    stages = [s1.diff, stage2_differential(fixture, ring)]
+    got = [d_values(d) for d in stages]
+    monkeypatch.setattr(Differential, "_d_cup1", d_oracle.d_cup1)
+    # Same terms in the same order.
+    assert got == [d_values(fresh(d)) for d in stages]
+
+
+@pytest.mark.parametrize("ring", [Z, RingSpec.Zp(2), Z3], ids=repr)
+def test_d_cup1_matches_chained_additions_on_random_parts(ring):
+    # Arbitrary parts, not d-values: some words cancel at one part and
+    # come back at a later one, which chained additions move to the end.
+    rng = random.Random(f"d_cup1/{ring!r}")
+    d = d0(("x", "y", "z"), ring)
+    top = ring.max_zeta or 2
+
+    def index():
+        idx = MultiIndex.unit()
+        while idx.is_unit:
+            idx = MultiIndex((n, rng.randint(0, top)) for n in "xyz")
+        return idx
+
+    def part():
+        return TensorElem(ring, [((index(), index()), rng.randint(-2, 2))
+                                 for _ in range(rng.randint(1, 3))])
+
+    for _ in range(1000):
+        a = TensorElem(ring, {(index(),): 1})
+        b = TensorElem(ring, {(index(),): 1})
+        da, db = part(), part()
+        assert same_terms(d._d_cup1(a, b, da, db),
+                          d_oracle.d_cup1(d, a, b, da, db))
+
+
 def test_corrupted_tau_fails_d_squared_on_warm_cache():
     gens = GeneratorSet(["x1", "x2", "y"], {"x1": 1, "x2": 1, "y": 2})
     tau = {"y": cup(g("x1"), g("x2")) + cup(g("x1"), zmono("x1", 2))}

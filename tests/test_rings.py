@@ -6,11 +6,13 @@ import threading
 
 import pytest
 
+from cupone import rings
 from cupone.rings import (
     BinomialPoly,
     MultiIndex,
     RingSpec,
     binom_of,
+    mono_product,
     parse_poly,
     zeta_add_expand,
     zeta_structure_constants,
@@ -276,3 +278,69 @@ def test_multi_index_hashes_and_compares_in_c():
     assert MultiIndex.__hash__ is object.__hash__
     assert MultiIndex.__eq__ is object.__eq__
     assert MultiIndex.__ne__ is object.__ne__
+
+
+# -- products without re-validation -----------------------------------------
+
+def random_index(rng, ring, names=("x", "y", "w")):
+    top = ring.max_zeta or 3
+    return MultiIndex((n, rng.randint(0, top)) for n in names)
+
+
+def random_poly(rng, ring):
+    return BinomialPoly(ring, [(random_index(rng, ring), rng.randint(-4, 4))
+                               for _ in range(rng.randint(1, 5))])
+
+
+@pytest.mark.parametrize("ring", [Z, Z2, Z3, Z5], ids=repr)
+def test_mono_product_is_the_sort_order_expansion(monkeypatch, ring):
+    rng = random.Random(f"mono/{ring!r}")
+    for _ in range(60):
+        a, b = random_index(rng, ring), random_index(rng, ring)
+        lo, hi = sorted((a, b), key=MultiIndex.sort_key)
+        want = rings._expand_product(ring, lo, hi)
+        for first, second in ((hi, lo), (lo, hi)):
+            # A cold cache: the first call misses, the second one hits
+            # the entry the first stored under the swapped key.
+            monkeypatch.setattr(rings, "_MONO_CACHE", {})
+            assert mono_product(ring, first, second) == want
+            assert (ring.p, second, first) in rings._MONO_CACHE
+            assert mono_product(ring, second, first) == want
+
+
+def test_equal_but_distinct_rings_multiply():
+    r1, r2 = RingSpec.Zp(3), RingSpec.Zp(3)
+    assert r1 is not r2
+    prod = zeta(r1, "x", 1) * zeta(r2, "x", 1)
+    assert prod == zeta(Z3, "x", 1) * zeta(Z3, "x", 1)
+    assert zeta(RingSpec.Z(), "x", 2) * zeta(Z, "y", 1) \
+        == zeta(Z, "x", 2) * zeta(Z, "y", 1)
+
+
+@pytest.mark.parametrize("left,right", [(Z, Z3), (Z3, Z5)], ids=repr)
+def test_mismatched_rings_still_raise(left, right):
+    for u, v in ((zeta(left, "x", 1), zeta(right, "x", 1)),
+                 (zeta(right, "x", 1), zeta(left, "x", 1))):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            u * v
+        with pytest.raises(ValueError, match="ring mismatch"):
+            u + v
+
+
+@pytest.mark.parametrize("ring", [Z, Z2, Z3, Z5], ids=repr)
+def test_product_equals_validated_raw_sums(ring):
+    rng = random.Random(f"mul/{ring!r}")
+    for _ in range(60):
+        u, v = random_poly(rng, ring), random_poly(rng, ring)
+        raw = {}
+        for i1, c1 in u.terms.items():
+            for i2, c2 in v.terms.items():
+                for idx, cc in mono_product(ring, i1, i2):
+                    raw[idx] = raw.get(idx, 0) + c1 * c2 * cc
+        got = u * v
+        # Same terms in the same order, none of them zero.
+        assert list(got.terms.items()) \
+            == list(BinomialPoly(ring, raw).terms.items())
+        assert all(got.terms.values())
+        if ring.p:
+            assert all(0 < c < ring.p for c in got.terms.values())
