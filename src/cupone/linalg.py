@@ -15,7 +15,14 @@ that factor: over Z its Smith normal form, over GF(p) one
 ``ZpEliminator`` with the columns of A tagged.  ``cohomology_Z`` takes
 its Smith factors as arguments, so that a Delta-set can share the
 factor of delta^k between H^k and H^{k+1} (``segment_cohomology``).
-``image_solver`` factors any other integer matrix once per call site.
+``ClassSpan`` is the one span of classes per ring: the submodule of a
+presented module R^m / (o_i e_i) spanned by columns of class
+coordinates, factored once (a Smith factor of the columns beside the
+relation columns o_i e_i over Z, one tagged ``ZpEliminator`` over
+GF(p)), whose relations, cokernel, basis test and membership test serve
+the kernel and cokernel of H^2(rho_n), the H^1 and psi basis checks and
+the Massey indeterminacy.  ``image_solver`` factors any other integer
+matrix once per call site.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
 row format follows p alone: for p <= 13 one-hot bit masks, one Python int
@@ -440,25 +447,6 @@ def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
             for i, d in enumerate(snf.diag)]
 
 
-def kernel_into_presented(img_cols: list[list[int]],
-                          rel_cols: list[list[int]],
-                          dim: int) -> list[list[int]]:
-    """Basis of {v in Z^s : sum_i v_i img_i lies in the lattice of relations}.
-
-    ``img_cols`` and ``rel_cols`` are columns in Z^dim.
-    """
-    s, r = len(img_cols), len(rel_cols)
-    if s == 0:
-        return []
-    rows = [[col[i] for col in img_cols] + [col[i] for col in rel_cols]
-            for i in range(dim)]
-    combined = kernel_basis_Z(rows, s + r)
-    projected = [v[:s] for v in combined]
-    # Relation columns may be dependent; the projection still spans the
-    # solution lattice, so re-extract a basis.
-    return lattice_basis(projected, s)
-
-
 # ---------------------------------------------------------------------------
 # GF(p) elimination with combination tracking
 
@@ -786,6 +774,82 @@ class AbelianInvariants:
 
     def __str__(self):
         return self.render()
+
+
+class ClassSpan:
+    """The submodule of H = R^m / (o_i e_i) spanned by columns of class
+    coordinates, factored once.
+
+    ``orders`` are the o_i, the orders of the generators of H (0 for a
+    free one), and ``cols`` the spanning columns, each of length m.  Over
+    GF(p) every o_i is p, which vanishes, so H is GF(p)^m: one
+    ``ZpEliminator`` takes column j under tag j, and a column that depends
+    on the earlier ones yields its relation as it goes in.  Over Z one
+    Smith factor of [cols | o_i e_i], over the nonzero o_i, answers every
+    query.
+    """
+
+    def __init__(self, ring: RingSpec, orders: list[int],
+                 cols: list[list[int]]):
+        self.ring = ring
+        self.cols = cols
+        m = self._m = len(orders)
+        if ring.is_modular:
+            self._elim = ZpEliminator(ring.p, m)
+            self._rels = []
+            for j, col in enumerate(cols):
+                rel = self._elim.insert_relation(
+                    {i: v for i, v in enumerate(col) if v}, tag=j)
+                if rel is not None:
+                    self._rels.append(rel)
+            self._rank, self._ncols = self._elim.rank, len(cols)
+            return
+        # the columns, then o_i e_i for each nonzero order
+        full = list(cols) + [[o if i == k else 0 for i in range(m)]
+                             for k, o in enumerate(orders) if o]
+        self._snf = smith_normal_form([[c[i] for c in full] for i in range(m)],
+                                      len(full))
+        self._rank, self._ncols = self._snf.rank, len(full)
+
+    @property
+    def cokernel(self) -> AbelianInvariants:
+        """H / span."""
+        if self.ring.is_modular:
+            return AbelianInvariants(0, (self.ring.p,)
+                                     * (self._m - self._rank))
+        return AbelianInvariants.from_coker(self._snf.diag, self._m)
+
+    def relations(self, src_orders: list[int]) -> list[list[int]]:
+        """Basis of {v : sum_j v_j col_j = 0 in H}, modulo the vectors that
+        vanish in the source, whose generator j has order src_orders[j].
+        Over GF(p) those orders are p, and no relation vanishes: each is 1
+        at its own column."""
+        s = len(self.cols)
+        if self.ring.is_modular:
+            return [[rel.get(j, 0) for j in range(s)] for rel in self._rels]
+        if not s:
+            return []
+        # The projected kernel basis may be dependent; it still spans the
+        # solution lattice, so re-extract a basis.
+        sol = lattice_basis([v[:s] for v in self._snf.kernel()], s)
+        keep = [v for v in sol
+                if not all(x % o == 0 if o else x == 0
+                           for x, o in zip(v, src_orders))]
+        return lattice_basis(keep, s)
+
+    @property
+    def is_basis(self) -> bool:
+        """Do the columns map R^len(cols) isomorphically onto H?  So the
+        factored columns span H and have no relation among them."""
+        return self.cokernel.is_trivial() and self._rank == self._ncols
+
+    def contains(self, vec: list[int]) -> bool:
+        """Does the class with coordinates vec lie in the span?"""
+        if self.ring.is_modular:
+            return self._elim.express(
+                {i: x for i, x in enumerate(vec) if x % self.ring.p}) \
+                is not None
+        return self._snf.solve(list(vec)).ok
 
 
 # ---------------------------------------------------------------------------

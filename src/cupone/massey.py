@@ -26,7 +26,7 @@ from .delta import (
     cup_cochain,
     segment_cohomology,
 )
-from .linalg import CohomologyData, image_solver
+from .linalg import ClassSpan, CohomologyData
 from .presentation import PresentedGroup, presentation_complex
 from .rings import InternalError, PreconditionError, RingSpec
 
@@ -47,7 +47,7 @@ class MagnusSeries:
 
     def __init__(self, depth: int = 3, terms=None):
         if depth > 3:
-            raise ValueError("truncation depth capped at 3")
+            raise PreconditionError("truncation depth capped at 3")
         self.depth = depth
         self.terms = {}
         if terms:
@@ -150,20 +150,10 @@ class MasseyResult:
 
     def indeterminacy_contains(self, delta_coords, orders) -> bool:
         """Is delta_coords in the span of the indeterminacy generators
-        (mod the torsion orders of the H^2 generators)?"""
-        if not any(delta_coords):
-            return True
-        m = len(delta_coords)
-        cols = [list(v) for v in self.indeterminacy]
-        for i, o in enumerate(orders):
-            if o:
-                col = [0] * m
-                col[i] = o
-                cols.append(col)
-        if not cols:
-            return False
-        rows = [[c[i] for c in cols] for i in range(m)]
-        return image_solver(rows, len(cols))(list(delta_coords)) is not None
+        (mod the torsion orders of the H^2 generators)?  Over GF(p) the
+        orders are p, so the span is taken over Z modulo p."""
+        return ClassSpan(RingSpec.Z(), orders,
+                         self.indeterminacy).contains(delta_coords)
 
 
 def _content(c: Cochain) -> tuple:
@@ -295,7 +285,7 @@ def cross_validate(group: PresentedGroup,
     """
     ring = ring or RingSpec.Z()
     if not group.all_zero_exponent_sums():
-        raise ValueError("cross_validate requires zero exponent sums")
+        raise PreconditionError("cross_validate requires zero exponent sums")
     pc = presentation_complex(group)
     X = pc.delta
     gens = group.generators

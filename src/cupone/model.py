@@ -52,14 +52,12 @@ from .differential import (
 from .interval import Cylinder, CylEl
 from .linalg import (
     AbelianInvariants,
+    ClassSpan,
     CohomologyData,
     ZpEliminator,
     cohomology_at,
     image_solver,
     kernel_basis_Z,
-    kernel_into_presented,
-    kernel_mod_p,
-    lattice_basis,
     smith_normal_form,
 )
 from .rings import InternalError, MultiIndex, PreconditionError, RingSpec
@@ -92,7 +90,9 @@ class ModelStage:
     h1_names: list[str]
     h2x: CohomologyData
     h2_model: list[H2Gen] | None = None
-    h2_image: list[list[int]] | None = None  # h2x coords of rho(h2_model)
+    # the span in H^2(X) of the classes rho(h2_model): its cols are their
+    # h2x coordinates, its relations ker H^2(rho_n), its cokernel kappa_n
+    h2_span: ClassSpan | None = None
     ker_basis: list[TensorElem] | None = None
     complete: bool = False
     # I -> rho(zeta_I), filled by rho_push; rho is fixed once the stage
@@ -167,7 +167,7 @@ def lambda2_coords(t: TensorElem, names) -> list[int]:
     out = [0] * len(basis)
     for word, c in t.terms.items():
         if len(word) != 2 or any(f.weight != 1 for f in word):
-            raise ValueError("lambda2 coordinates need weight-2 words")
+            raise InternalError("lambda2 coordinates need weight-2 words")
         a = word[0].entries[0][0]
         b = word[1].entries[0][0]
         if a == b:
@@ -191,7 +191,7 @@ def lambda3_coords(t: TensorElem, names) -> list[int]:
     out = [0] * len(basis)
     for word, c in t.terms.items():
         if len(word) != 3 or any(f.weight != 1 for f in word):
-            raise ValueError("lambda3 coordinates need weight-3 words")
+            raise InternalError("lambda3 coordinates need weight-3 words")
         letters = [f.entries[0][0] for f in word]
         if len(set(letters)) != 3:
             continue
@@ -227,15 +227,13 @@ def rho_push(stage: "ModelStage", t: TensorElem) -> Cochain:
 def stage1(X: DeltaSet, ring: RingSpec,
            h1_reps: list[Cochain] | None = None) -> ModelStage:
     h0 = segment_cohomology(X, ring, 0)
-    if ring.is_modular:
-        connected = len(h0.generators) == 1
-    else:
-        connected = h0.invariants == AbelianInvariants(1, ())
-    if not connected:
+    if len(h0.generators) != 1:
         raise PreconditionError(f"target is not connected: H^0 = "
                                 f"{h0.invariants.render()}")
     h1 = segment_cohomology(X, ring, 1)
-    if not ring.is_modular and h1.invariants.torsion:
+    # A generator of order o is torsion when o is nonzero in R; over Z_p
+    # every order is p, which is 0 there.
+    if any(ring.normalize(o) for o in h1.orders):
         raise PreconditionError(
             f"H^1 is not free: {h1.invariants.render()}")
     if h1_reps is None:
@@ -248,15 +246,7 @@ def stage1(X: DeltaSet, ring: RingSpec,
         if len(reps) != k:
             raise RepresentativesRejected(
                 "wrong number of H^1 representatives")
-        if ring.is_modular:
-            elim = ZpEliminator(ring.p, k)
-            for v in coords:
-                elim.insert({i: x for i, x in enumerate(v) if x % ring.p})
-            ok = elim.rank == k
-        else:
-            snf = smith_normal_form(coords, k)
-            ok = snf.diag == [1] * k
-        if not ok:
+        if not ClassSpan(ring, h1.orders, coords).is_basis:
             raise RepresentativesRejected(
                 "supplied cochains are not an H^1 basis")
     names = [f"x{i + 1}" for i in range(len(reps))]
@@ -265,59 +255,34 @@ def stage1(X: DeltaSet, ring: RingSpec,
     h2x = segment_cohomology(X, ring, 2)
     stage = ModelStage(n=1, ring=ring, gens=gens, diff=diff, target=X,
                        rho=dict(zip(names, reps)), h1_names=names, h2x=h2x)
-    if ring.is_modular:
-        stage.h2_model = h2_stage_Zp(stage)
-    else:
-        stage.h2_model = [
-            H2Gen(0, word_pair(a, b, ring), f"[{a} T {b}]")
-            for a, b in lambda2_basis(names)]
     _compute_kernel(stage)
     return stage
 
 
-def _h2x_relation_cols(stage: "ModelStage") -> list[list[int]]:
-    m = len(stage.h2x.generators)
-    cols = []
-    for i, (order, _) in enumerate(stage.h2x.generators):
-        if order:
-            col = [0] * m
-            col[i] = order
-            cols.append(col)
-    return cols
+def _h2_model(stage: "ModelStage") -> list[H2Gen]:
+    """Generators of H^2(M_n): over Z_p from the minimal resolution, over
+    Z the exterior basis of Lambda^2(X_1) at stage 1 and the derived
+    splitting at stage 2."""
+    if stage.ring.is_modular:
+        return h2_stage_Zp(stage)
+    if stage.n == 1:
+        return [H2Gen(0, word_pair(a, b, stage.ring), f"[{a} T {b}]")
+                for a, b in lambda2_basis(stage.h1_names)]
+    return h2_stage2_Z(stage)
 
 
 def _compute_kernel(stage: "ModelStage"):
-    """ker H^2(rho_n) as a free submodule of H^2(M_n), with cocycle
-    representatives; sets stage.h2_image, stage.ker_basis and
-    stage.complete."""
+    """H^2(M_n), and ker H^2(rho_n) as a free submodule of it, with
+    cocycle representatives; sets stage.h2_model, stage.h2_span,
+    stage.ker_basis and stage.complete."""
     ring = stage.ring
-    gens = stage.h2_model
-    img = stage.h2_image = [stage.h2x.class_coords(
-        rho_push(stage, g.rep).vector(stage.target.cells[2]))
-        for g in gens]
-    m = len(stage.h2x.generators)
-    if ring.is_modular:
-        rels = kernel_mod_p(
-            ring.p, [{i: v for i, v in enumerate(col) if v} for col in img],
-            m)
-        ker_vecs = [[rel.get(i, 0) for i in range(len(gens))]
-                    for rel in rels]
-    else:
-        cols = [list(v) for v in img]
-        sol = kernel_into_presented(cols, _h2x_relation_cols(stage), m) \
-            if cols else []
-        # Quotient by the torsion of the source generators: a solution
-        # vector is trivial when each coordinate dies in the source.
-        orders = [g.order for g in gens]
-        keep = []
-        for v in sol:
-            if all((o and x % o == 0) or (not o and x == 0)
-                   for x, o in zip(v, orders)):
-                continue
-            keep.append(v)
-        ker_vecs = lattice_basis(keep, len(gens)) if keep else []
+    gens = stage.h2_model = _h2_model(stage)
+    stage.h2_span = ClassSpan(ring, stage.h2x.orders, [
+        stage.h2x.class_coords(
+            rho_push(stage, g.rep).vector(stage.target.cells[2]))
+        for g in gens])
     basis = []
-    for v in ker_vecs:
+    for v in stage.h2_span.relations([g.order for g in gens]):
         # normalize the leading sign
         lead = next((x for x in v if x), 1)
         if lead < 0:
@@ -365,15 +330,7 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
     diff = Differential(ring, gens, tau)
     nxt = ModelStage(n=level, ring=ring, gens=gens, diff=diff, target=X,
                      rho=rho, h1_names=stage.h1_names, h2x=stage.h2x)
-    if ring.is_modular:
-        nxt.h2_model = h2_stage_Zp(nxt)
-        _compute_kernel(nxt)
-    elif level == 2:
-        nxt.h2_model = h2_stage2_Z(nxt)
-        _compute_kernel(nxt)
-    else:
-        nxt.h2_model = None
-        nxt.ker_basis = None
+    _compute_kernel(nxt)
     return nxt
 
 
@@ -585,7 +542,7 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
         raise PreconditionError("use the Z_p coordinate functional instead")
     for z in zs:
         if not apply_d(stage.diff, z).is_zero():
-            raise ValueError("not a cocycle")
+            raise PreconditionError("not a cocycle")
     names = stage.gens.names
     reps = [g.rep for g in stage.h2_model]
     cols: list[TensorElem] = list(reps)
@@ -614,7 +571,8 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
     for b in bs:
         x = solve(b)
         if x is None:
-            raise ValueError("cocycle not expressible at this weight cap")
+            raise PreconditionError(
+                "cocycle not expressible at this weight cap")
         out.append(x[:len(reps)])
     return out
 
@@ -648,14 +606,9 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
         bar = segment_cohomology(X, ring, degree)
         dims_model[degree] = len(reps)
         dims_bar[degree] = len(bar.generators)
-        elim = ZpEliminator(ring.p, dims_bar[degree])
-        full = True
-        for rep in reps:
-            c = psi_embed(rep, mc, list(names), deg=degree)
-            coords = bar.class_coords(c.vector(X.cells[degree]))
-            if not elim.insert({i: v for i, v in enumerate(coords) if v}):
-                full = False
-        iso[degree] = full and dims_model[degree] == dims_bar[degree]
+        coords = [bar.class_coords(psi_embed(rep, mc, list(names), deg=degree)
+                                   .vector(X.cells[degree])) for rep in reps]
+        iso[degree] = ClassSpan(ring, bar.orders, coords).is_basis
     return PsiComparison(p=ring.p, names=list(names),
                          dims_model=dims_model, dims_bar=dims_bar, iso=iso)
 
@@ -674,26 +627,9 @@ class KappaInvariant:
 
 
 def kappa(stage: "ModelStage") -> KappaInvariant:
-    img = stage.h2_image
-    if img is None:
+    if stage.h2_span is None:
         raise StageCapError("H^2 data unavailable at this stage")
-    ring = stage.ring
-    m = len(stage.h2x.generators)
-    if ring.is_modular:
-        elim = ZpEliminator(ring.p, m)
-        for col in img:
-            elim.insert({i: v for i, v in enumerate(col) if v})
-        dim = m - elim.rank
-        inv = AbelianInvariants(0, tuple(ring.p for _ in range(dim)))
-        return KappaInvariant(stage.n, inv)
-    cols = _h2x_relation_cols(stage) + [list(v) for v in img]
-    if not cols:
-        inv = AbelianInvariants(m, ())
-    else:
-        rows = [[c[i] for c in cols] for i in range(m)]
-        snf = smith_normal_form(rows, len(cols))
-        inv = AbelianInvariants.from_coker(snf.diag, m)
-    return KappaInvariant(stage.n, inv)
+    return KappaInvariant(stage.n, stage.h2_span.cokernel)
 
 
 def minimal_model(X: DeltaSet, ring: RingSpec, stages: int = 2,

@@ -13,13 +13,13 @@ from cupone.delta import coboundary_matrix, segment_at
 from cupone.formats import detect_and_parse
 from cupone.linalg import (
     AbelianInvariants,
+    ClassSpan,
     ComplexSegment,
     ZpEliminator,
     cohomology_at,
     cohomology_sparse_zp,
     identity,
     kernel_basis_Z,
-    kernel_into_presented,
     kernel_mod_p,
     lattice_basis,
     mat_mul,
@@ -456,9 +456,7 @@ def test_cokernel_stable_under_permutation():
 
 def test_lattice_basis_and_presented_kernel():
     # Kernel of Z^2 -> Z/4 x Z, v |-> (v1 + 2 v2 mod 4, 0).
-    img = [[1, 0], [2, 0]]
-    rel = [[4, 0]]
-    basis = kernel_into_presented(img, rel, 2)
+    basis = ClassSpan(Z, [4, 0], [[1, 0], [2, 0]]).relations([0, 0])
     got = sorted(tuple(v) for v in basis)
     # Lattice {(a, b): a + 2b = 0 mod 4} has index 4 in Z^2.
     lat = lattice_basis(basis, 2)

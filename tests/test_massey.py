@@ -284,3 +284,16 @@ def test_cross_validate_requires_zero_exponent_sums():
     from cupone.presentation import cyclic_presentation
     with pytest.raises(ValueError):
         cross_validate(cyclic_presentation(3))
+
+
+def test_cross_validate_refusal_is_a_precondition():
+    from cupone.presentation import cyclic_presentation
+    with pytest.raises(PreconditionError) as e:
+        cross_validate(cyclic_presentation(3))
+    assert str(e.value) == "cross_validate requires zero exponent sums"
+
+
+def test_magnus_depth_refusal_is_a_precondition():
+    with pytest.raises(PreconditionError) as e:
+        MagnusSeries(4)
+    assert str(e.value) == "truncation depth capped at 3"

@@ -39,7 +39,7 @@ from cupone.presentation import (
     torus_presentation,
     wedge_presentation,
 )
-from cupone.rings import MultiIndex, RingSpec
+from cupone.rings import InternalError, MultiIndex, RingSpec
 from cupone.tensor import TensorElem, cup
 
 Z = RingSpec.Z()
@@ -153,6 +153,44 @@ def test_lambda3_coords():
     rep = TensorElem(Z, {(MultiIndex.single("x1"), MultiIndex.single("x1"),
                           MultiIndex.single("x3")): 5})
     assert lambda3_coords(rep, names) == [0]
+
+
+# Only a stage's own d(y) reaches the exterior coordinates, so a word of
+# the wrong weight is a defect (exit 3), not a refusal.
+
+def test_lambda2_coords_of_a_wrong_weight_are_internal():
+    with pytest.raises(InternalError) as e:
+        lambda2_coords(TensorElem(Z, {(MultiIndex.single("x1", 2),
+                                       MultiIndex.single("x2")): 1}),
+                       ["x1", "x2"])
+    assert str(e.value) == "lambda2 coordinates need weight-2 words"
+
+
+def test_lambda3_coords_of_a_wrong_weight_are_internal():
+    with pytest.raises(InternalError) as e:
+        lambda3_coords(word_pair("x1", "x2", Z), ["x1", "x2", "x3"])
+    assert str(e.value) == "lambda3 coordinates need weight-3 words"
+
+
+def heisenberg_stage2():
+    pc = presentation_complex(heisenberg_presentation(2))
+    return minimal_model(pc.delta, Z, 2, dual_reps(pc, Z, ("g1", "g2")))[-1]
+
+
+def test_express_many_refuses_a_non_cocycle():
+    with pytest.raises(PreconditionError) as e:
+        express_many_in_h2_basis(heisenberg_stage2(),
+                                 [word_pair("x1", "y1", Z)])
+    assert str(e.value) == "not a cocycle"
+
+
+def test_express_many_refuses_a_class_above_its_weight_cap():
+    # d(zeta_2(x1)) bounds, but only through a column above weight cap 0
+    s2 = heisenberg_stage2()
+    z = s2.diff.d_index(MultiIndex.single("x1", 2))
+    with pytest.raises(PreconditionError) as e:
+        express_many_in_h2_basis(s2, [z], weight_cap=0)
+    assert str(e.value) == "cocycle not expressible at this weight cap"
 
 
 # -- Heisenberg family --------------------------------------------------------
@@ -444,7 +482,7 @@ def test_kappa_reads_the_images_of_compute_kernel(pg, ring, monkeypatch):
     # reads those images off the stage instead of pushing them again.
     from cupone import model
     stage = minimal_model(presentation_complex(pg).delta, ring, 2)[-1]
-    assert len(stage.h2_image) == len(stage.h2_model)
+    assert len(stage.h2_span.cols) == len(stage.h2_model)
     want = kappa(stage)
 
     def refuse(*args):
