@@ -37,7 +37,7 @@ by the rest of the package and makes every output deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import or_
 
 from .rings import InternalError, PreconditionError, RingSpec
@@ -513,12 +513,13 @@ class ZpEliminator:
         if self.packed:
             v = self._reduce_packed(self._pack(vec, tag))
             s = v if p == 2 else v[0]
-            lead = (s & -s).bit_length() - 1
+            low = s & -s
+            lead = low.bit_length() - 1
             if not 0 <= lead < self.width:
                 return {self._tags[t]: c for t, c in self._combination(v)}
             if p != 2:
                 f = 1
-                while not (v[f] >> lead) & 1:
+                while not v[f] & low:
                     f += 1
                 if f != 1:
                     v = [v[k * f % p] for k in range(p)]  # mask k of v / f
@@ -636,18 +637,20 @@ class ZpEliminator:
                 lead = nxt
         p, add, scale = self.p, self._add, self._scale
         s = v[0]
-        lead = (s & -s).bit_length() - 1
+        low = s & -s
+        lead = low.bit_length() - 1
         while True:
             hit = pivots.get(lead)
             if hit is None:
                 return v
             f = 1
-            while not (v[f] >> lead) & 1:
+            while not v[f] & low:
                 f += 1
             # v - f row = v + (p - f) row clears the lead
             v = add(v, [hit[k] for k in scale[p - f]])
             s = v[0]
-            nxt = (s & -s).bit_length() - 1
+            low = s & -s
+            nxt = low.bit_length() - 1
             if 0 <= nxt <= lead:
                 raise ArithmeticError(
                     f"packed GF({p}) reduction did not clear lead {lead}")
@@ -681,30 +684,28 @@ class ZpEliminator:
 
     def _pack(self, vec: dict[int, int], tag=None):
         """The packed row of vec, with the combination bit of tag set."""
-        p, width = self.p, self.width
-        bufs: dict[int, bytearray] = {}
         if vec:
-            size = (self._top_column(vec) >> 3) + 1
-            for j, x in vec.items():
-                x %= p
-                if x:
-                    buf = bufs.get(x)
-                    if buf is None:
-                        buf = bufs[x] = bytearray(size)
-                    buf[j >> 3] |= 1 << (j & 7)
+            self._top_column(vec)
         bit = 0
         if tag is not None:
             slot = self._slots.get(tag)
             if slot is None:
                 slot = self._slots[tag] = len(self._tags)
                 self._tags.append(tag)
-            bit = 1 << (width + slot)
+            bit = 1 << (self.width + slot)
+        p = self.p
         if p == 2:
-            return int.from_bytes(bufs[1], "little") | bit if bufs else bit
-        row = [bit, bit] + [0] * (p - 2)
-        for x, buf in bufs.items():
-            row[x] |= int.from_bytes(buf, "little")
-            row[0] |= row[x]
+            row = bit
+            for j, x in vec.items():
+                if x & 1:
+                    row |= 1 << j
+            return row
+        row = [0] * p
+        for j, x in vec.items():
+            row[x % p] |= 1 << j
+        # entries 0 mod p landed in row[0], which becomes the support
+        row[1] |= bit
+        row[0] = reduce(or_, row[2:], row[1])
         return row
 
     def _columns(self, row) -> list[tuple[int, int]]:

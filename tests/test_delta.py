@@ -617,3 +617,27 @@ def test_face_identity_failure_on_built_complex_is_internal():
     with pytest.raises(InternalError, match="duplicate cell id '\\*'"):
         DeltaSet.from_positions({0: ["*", "*"], 1: [], 2: [], 3: []},
                                 [[(), ()], [], [], []])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 0), "cell 't' needs 3 face positions in range(1), not (0, 0)"),
+    ((0, 0, 0, 0), "cell 't' needs 3 face positions in range(1), "
+     "not (0, 0, 0, 0)"),
+    ((0, 1, 0), "cell 't' needs 3 face positions in range(1), not (0, 1, 0)"),
+    ((0, -1, 0), "cell 't' needs 3 face positions in range(1), "
+     "not (0, -1, 0)"),
+    (None, "2 2-cells but 1 face tuples"),
+], ids=["short", "long", "past-end", "negative", "missing"])
+def test_from_positions_checks_face_arity_and_range(bad, message):
+    # A short tuple used to raise IndexError, and a long one or a negative
+    # position passed; the column check of validate would cut either.
+    from cupone.delta import DeltaSet
+    from cupone.rings import InternalError
+    cells = {0: ["*"], 1: ["a"], 2: ["s", "t"], 3: []}
+    faces = [[()], [(0, 0)], [(0, 0, 0)] + ([bad] if bad else []), []]
+    with pytest.raises(InternalError) as err:
+        DeltaSet.from_positions(cells, faces)
+    assert str(err.value) == message
+    with pytest.raises(InternalError, match=r"cell 'a' needs 2 face "
+                       r"positions in range\(1\), not \(0, 1\)"):
+        DeltaSet.from_positions(cells, [[()], [(0, 1)], [(0, 0, 0)] * 2, []])
