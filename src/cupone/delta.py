@@ -5,7 +5,10 @@ algebras, magmas and their classifying complexes, magma extensions by
 Faces are kept by position, d_0, ..., d_k of a k-cell as positions in
 the list of (k-1)-cells; cell names are only labels, for cochains and
 reports.  A finite magma keeps one product table on positions, and its
-complex writes every face from it.  Cup products use the
+complex writes every face from it and makes the name [x|y|z] of a 3-cell
+only when asked.  Over GF(p), p <= 13, the columns of delta^k reach the
+eliminator as packed rows written from the face positions in one pass
+(``coboundary_cols_packed``).  Cup products use the
 Alexander-Whitney front/back face rule; the cup-one product of
 1-cochains and the circle product of 2-cochains are pointwise.
 
@@ -17,9 +20,11 @@ product of its factors.  psi is this map along the coordinate cochains
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product as iproduct
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, product as iproduct, repeat
+from operator import itemgetter, or_
 
 from .rings import (BinomialPoly, InternalError, MultiIndex,
                     PreconditionError, RingSpec, eval_index)
@@ -78,7 +83,13 @@ class DeltaSet:
 
     @staticmethod
     def _check_names(cells):
-        names = [c for d in range(4) for c in cells[d]]
+        names = [c for d in range(3) for c in cells[d]]
+        top = cells[3]
+        # Lazy names [x|y|z] over distinct element names without "|" are
+        # distinct, and differ from every name with fewer than two "|".
+        if not (isinstance(top, _TripleNames) and top.split_one_way()
+                and not any(c.count("|") > 1 for c in names)):
+            names += top
         if len(set(names)) != len(names):
             first: dict[str, int] = {}
             dup = next(c for i, c in enumerate(names)
@@ -407,6 +418,44 @@ class FiniteMagma:
         return len(self.elements)
 
 
+class _TripleNames(Sequence):
+    """The names [x|y|z] of the 3-cells of a magma complex, for x, y, z in
+    the element names ``names``, z fastest: a read-only sequence that
+    makes each string when asked and equals the list of them."""
+
+    def __init__(self, names: list[str]):
+        self.names = names
+
+    def __len__(self):
+        return len(self.names) ** 3
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n, names = len(self.names), self.names
+        ij, z = divmod(range(n ** 3)[i], n)  # IndexError past either end
+        x, y = divmod(ij, n)
+        return f"[{names[x]}|{names[y]}|{names[z]}]"
+
+    def __iter__(self):
+        names = self.names
+        for x in names:
+            for y in names:
+                pre = f"[{x}|{y}|"
+                yield from [pre + z + "]" for z in names]
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) \
+            else NotImplemented
+
+    def split_one_way(self) -> bool:
+        """Are the element names distinct and free of "|"?  Then each
+        [x|y|z] splits into its names one way, so the names differ."""
+        names = self.names
+        return (len(set(names)) == len(names)
+                and not any("|" in x for x in names))
+
+
 @dataclass
 class MagmaComplex:
     """Delta(M) up to dimension <= 3; its cells list the elements, pairs
@@ -499,13 +548,21 @@ def _magma_complex(m: FiniteMagma, max_dim: int,
         faces[2] = [(j, ab, i) for i in range(n)
                     for j, ab in enumerate(prod[i])]
     if max_dim >= 3:
-        # [a|b|c] -> (b|c, ab|c, a|bc, a|b), for each 2-cell [a|b]
-        for ij, two in enumerate(cells[2]):
-            i, j = divmod(ij, n)
-            pre, ab, i_n, j_n = two[:-1] + "|", prod[i][j] * n, i * n, j * n
-            cells[3].extend([pre + x + "]" for x in names])
-            faces[3].extend([(j_n + k, ab + k, i_n + bc, ij)
-                             for k, bc in enumerate(prod[j])])
+        # [a|b|c] -> (b|c, ab|c, a|bc, a|b).  For each a these run over all
+        # b|c in order, the block ab|. for each b, a|bc along the flat
+        # table, and each a|b n times; zip builds the tuples in C from one
+        # shared int per 2-cell position.  Only a cochain or a report reads
+        # a 3-cell name, so each is made when asked.
+        cells[3] = _TripleNames(names)
+        pos = list(range(n * n))
+        flat = [bc for row in prod for bc in row]
+        for i, row in enumerate(prod):
+            mine = pos[i * n:i * n + n]
+            faces[3].extend(zip(
+                pos,
+                chain.from_iterable([pos[ab * n:ab * n + n] for ab in row]),
+                map(mine.__getitem__, flat),
+                chain.from_iterable(map(repeat, mine, repeat(n, n)))))
     delta = DeltaSet.from_positions(cells, faces)
     if associative and max_dim >= 2:
         delta.last_generators = _semigroup_generators(
@@ -778,6 +835,44 @@ def coboundary_cols_sparse(X: DeltaSet, k: int, p: int,
     return cols
 
 
+def coboundary_cols_packed(X: DeltaSet, k: int, p: int,
+                           rows: list[int] | None = None) -> list:
+    """The columns of ``coboundary_cols_sparse`` for p <= 13 as packed rows
+    of a ``ZpEliminator``: for p = 2 the int with bit r set where row r
+    holds 1, for odd p the list whose entry c is that mask for the value c
+    and whose entry 0 is their union.  One pass over the faces: the row of
+    a cell holds (-1)^t at its face t, summed over repeated faces."""
+    upper = X.faces[k + 1]
+    if rows is None:
+        rows = range(len(upper))
+    elif rows and not 0 <= min(rows) <= max(rows) < len(upper):
+        raise InternalError(f"rows outside 0..{len(upper) - 1}")
+    if p == 2:
+        cols = [0] * len(X.cells[k])
+        for si, r in enumerate(rows):
+            bit = 1 << si
+            for j in upper[r]:
+                cols[j] ^= bit
+        return cols
+    cols = [[0] * p for _ in range(len(X.cells[k]))]
+    signs = (1, p - 1, 1, p - 1)
+    for si, r in enumerate(rows):
+        bit, fs = 1 << si, upper[r]
+        if len(set(fs)) == len(fs):
+            for j, sign in zip(fs, signs):
+                cols[j][sign] |= bit
+            continue
+        vals: dict[int, int] = {}
+        for j, sign in zip(fs, signs):
+            vals[j] = (vals.get(j, 0) + sign) % p
+        for j, v in vals.items():
+            if v:
+                cols[j][v] |= bit
+    for col in cols:
+        col[0] = reduce(or_, col)
+    return cols
+
+
 def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
     """H^k(X; R), computed once per (ring, k) and kept on X; sparse
     elimination over Z_p, Smith normal form over Z.  Its ``preimage``
@@ -788,12 +883,14 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
     those (k+1)-cells ending in S cut out ker delta^k (see DeltaSet).
     Kernel relations depend only on ker delta^k and the column order, so
     every result is the one all rows give.  delta^{k-1} keeps all rows.
+    For p <= 13 the columns of delta^k are packed eliminator rows, and its
+    kernel relations stay packed into the quotient.
 
     Over Z, X also keeps one Smith factor per coboundary delta^j.  H^k
     reads ker delta^k from the factor of delta^k; when it has no upper
     term its image matrix is delta^{k-1} itself, so it reads im delta^{k-1}
     from the factor that H^{k-1} reads its kernel from."""
-    from .linalg import cohomology_Z, cohomology_sparse_zp
+    from .linalg import PACKED_MAX_P, cohomology_Z, cohomology_sparse_zp
     data = X._cohomology.get((ring, k))
     if data is not None:
         return data
@@ -808,8 +905,9 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
         p = ring.p
         a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
         upper = X.cells[k + 1] if k + 1 <= 3 else []
-        b_cols = (coboundary_cols_sparse(X, k, p, X.generator_rows(k))
-                  if upper else None)
+        cols = (coboundary_cols_packed if p <= PACKED_MAX_P
+                else coboundary_cols_sparse)
+        b_cols = cols(X, k, p, X.generator_rows(k)) if upper else None
         data = cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols,
                                     X.cells[k])
     X._cohomology[(ring, k)] = data

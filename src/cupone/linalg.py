@@ -37,7 +37,7 @@ by the rest of the package and makes every output deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .rings import InternalError, PreconditionError, RingSpec
@@ -108,14 +108,6 @@ def _unit(n: int, i: int) -> list[int]:
     return x
 
 
-def _matrix(ops: list[Op], n: int, backward: bool = False,
-            inverse: bool = False) -> list[list[int]]:
-    """The dense n x n matrix whose column j is the replay on e_j."""
-    cols = [_replay(ops, _unit(n, j), backward, inverse=inverse)
-            for j in range(n)]
-    return [list(r) for r in zip(*cols)]
-
-
 @dataclass
 class SNFResult:
     """U M V = D, and the factor of M that every later query reuses.
@@ -129,9 +121,7 @@ class SNFResult:
     ``kernel`` columns of V (backward), ``kernel_coords`` Vinv vec
     (forward, inverted), and ``solve`` both U b and V y.  The operations
     do not depend on a right-hand side, so U b is exactly what carrying b
-    through the elimination would give.  The dense ``U``, ``V``, ``Uinv``
-    and ``Vinv`` are built from the logs on first access and cached, for
-    inspection; no query reads them.
+    through the elimination would give.
     """
     diag: list[int]
     rank: int
@@ -139,22 +129,6 @@ class SNFResult:
     ncols: int
     row_ops: list[Op]
     col_ops: list[Op]
-
-    @cached_property
-    def U(self) -> list[list[int]]:
-        return _matrix(self.row_ops, self.nrows)
-
-    @cached_property
-    def V(self) -> list[list[int]]:
-        return _matrix(self.col_ops, self.ncols, backward=True)
-
-    @cached_property
-    def Uinv(self) -> list[list[int]]:
-        return _matrix(self.row_ops, self.nrows, backward=True, inverse=True)
-
-    @cached_property
-    def Vinv(self) -> list[list[int]]:
-        return _matrix(self.col_ops, self.ncols, inverse=True)
 
     def u_times(self, b: list[int]) -> list[int]:
         """U b."""
@@ -450,6 +424,10 @@ def lattice_basis(vectors: list[list[int]], dim: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # GF(p) elimination with combination tracking
 
+# ZpEliminator packs its rows for p up to here, and keeps dicts above.
+PACKED_MAX_P = 13
+
+
 def _bits(x: int):
     """Indices of the set bits of x >= 0, ascending."""
     s = format(x, "b")[::-1]
@@ -457,6 +435,13 @@ def _bits(x: int):
     while i >= 0:
         yield i
         i = s.find("1", i + 1)
+
+
+def _entries(p: int, row) -> list[tuple[int, int]]:
+    """(index, value) for every nonzero entry of a packed row, ascending."""
+    if p == 2:
+        return [(i, 1) for i in _bits(row)]
+    return sorted((i, c) for c in range(1, p) for i in _bits(row[c]))
 
 
 class ZpEliminator:
@@ -484,7 +469,7 @@ class ZpEliminator:
         self.p = p
         self.width = width  # packed: columns below, combination bits above
         self.pivots: dict[int, object] = {}
-        self.packed = p <= 13
+        self.packed = p <= PACKED_MAX_P
         if self.packed:
             self._slots: dict = {}  # tag -> combination bit - width
             self._tags: list = []
@@ -496,8 +481,10 @@ class ZpEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, vec: dict[int, int], tag=None) -> bool:
+    def insert(self, vec, tag=None) -> bool:
         """Insert a row; returns True when it enlarged the space."""
+        if self.packed:
+            return self._insert_packed(vec, tag) is None
         return self.insert_relation(vec, tag) is None
 
     def insert_relation(self, vec: dict[int, int], tag=None) -> dict | None:
@@ -511,20 +498,9 @@ class ZpEliminator:
         """
         p = self.p
         if self.packed:
-            v = self._reduce_packed(self._pack(vec, tag))
-            s = v if p == 2 else v[0]
-            low = s & -s
-            lead = low.bit_length() - 1
-            if not 0 <= lead < self.width:
-                return {self._tags[t]: c for t, c in self._combination(v)}
-            if p != 2:
-                f = 1
-                while not v[f] & low:
-                    f += 1
-                if f != 1:
-                    v = [v[k * f % p] for k in range(p)]  # mask k of v / f
-            self.pivots[lead] = v
-            return None
+            rel = self._insert_packed(vec, tag)
+            return None if rel is None else {
+                self._tags[t]: c for t, c in _entries(p, rel)}
         vec, expr = self._reduce(vec, {} if tag is None else {tag: 1})
         if not vec:
             return expr
@@ -548,7 +524,8 @@ class ZpEliminator:
             s = v if p == 2 else v[0]
             if 0 <= (s & -s).bit_length() - 1 < self.width:
                 return None
-            return {self._tags[t]: p - c for t, c in self._combination(v)}
+            return {self._tags[t]: p - c
+                    for t, c in _entries(p, self._high(v))}
         out, expr = self._reduce(vec, {})
         if out:
             return None
@@ -617,6 +594,27 @@ class ZpEliminator:
 
     # packed rows
 
+    def _insert_packed(self, vec, tag):
+        """Reduce vec (as ``_pack`` takes it) and store it with leading
+        coefficient 1.  None when it enlarged the space; otherwise nothing
+        is stored, and the combination of its relation comes back as a
+        packed row over the tag slots (``_high``)."""
+        p = self.p
+        v = self._reduce_packed(self._pack(vec, tag))
+        s = v if p == 2 else v[0]
+        low = s & -s
+        lead = low.bit_length() - 1
+        if not 0 <= lead < self.width:
+            return self._high(v)
+        if p != 2:
+            f = 1
+            while not v[f] & low:
+                f += 1
+            if f != 1:
+                v = [v[k * f % p] for k in range(p)]  # mask k of v / f
+        self.pivots[lead] = v
+        return None
+
     def _reduce_packed(self, v):
         """Clear leads of v while a pivot row holds them.  A lead at or
         above ``width`` is a combination bit, which no pivot holds.  Each
@@ -682,9 +680,17 @@ class ZpEliminator:
         out[0] = (sv | sw) ^ gone
         return out
 
-    def _pack(self, vec: dict[int, int], tag=None):
-        """The packed row of vec, with the combination bit of tag set."""
-        if vec:
+    def _pack(self, vec, tag=None):
+        """The packed row of vec, with the combination bit of tag set.  vec
+        is a dict column -> value, or a packed row already, which is
+        checked to lie below ``width`` and copied."""
+        packed = not isinstance(vec, dict)
+        if packed:
+            s = vec if self.p == 2 else vec[0]
+            if s >> self.width:  # also when s < 0
+                raise InternalError(f"packed row spans {s.bit_length()} "
+                                    f"columns, not 0..{self.width - 1}")
+        elif vec:
             self._top_column(vec)
         bit = 0
         if tag is not None:
@@ -694,6 +700,13 @@ class ZpEliminator:
                 self._tags.append(tag)
             bit = 1 << (self.width + slot)
         p = self.p
+        if packed:
+            if p == 2:
+                return vec | bit
+            row = list(vec)
+            row[0] |= bit
+            row[1] |= bit
+            return row
         if p == 2:
             row = bit
             for j, x in vec.items():
@@ -712,34 +725,27 @@ class ZpEliminator:
         """(column, value) for every nonzero column of a packed row,
         ascending."""
         keep = (1 << self.width) - 1
-        if self.p == 2:
-            return [(i, 1) for i in _bits(row & keep)]
-        return sorted((i, c) for c in range(1, self.p)
-                      for i in _bits(row[c] & keep))
+        return _entries(self.p, row & keep if self.p == 2
+                        else [m & keep for m in row])
 
-    def _combination(self, row) -> list[tuple[int, int]]:
-        """(tag slot, coefficient) for every nonzero combination bit of a
-        packed row, ascending."""
+    def _high(self, row):
+        """The combination bits of a packed row shifted down to bit 0: a
+        packed row over the tag slots."""
         w = self.width
-        if self.p == 2:
-            return [(t, 1) for t in _bits(row >> w)]
-        return sorted((t, c) for c in range(1, self.p)
-                      for t in _bits(row[c] >> w))
+        return row >> w if self.p == 2 else [m >> w for m in row]
 
 
-def kernel_mod_p(p: int, cols: list[dict[int, int]],
-                 width: int) -> list[dict[int, int]]:
-    """Kernel basis over GF(p) of the matrix with sparse columns ``cols``
-    (indices below ``width``): one sparse relation column -> coefficient
-    per column that depends on the earlier ones, with coefficient 1 at
-    that column."""
+def _kernel_rows(p: int, cols: list, width: int) -> list:
+    """Kernel basis over GF(p) of the matrix with columns ``cols`` (sparse
+    dicts, or packed rows for p <= 13; indices below ``width``): one
+    relation per column that depends on the earlier ones, with
+    coefficient 1 at that column, in the eliminator's row format.  Packed,
+    column j carries tag j, which takes slot j, so the combination row of
+    a relation is its packed row over the columns."""
     elim = ZpEliminator(p, width)
-    ker = []
-    for j, col in enumerate(cols):
-        rel = elim.insert_relation(col, tag=j)
-        if rel is not None:
-            ker.append(rel)
-    return ker
+    insert = elim._insert_packed if elim.packed else elim.insert_relation
+    rels = [insert(col, j) for j, col in enumerate(cols)]
+    return [rel for rel in rels if rel is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -975,16 +981,22 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
                          mid_labels=None) -> CohomologyData:
     """H = ker(B)/im(A) over GF(p) with sparse column input.
 
-    ``b_cols[j]`` is the j-th column of B (upper-index -> value); None
-    means B = 0.  ``a_cols`` are the columns of A in mid-coordinates.
-    Entries may be any integers; the eliminators reduce them mod p.
+    ``b_cols[j]`` is the j-th column of B (upper-index -> value), or for
+    p <= 13 its packed row over the upper indices; None means B = 0.
+    ``a_cols`` are the columns of A in mid-coordinates.  Dict entries may
+    be any integers; the eliminators reduce them mod p.  Packed, the
+    kernel relations stay packed into the quotient.
     """
     p = ring.p
     if b_cols is None:
         ker = [{i: 1} for i in range(n_mid)]
     else:
-        n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
-        ker = kernel_mod_p(p, b_cols, n_upper)
+        if b_cols and not isinstance(b_cols[0], dict):
+            n_upper = reduce(or_, b_cols if p == 2 else
+                             (c[0] for c in b_cols)).bit_length()
+        else:
+            n_upper = 1 + max((max(c) for c in b_cols if c), default=-1)
+        ker = _kernel_rows(p, b_cols, n_upper)
     # Column j of A carries the tag -1 - j and the i-th generator the tag
     # i, so one express yields both the class and a preimage under A.
     quotient = ZpEliminator(p, n_mid)
@@ -994,7 +1006,8 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     for rel in ker:
         if quotient.insert(rel, tag=len(gens)):
             vec = [0] * n_mid
-            for i, x in rel.items():
+            for i, x in (rel.items() if isinstance(rel, dict)
+                         else _entries(p, rel)):
                 vec[i] = x
             gens.append((p, vec))
     inv = AbelianInvariants(rank=0, torsion=tuple(p for _ in gens))

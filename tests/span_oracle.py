@@ -19,10 +19,10 @@ from cupone.linalg import (
     ZpEliminator,
     image_solver,
     kernel_basis_Z,
-    kernel_mod_p,
     lattice_basis,
     smith_normal_form,
 )
+from dict_rows_oracle import kernel_mod_p
 
 
 def relation_cols(orders: list[int]) -> list[list[int]]:

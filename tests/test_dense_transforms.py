@@ -1,12 +1,11 @@
 """No cupone module but ``linalg`` reads a dense Smith transform.
 
-``SNFResult.U``, ``V``, ``Uinv`` and ``Vinv`` are built from the
-factor's operation logs, one replay per column, on first access, and are
-then cached for the factor's lifetime; one read costs n replays and keeps
-an n x n matrix alive.  Queries replay a log on one vector instead
-(``solve``, ``u_times``, ``u_row``, ``kernel``, ``kernel_coords``,
-``uinv_column``).  A stdlib-ast scan: any load of an attribute with one
-of those names outside ``linalg.py`` fails.
+A Smith factor keeps U, V, Uinv and Vinv only as operation logs; the
+dense matrices, one replay per column, are built in tests/snf_dense.py
+for tests alone.  Queries replay a log on one vector instead (``solve``,
+``u_times``, ``u_row``, ``kernel``, ``kernel_coords``,
+``uinv_column``).  A stdlib-ast scan: any load of an attribute named
+``U``, ``V``, ``Uinv`` or ``Vinv`` outside ``linalg.py`` fails.
 """
 import ast
 import pathlib

@@ -24,9 +24,10 @@ from cupone.delta import (
     segment_cohomology,
 )
 from cupone.formats import detect_and_parse
-from cupone.linalg import cohomology_sparse_zp, kernel_mod_p, mat_vec
+from cupone.linalg import cohomology_sparse_zp, mat_vec
 from cupone.rings import PreconditionError, RingSpec
 from cupone.tensor import TensorElem, cup
+from dict_rows_oracle import kernel_mod_p
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -20,7 +20,6 @@ from cupone.linalg import (
     cohomology_sparse_zp,
     identity,
     kernel_basis_Z,
-    kernel_mod_p,
     lattice_basis,
     mat_mul,
     mat_vec,
@@ -30,7 +29,9 @@ from cupone.linalg import (
 )
 from cupone.presentation import presentation_complex
 from cupone.rings import InternalError, PreconditionError, RingSpec
+from dict_rows_oracle import kernel_mod_p
 from q_oracle import rank_over_Q
+from snf_dense import dense
 
 Z = RingSpec.Z()
 Z5 = RingSpec.Zp(5)
@@ -62,15 +63,16 @@ def test_snf_transforms_exact():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, r, c)
         snf = smith_normal_form(m, c)
-        d = mat_mul(mat_mul(snf.U, m), snf.V)
+        U, V, Uinv, Vinv = dense(snf)
+        d = mat_mul(mat_mul(U, m), V)
         for i in range(r):
             for j in range(c):
                 expect = snf.diag[i] if i == j and i < len(snf.diag) else 0
                 assert d[i][j] == expect
-        assert is_unimodular(snf.U)
-        assert is_unimodular(snf.V)
-        assert mat_mul(snf.U, snf.Uinv) == identity(r)
-        assert mat_mul(snf.V, snf.Vinv) == identity(c)
+        assert is_unimodular(U)
+        assert is_unimodular(V)
+        assert mat_mul(U, Uinv) == identity(r)
+        assert mat_mul(V, Vinv) == identity(c)
 
 
 def test_snf_transforms_frozen():
@@ -83,8 +85,9 @@ def test_snf_transforms_frozen():
         r, c, lo = rng.randint(2, 9), rng.randint(2, 9), rng.choice((1, 2, 9))
         m = [[rng.randint(-lo, lo) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(m, c)
-        h.update(repr((snf.diag, snf.U, snf.V, snf.Uinv, snf.Vinv,
-                       [mat_vec(snf.U, [1] * r)])).encode())
+        U, V, Uinv, Vinv = dense(snf)
+        h.update(repr((snf.diag, U, V, Uinv, Vinv,
+                       [mat_vec(U, [1] * r)])).encode())
     assert h.hexdigest() == \
         "83c900ef7e63db53c79d11936de9b4c4c9e17b282b559928ad4509f207d6c4fe"
 
@@ -165,7 +168,8 @@ def one_shot_solve(m, b, ncols):
     """Reference solve: a fresh SNF per right-hand side, carrying b
     through the elimination, then dense V."""
     snf = smith_normal_form(m, ncols)
-    c = mat_vec(snf.U, b)
+    U, V, _, _ = dense(snf)
+    c = mat_vec(U, b)
     y = [0] * ncols
     for i, d in enumerate(snf.diag):
         q, r = divmod(c[i], d)
@@ -174,7 +178,7 @@ def one_shot_solve(m, b, ncols):
         y[i] = q
     if any(c[snf.rank:]):
         return None
-    return [sum(row[j] * y[j] for j in range(ncols)) for row in snf.V]
+    return [sum(row[j] * y[j] for j in range(ncols)) for row in V]
 
 
 def test_smith_factor_matches_one_shot_solve():
@@ -207,24 +211,25 @@ def dense_cohomology(seg):
     nm, nl = len(seg.mid), len(seg.lower)
     K = kernel_basis_Z(seg.B, nm) if seg.upper else identity(nm)
     k = len(K)
-    ksnf = smith_normal_form([[K[j][i] for j in range(k)] for i in range(nm)],
-                             k)
+    kU, kV, _, _ = dense(smith_normal_form(
+        [[K[j][i] for j in range(k)] for i in range(nm)], k))
 
     def in_kernel(vec):
-        c = dense_mat_vec(ksnf.U, vec)
+        c = dense_mat_vec(kU, vec)
         assert not any(c[k:])
-        return dense_mat_vec(ksnf.V, c[:k])
+        return dense_mat_vec(kV, c[:k])
 
     cols = [in_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
     csnf = smith_normal_form([[cols[j][i] for j in range(nl)]
                               for i in range(k)], nl)
+    cU, _, cUinv, _ = dense(csnf)
     slots = [(i, d) for i, d in enumerate(csnf.diag) if d > 1]
     slots += [(i, 0) for i in range(csnf.rank, k)]
-    gens = [(d, [sum(K[j][r] * csnf.Uinv[j][i] for j in range(k))
+    gens = [(d, [sum(K[j][r] * cUinv[j][i] for j in range(k))
                  for r in range(nm)]) for i, d in slots]
 
     def coords(vec):
-        c = dense_mat_vec(csnf.U, in_kernel(vec))
+        c = dense_mat_vec(cU, in_kernel(vec))
         return [c[i] % d if d else c[i] for i, d in slots]
 
     return gens, coords
@@ -325,7 +330,7 @@ def check_replays(m, c, rng):
     each other."""
     snf = smith_normal_form(m, c)
     r, rank = len(m), snf.rank
-    U, V, Uinv, Vinv = snf.U, snf.V, snf.Uinv, snf.Vinv
+    U, V, Uinv, Vinv = dense(snf)
     assert mat_mul(mat_mul(U, m), V) == [
         [snf.diag[i] if i == j and i < rank else 0 for j in range(c)]
         for i in range(r)]
