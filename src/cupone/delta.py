@@ -788,7 +788,7 @@ def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],
 
 
 # ---------------------------------------------------------------------------
-# complex segments for cohomology
+# coboundaries and cohomology
 
 def coboundary_matrix(X: DeltaSet, k: int) -> list[list[int]]:
     """Matrix of delta^k: C^k -> C^{k+1} (rows: (k+1)-cells)."""
@@ -800,16 +800,6 @@ def coboundary_matrix(X: DeltaSet, k: int) -> list[list[int]]:
             row[f] += 1 if i % 2 == 0 else -1
         rows.append(row)
     return rows
-
-
-def segment_at(X: DeltaSet, ring: RingSpec, k: int):
-    from .linalg import ComplexSegment
-    lower = X.cells[k - 1] if k >= 1 else []
-    mid = X.cells[k]
-    upper = X.cells[k + 1] if k + 1 <= 3 else []
-    A = coboundary_matrix(X, k - 1) if k >= 1 else [[] for _ in mid]
-    B = coboundary_matrix(X, k) if upper else []
-    return ComplexSegment(ring, lower, mid, upper, A, B)
 
 
 def coboundary_cols_sparse(X: DeltaSet, k: int, p: int,
@@ -894,34 +884,36 @@ def segment_cohomology(X: DeltaSet, ring: RingSpec, k: int):
     data = X._cohomology.get((ring, k))
     if data is not None:
         return data
+    upper = k < 3 and bool(X.cells[k + 1])
     if not ring.is_modular:
-        seg = segment_at(X, ring, k)
-        if seg.upper:
-            data = cohomology_Z(seg, _coboundary_factor(X, k, seg.B), None)
+        nl = len(X.cells[k - 1]) if k >= 1 else 0
+        if upper:
+            A = coboundary_matrix(X, k - 1) if nl else None
+            data = cohomology_Z(A, nl, _coboundary_factor(X, k), None)
         else:
-            data = cohomology_Z(seg, None,
-                                _coboundary_factor(X, k - 1, seg.A))
+            data = cohomology_Z(None, nl, None, _coboundary_factor(X, k - 1))
     else:
         p = ring.p
         a_cols = coboundary_cols_sparse(X, k - 1, p) if k >= 1 else []
-        upper = X.cells[k + 1] if k + 1 <= 3 else []
         cols = (coboundary_cols_packed if p <= PACKED_MAX_P
                 else coboundary_cols_sparse)
         b_cols = cols(X, k, p, X.generator_rows(k)) if upper else None
-        data = cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols,
-                                    X.cells[k])
+        data = cohomology_sparse_zp(ring, len(X.cells[k]), a_cols, b_cols)
     X._cohomology[(ring, k)] = data
     return data
 
 
-def _coboundary_factor(X: DeltaSet, j: int, rows: list[list[int]]):
-    """The Smith factor of delta^j: C^j -> C^{j+1} (``rows``; j = -1 is
-    the map from 0), built once per Delta-set.  Its two operation logs
-    serve H^j, which reads its kernel, and H^{j+1} when that has no upper
-    term and reads its image."""
+def _coboundary_factor(X: DeltaSet, j: int):
+    """The Smith factor of delta^j: C^j -> C^{j+1} (j = -1 is the map
+    from 0), built once per Delta-set; its dense rows are written only
+    then.  Its two operation logs serve H^j, which reads its kernel, and
+    H^{j+1} when that has no upper term and reads its image."""
     from .linalg import smith_normal_form
     fac = X._factors.get(j)
     if fac is None:
-        fac = X._factors[j] = smith_normal_form(
-            rows, len(X.cells[j]) if j >= 0 else 0)
+        if j >= 0:
+            rows, ncols = coboundary_matrix(X, j), len(X.cells[j])
+        else:
+            rows, ncols = [[] for _ in X.cells[0]], 0
+        fac = X._factors[j] = smith_normal_form(rows, ncols)
     return fac

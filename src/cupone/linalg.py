@@ -8,21 +8,21 @@ query replays a log on one vector.  The same factor then serves every
 ``solve`` (through ``solve_Z``, with the SNF-residue certificate of
 ``solve_in_image``), ``kernel`` (basis vectors of ker M),
 ``kernel_coords`` and the ``class_coords`` of the cohomology of
-three-term complexes with labeled bases.  The cohomology of a segment
-C^{k-1} --A--> C^k --B--> C^{k+1} factors im A once per ring and
-answers both ``class_coords`` and ``preimage`` (x with A x = vec) from
-that factor: over Z its Smith normal form, over GF(p) one
-``ZpEliminator`` with the columns of A tagged.  ``cohomology_Z`` takes
-its Smith factors as arguments, so that a Delta-set can share the
-factor of delta^k between H^k and H^{k+1} (``segment_cohomology``).
-``ClassSpan`` is the one span of classes per ring: the submodule of a
-presented module R^m / (o_i e_i) spanned by columns of class
-coordinates, factored once (a Smith factor of the columns beside the
-relation columns o_i e_i over Z, one tagged ``ZpEliminator`` over
-GF(p)), whose relations, cokernel, basis test and membership test serve
-the kernel and cokernel of H^2(rho_n), the H^1 and psi basis checks and
-the Massey indeterminacy.  ``image_solver`` factors any other integer
-matrix once per call site.
+three-term complexes.  The cohomology of C^{k-1} --A--> C^k --B-->
+C^{k+1}, given by its matrices, factors im A once per ring and answers
+both ``class_coords`` and ``preimage`` (x with A x = vec) from that
+factor: over Z its Smith normal form (``cohomology_Z``), over GF(p) one
+``ZpEliminator`` with the columns of A tagged (``cohomology_sparse_zp``).
+``cohomology_Z`` takes its Smith factors as arguments, so that a
+Delta-set can share the factor of delta^k between H^k and H^{k+1}
+(``segment_cohomology``); ``cohomology_at`` is the entry for any other
+pair of matrices, over either ring.  ``ClassSpan`` is the one span of
+classes per ring: the submodule of a presented module R^m / (o_i e_i)
+spanned by columns of class coordinates, factored once (a Smith factor
+of the columns beside the relation columns o_i e_i over Z, one tagged
+``ZpEliminator`` over GF(p)), whose relations, cokernel, basis test and
+membership test serve the kernel and cokernel of H^2(rho_n), the H^1
+and psi basis checks and the Massey indeterminacy.
 
 ``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
 row format follows p alone: for p <= 13 one-hot bit masks, one Python int
@@ -374,11 +374,6 @@ def smith_normal_form(rows: list[list[int]],
     return SNFResult(diag, ndiag, nrows, ncols, row_ops, col_ops)
 
 
-def kernel_basis_Z(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis vectors of the integer kernel lattice {v : M v = 0}."""
-    return smith_normal_form(rows, ncols).kernel()
-
-
 def solve_Z(factor: SNFResult, b: list[int]) -> list[int] | None:
     """Particular integer solution of M x = b, or None (SNF residue fails).
 
@@ -388,24 +383,13 @@ def solve_Z(factor: SNFResult, b: list[int]) -> list[int] | None:
     return factor.solve(b).solution
 
 
-def image_solver(rows: list[list[int]], ncols: int):
-    """Factor M once over Z; returns b -> x with M x = b, or None when b
-    is not in the image of M.  Each solve goes through ``solve_Z``.
-    Coboundaries of a Delta-set are solved by the ``preimage`` of their
-    cohomology instead, over either ring."""
-    factor = smith_normal_form(rows, ncols)
-    return lambda b: solve_Z(factor, b)
-
-
 def solve_in_image(rows: list[list[int]], b: list[int], ncols: int,
                    ring: RingSpec | None = None) -> SolveResult:
     """Particular solution of M x = b over the ring, or a certificate
     (over Z the Smith-normal-form residue of ``SNFResult.solve``; over
-    GF(p) the ``preimage`` of the segment with A = M)."""
+    GF(p) the ``preimage`` of the cohomology with A = M)."""
     if ring is not None and ring.is_modular:
-        seg = ComplexSegment(ring, range(ncols), range(len(rows)), [], rows,
-                             [])
-        x = cohomology_at(seg).preimage(b)
+        x = cohomology_at(ring, rows, [], ncols).preimage(b)
         cert = None if x is not None else {"reason": "not in column span"}
         return SolveResult(x, cert)
     return smith_normal_form(rows, ncols).solve(b)
@@ -862,41 +846,26 @@ class ClassSpan:
 # ---------------------------------------------------------------------------
 # cohomology of a three-term complex
 
-class ComplexSegment:
-    """C^{k-1} --A--> C^k --B--> C^{k+1} with labeled bases, B A = 0."""
-
-    def __init__(self, ring: RingSpec, lower: list, mid: list, upper: list,
-                 A: list[list[int]], B: list[list[int]]):
-        self.ring = ring
-        self.lower, self.mid, self.upper = list(lower), list(mid), list(upper)
-        self.A = A  # len(mid) rows x len(lower) cols
-        self.B = B  # len(upper) rows x len(mid) cols
-        prod = mat_mul(B, A) if (upper and lower) else []
-        if any(any(ring.normalize(x) for x in row) for row in prod):
-            raise PreconditionError("B*A != 0: not a complex segment")
-
-
 class CohomologyData:
-    """H^k of a segment: invariants, representative cocycles, coordinates.
+    """H^k of C^{k-1} --A--> C^k --B--> C^{k+1}: invariants,
+    representative cocycles, coordinates.
 
     ``generators`` is a list of (order, representative) pairs, torsion
     generators first in divisibility order, then free generators; the
-    representative is a dense vector over the middle basis.
+    representative is a dense vector over the basis of C^k.
     ``class_coords`` maps any cocycle vector to coordinates aligned with
     the generators (torsion coordinates reduced mod the order).
-    ``preimage`` maps a vector to some x over the lower basis with
+    ``preimage`` maps a vector to some x over the basis of C^{k-1} with
     A x = vec, or None when vec is not in im A; it reads the same factor
     of im A that the class coordinates do.
     """
 
-    def __init__(self, ring, invariants, generators, coord_fn, preimage_fn,
-                 mid_labels):
+    def __init__(self, ring, invariants, generators, coord_fn, preimage_fn):
         self.ring = ring
         self.invariants = invariants
         self.generators = generators
         self._coord_fn = coord_fn
         self._preimage_fn = preimage_fn
-        self.mid_labels = mid_labels
 
     def class_coords(self, vec: list[int]) -> list[int]:
         return self._coord_fn(vec)
@@ -909,27 +878,29 @@ class CohomologyData:
         return [o for o, _ in self.generators]
 
 
-def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
+def cohomology_Z(A: list[list[int]] | None, n_lower: int,
+                 kernel: SNFResult | None,
                  image: SNFResult | None) -> CohomologyData:
     """H^k = ker B / im A over Z from Smith factors built by the caller.
 
     With an upper term, ``kernel`` is the factor of B: ker B is read off
     V and coordinates on it off Vinv, and im A is factored here in those
-    coordinates.  Without one, ker B is everything, and ``image`` is the
-    factor of A itself, which a Delta-set shares with the H^{k-1} that
-    reads its kernel.  Generators are columns of Uinv, and the class
-    coordinates are the rows of U at the cokernel slots, each replayed
-    once here.
+    coordinates, from ``A``, the dense rows of A (``n_lower`` wide).
+    Without one, ker B is everything, and ``image`` is the factor of A
+    itself, which a Delta-set shares with the H^{k-1} that reads its
+    kernel; A is not read then.  Generators are columns of Uinv, and the
+    class coordinates are the rows of U at the cokernel slots, each
+    replayed once here.
     """
-    nm, nl = len(seg.mid), len(seg.lower)
-    K = kernel.kernel() if seg.upper else None
+    ring, nl = RingSpec.Z(), n_lower
+    nm = image.nrows if kernel is None else kernel.ncols
+    K = None if kernel is None else kernel.kernel()
     k = nm if K is None else len(K)
     if k == 0:
         # ker B = 0, so only the zero vector is a coboundary.
-        return CohomologyData(seg.ring, AbelianInvariants(0, ()), [],
+        return CohomologyData(ring, AbelianInvariants(0, ()), [],
                               lambda v: [],
-                              lambda v: None if any(v) else [0] * nl,
-                              seg.mid)
+                              lambda v: None if any(v) else [0] * nl)
     # Coordinates on ker B in the basis K (None off ker B); without an
     # upper term K is the identity.
     to_kernel = from_kernel = list
@@ -948,8 +919,7 @@ def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
         def from_kernel(w):
             return mat_vec(Krows, w)
 
-        cols = [to_kernel([seg.A[i][j] for i in range(nm)])
-                for j in range(nl)]
+        cols = [to_kernel([row[j] for row in A]) for j in range(nl)]
         image = smith_normal_form([[c[i] for c in cols] for i in range(k)],
                                   nl)
     order_slots = [(i, d) for i, d in enumerate(image.diag) if d > 1]
@@ -971,14 +941,13 @@ def cohomology_Z(seg: ComplexSegment, kernel: SNFResult | None,
         y = to_kernel(vec)
         return None if y is None else image.solve(y).solution
 
-    return CohomologyData(seg.ring, inv, gens, coord_fn, preimage_fn,
-                          seg.mid)
+    return CohomologyData(ring, inv, gens, coord_fn, preimage_fn)
 
 
 def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
                          a_cols: list[dict[int, int]],
-                         b_cols: list[dict[int, int]] | None,
-                         mid_labels=None) -> CohomologyData:
+                         b_cols: list[dict[int, int]] | None
+                         ) -> CohomologyData:
     """H = ker(B)/im(A) over GF(p) with sparse column input.
 
     ``b_cols[j]`` is the j-th column of B (upper-index -> value), or for
@@ -1027,30 +996,28 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
             return None
         return [combo.get(-1 - j, 0) for j in range(len(a_cols))]
 
-    labels = mid_labels if mid_labels is not None else list(range(n_mid))
-    return CohomologyData(ring, inv, gens, coord_fn, preimage_fn, labels)
+    return CohomologyData(ring, inv, gens, coord_fn, preimage_fn)
 
 
-def _cohomology_Zp(seg: ComplexSegment) -> CohomologyData:
-    p = seg.ring.p
-    nm = len(seg.mid)
-    b_cols = None
-    if seg.upper:
-        b_cols = [{} for _ in range(nm)]
-        for i, row in enumerate(seg.B):
-            for j, v in enumerate(row):
-                if v % p:
-                    b_cols[j][i] = v
-    a_cols = [{i: seg.A[i][j] for i in range(nm) if seg.A[i][j] % p}
-              for j in range(len(seg.lower))]
-    return cohomology_sparse_zp(seg.ring, nm, a_cols, b_cols, seg.mid)
-
-
-def cohomology_at(seg: ComplexSegment) -> CohomologyData:
-    """H^k of a segment, with its own factors (over Z, ``cohomology_Z``
-    on the Smith factor of B, or of A without an upper term)."""
-    if seg.ring.is_modular:
-        return _cohomology_Zp(seg)
-    if seg.upper:
-        return cohomology_Z(seg, smith_normal_form(seg.B, len(seg.mid)), None)
-    return cohomology_Z(seg, None, smith_normal_form(seg.A, len(seg.lower)))
+def cohomology_at(ring: RingSpec, A: list[list[int]], B: list[list[int]],
+                  n_lower: int) -> CohomologyData:
+    """H^k of C^{k-1} --A--> C^k --B--> C^{k+1} from its dense matrices:
+    ``A`` has one row per basis vector of C^k (``n_lower`` wide) and ``B``
+    one per basis vector of C^{k+1}, none without an upper term.  B A
+    must vanish over the ring.  The factors are its own: over Z
+    ``cohomology_Z`` on the Smith factor of B, or of A without an upper
+    term; over GF(p) ``cohomology_sparse_zp`` on the sparse columns."""
+    if B and n_lower and any(ring.normalize(x)
+                             for row in mat_mul(B, A) for x in row):
+        raise PreconditionError("B*A != 0: not a complex segment")
+    nm = len(A)
+    if ring.is_modular:
+        p = ring.p
+        a_cols = [{i: row[j] for i, row in enumerate(A) if row[j] % p}
+                  for j in range(n_lower)]
+        b_cols = [{i: row[j] for i, row in enumerate(B) if row[j] % p}
+                  for j in range(nm)] if B else None
+        return cohomology_sparse_zp(ring, nm, a_cols, b_cols)
+    if B:
+        return cohomology_Z(A, n_lower, smith_normal_form(B, nm), None)
+    return cohomology_Z(A, n_lower, None, smith_normal_form(A, n_lower))

@@ -56,9 +56,8 @@ from .linalg import (
     CohomologyData,
     ZpEliminator,
     cohomology_at,
-    image_solver,
-    kernel_basis_Z,
     smith_normal_form,
+    solve_Z,
 )
 from .rings import InternalError, MultiIndex, PreconditionError, RingSpec
 from .tensor import TensorElem, cup
@@ -136,20 +135,12 @@ def d0_weight_matrix(names, w, length, ring):
 
 def exterior_weight_cohomology(names, ring, w: int, degree: int) -> CohomologyData:
     """H^degree of (T(X), d_0) in one weight, by direct linear algebra."""
-    from .linalg import ComplexSegment
-    mid = t_word_basis(names, w, degree, ring)
-    low = t_word_basis(names, w, degree - 1, ring) if degree > 1 else []
-    up = t_word_basis(names, w, degree + 1, ring) if degree < 3 else []
     if degree > 1:
-        _, _, A = d0_weight_matrix(names, w, degree - 1, ring)
+        low, _, A = d0_weight_matrix(names, w, degree - 1, ring)
     else:
-        A = [[] for _ in mid]
-    if degree < 3 and up:
-        _, _, B = d0_weight_matrix(names, w, degree, ring)
-    else:
-        B, up = [], []
-    seg = ComplexSegment(ring, low, mid, up, A, B)
-    return cohomology_at(seg)
+        low, A = [], [[] for _ in t_word_basis(names, w, degree, ring)]
+    B = d0_weight_matrix(names, w, degree, ring)[2] if degree < 3 else []
+    return cohomology_at(ring, A, B, len(low))
 
 
 def lambda2_basis(names) -> list[tuple[str, str]]:
@@ -375,11 +366,12 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
     nl3 = k * (k - 1) * (k - 2) // 6
     rows = [[pair_cols[j][i] for j in range(len(pair_cols))]
             for i in range(nl3)]
-    evecs = kernel_basis_Z(rows, len(pair_cols)) if pair_cols else []
+    evecs = (smith_normal_form(rows, len(pair_cols)).kernel()
+             if pair_cols else [])
     # Completion in the weight-3 layer of (T(X_1), d_0).
     src, dst, dmat = d0_weight_matrix(names, 3, 2, ring)
     dst_index = {w: i for i, w in enumerate(dst)}
-    solve = image_solver(dmat, len(src)) if evecs else None
+    dfac = smith_normal_form(dmat, len(src)) if evecs else None
     for v in evecs:
         lead = next((x for x in v if x), 1)
         if lead < 0:
@@ -393,7 +385,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
         target = [0] * len(dst)
         for w, c in dz.terms.items():
             target[dst_index[w]] = -c
-        sol = solve(target)
+        sol = solve_Z(dfac, target)
         if sol is None:
             raise InternalError("E-pairing element failed to complete "
                                 "(internal consistency failure)")
@@ -566,10 +558,10 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
         for w, v in z.terms.items():
             b[index[w]] = v
         bs.append(b)
-    solve = image_solver(rows, len(cols))
+    factor = smith_normal_form(rows, len(cols))
     out = []
     for b in bs:
-        x = solve(b)
+        x = solve_Z(factor, b)
         if x is None:
             raise PreconditionError(
                 "cocycle not expressible at this weight cap")

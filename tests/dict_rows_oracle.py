@@ -63,4 +63,4 @@ def dict_cohomology(X, ring, k: int) -> CohomologyData:
         return [combo.get(-1 - j, 0) for j in range(len(a_cols))]
 
     return CohomologyData(ring, AbelianInvariants(0, (p,) * len(gens)), gens,
-                          coord_fn, preimage_fn, X.cells[k])
+                          coord_fn, preimage_fn)

@@ -17,10 +17,9 @@ from __future__ import annotations
 from cupone.linalg import (
     AbelianInvariants,
     ZpEliminator,
-    image_solver,
-    kernel_basis_Z,
     lattice_basis,
     smith_normal_form,
+    solve_Z,
 )
 from dict_rows_oracle import kernel_mod_p
 
@@ -48,7 +47,7 @@ def kernel_into_presented(img_cols: list[list[int]],
         return []
     rows = [[col[i] for col in img_cols] + [col[i] for col in rel_cols]
             for i in range(dim)]
-    combined = kernel_basis_Z(rows, s + r)
+    combined = smith_normal_form(rows, s + r).kernel()
     projected = [v[:s] for v in combined]
     # Relation columns may be dependent; the projection still spans the
     # solution lattice, so re-extract a basis.
@@ -127,4 +126,5 @@ def contains(indeterminacy, delta_coords, orders) -> bool:
     if not cols:
         return False
     rows = [[c[i] for c in cols] for i in range(m)]
-    return image_solver(rows, len(cols))(list(delta_coords)) is not None
+    factor = smith_normal_form(rows, len(cols))
+    return solve_Z(factor, list(delta_coords)) is not None

@@ -19,14 +19,13 @@ from cupone.delta import (
     delta_from_magma,
     extension_magma,
     psi_embed,
-    segment_at,
     segment_cohomology,
     steenrod_cup1_21,
     zeta_cochain,
 )
 from cupone.formats import detect_and_parse
 from cupone.interval import interval_algebra
-from cupone.linalg import AbelianInvariants, cohomology_at
+from cupone.linalg import AbelianInvariants
 from cupone.presentation import presentation_complex
 from cupone.rings import MultiIndex, RingSpec, binom_of
 from cupone.tensor import TensorElem, cup
@@ -80,8 +79,8 @@ def test_interval_relations():
 
 def test_interval_cohomology_concentrated_in_degree_0():
     ia = interval_algebra(Z)
-    h0 = cohomology_at(segment_at(ia.delta, Z, 0))
-    h1 = cohomology_at(segment_at(ia.delta, Z, 1))
+    h0 = segment_cohomology(ia.delta, Z, 0)
+    h1 = segment_cohomology(ia.delta, Z, 1)
     assert h0.invariants == AbelianInvariants(1, ())
     assert h1.invariants == AbelianInvariants(0, ())
 
@@ -392,10 +391,26 @@ def test_segment_cohomology_of_bar_z2():
     # H^1(B(Z2); Z2) and H^2 are 1-dimensional.
     mc = bar_z(2, max_dim=3)
     ring = Z2
-    h1 = cohomology_at(segment_at(mc.delta, ring, 1))
-    h2 = cohomology_at(segment_at(mc.delta, ring, 2))
+    h1 = segment_cohomology(mc.delta, ring, 1)
+    h2 = segment_cohomology(mc.delta, ring, 2)
     assert h1.invariants.torsion == (2,)
     assert h2.invariants.torsion == (2,)
+
+
+def test_z_cohomology_spells_out_no_3_cell_name(monkeypatch):
+    # Over Z, H^2 of a magma complex reads delta^2 off the 3-cell faces;
+    # the |G|^3 lazy 3-cell names must stay unmade.
+    from cupone.delta import _TripleNames
+    X = bar_construction(cyclic_group_magma((3, 3)), 3).delta
+    assert isinstance(X.cells[3], _TripleNames)
+
+    def refuse(*args):
+        raise AssertionError("a 3-cell name was made")
+
+    monkeypatch.setattr(_TripleNames, "__iter__", refuse)
+    monkeypatch.setattr(_TripleNames, "__getitem__", refuse)
+    h2 = segment_cohomology(X, Z, 2)
+    assert h2.invariants == AbelianInvariants(0, (3, 3))
 
 
 def test_segment_cohomology_is_computed_once_per_ring_and_degree():

@@ -129,7 +129,7 @@ def all_rows_cohomology(X, ring, k):
     p = ring.p
     return cohomology_sparse_zp(ring, len(X.cells[k]),
                                 coboundary_cols_sparse(X, k - 1, p),
-                                coboundary_cols_sparse(X, k, p), X.cells[k])
+                                coboundary_cols_sparse(X, k, p))
 
 
 def assert_rows_agree(X, p):

@@ -9,17 +9,15 @@ import sys
 import pytest
 
 from cupone import linalg
-from cupone.delta import coboundary_matrix, segment_at
+from cupone.delta import coboundary_matrix
 from cupone.formats import detect_and_parse
 from cupone.linalg import (
     AbelianInvariants,
     ClassSpan,
-    ComplexSegment,
     ZpEliminator,
     cohomology_at,
     cohomology_sparse_zp,
     identity,
-    kernel_basis_Z,
     lattice_basis,
     mat_mul,
     mat_vec,
@@ -106,10 +104,11 @@ def test_kernel_basis():
     for _ in range(20):
         r, c = rng.randint(1, 5), rng.randint(1, 6)
         m = random_matrix(rng, r, c)
-        for v in kernel_basis_Z(m, c):
+        fac = smith_normal_form(m, c)
+        for v in fac.kernel():
             assert all(x == 0 for x in mat_vec(m, v))
-        rank = smith_normal_form(m, c).rank
-        assert len(kernel_basis_Z(m, c)) == c - rank
+        rank = fac.rank
+        assert len(fac.kernel()) == c - rank
         assert rank == rank_over_Q(m)
 
 
@@ -138,6 +137,15 @@ def fixture_complexes():
         out.append(parsed[0] if kind == "delta"
                    else presentation_complex(parsed).delta)
     return out
+
+
+def delta_segment(X, k):
+    """A, B and the width of A, as ``cohomology_at`` takes them, for H^k
+    of a Delta-set: the dense rows of delta^{k-1} and delta^k."""
+    nl = len(X.cells[k - 1]) if k >= 1 else 0
+    A = coboundary_matrix(X, k - 1) if k >= 1 else [[] for _ in X.cells[k]]
+    B = coboundary_matrix(X, k) if k < 3 and X.cells[k + 1] else []
+    return A, B, nl
 
 
 def random_test_matrices(rng):
@@ -202,14 +210,14 @@ def test_smith_factor_matches_one_shot_solve():
                 assert mat_vec(m, x) == b
 
 
-def dense_cohomology(seg):
+def dense_cohomology(A, B, nl):
     """Reference generators and class coordinates: dense U and V
     throughout, the identity kernel basis factored too."""
     def dense_mat_vec(mat, v):
         return [sum(r[j] * v[j] for j in range(len(v))) for r in mat]
 
-    nm, nl = len(seg.mid), len(seg.lower)
-    K = kernel_basis_Z(seg.B, nm) if seg.upper else identity(nm)
+    nm = len(A)
+    K = smith_normal_form(B, nm).kernel() if B else identity(nm)
     k = len(K)
     kU, kV, _, _ = dense(smith_normal_form(
         [[K[j][i] for j in range(k)] for i in range(nm)], k))
@@ -219,7 +227,7 @@ def dense_cohomology(seg):
         assert not any(c[k:])
         return dense_mat_vec(kV, c[:k])
 
-    cols = [in_kernel([seg.A[i][j] for i in range(nm)]) for j in range(nl)]
+    cols = [in_kernel([A[i][j] for i in range(nm)]) for j in range(nl)]
     csnf = smith_normal_form([[cols[j][i] for j in range(nl)]
                               for i in range(k)], nl)
     cU, _, cUinv, _ = dense(csnf)
@@ -238,7 +246,7 @@ def dense_cohomology(seg):
 def random_segment(rng):
     mid, low, up = rng.randint(1, 6), rng.randint(0, 4), rng.randint(0, 4)
     B = random_matrix(rng, up, mid, -3, 3) if up else []
-    kb = kernel_basis_Z(B, mid) if up else identity(mid)
+    kb = smith_normal_form(B, mid).kernel() if up else identity(mid)
     cols = []
     for _ in range(low):  # columns in ker B, some scaled for torsion
         v = [0] * mid
@@ -248,23 +256,22 @@ def random_segment(rng):
         scale = rng.choice((1, 2, 3))
         cols.append([scale * x for x in v])
     A = [[cols[j][i] for j in range(low)] for i in range(mid)]
-    return ComplexSegment(Z, list(range(low)), list(range(mid)),
-                          list(range(up)), A, B)
+    return A, B, low
 
 
 def test_class_coords_match_dense_computation():
     rng = random.Random(77)
     segs = [random_segment(rng) for _ in range(30)]
-    segs += [segment_at(X, Z, k) for X in fixture_complexes()
+    segs += [delta_segment(X, k) for X in fixture_complexes()
              for k in (0, 1, 2)]
-    for seg in segs:
-        data = cohomology_at(seg)
-        gens, coords = dense_cohomology(seg)
+    for A, B, nl in segs:
+        data = cohomology_at(Z, A, B, nl)
+        gens, coords = dense_cohomology(A, B, nl)
         assert data.generators == gens
-        nm, nl = len(seg.mid), len(seg.lower)
+        nm = len(A)
         for _ in range(4):
             # a random cocycle: generators plus a coboundary
-            vec = mat_vec(seg.A, [rng.randint(-3, 3) for _ in range(nl)]) \
+            vec = mat_vec(A, [rng.randint(-3, 3) for _ in range(nl)]) \
                 if nl else [0] * nm
             for _, rep in gens:
                 c = rng.randint(-3, 3)
@@ -290,17 +297,17 @@ def test_shared_factors_match_fresh_cohomology():
     for X in shared_factor_complexes():
         for k in (0, 1, 2):
             shared = segment_cohomology(X, Z, k)
-            seg = segment_at(X, Z, k)
-            fresh = cohomology_at(seg)
+            A, B, nl = delta_segment(X, k)
+            fresh = cohomology_at(Z, A, B, nl)
             assert shared.invariants == fresh.invariants
             assert shared.generators == fresh.generators
-            nm, nl = len(seg.mid), len(seg.lower)
+            nm = len(A)
             for _ in range(4):
                 x = [rng.randint(-3, 3) for _ in range(nl)]
-                cob = mat_vec(seg.A, x) if nl else [0] * nm
+                cob = mat_vec(A, x) if nl else [0] * nm
                 y = shared.preimage(cob)
                 assert y == fresh.preimage(cob)
-                assert y is not None and mat_vec(seg.A, y) == cob
+                assert y is not None and mat_vec(A, y) == cob
                 vec = cob
                 for _, rep in shared.generators:
                     c = rng.randint(-3, 3)
@@ -309,6 +316,49 @@ def test_shared_factors_match_fresh_cohomology():
             for _, rep in shared.generators:
                 assert shared.preimage(rep) is None
                 assert fresh.preimage(rep) is None
+
+
+def dense_route_complexes():
+    """The fixtures, the interval, and B(Z/3), B(Z/4) and B(Z/2 x Z/2) up
+    to 3-cells."""
+    from cupone.delta import bar_construction, cyclic_group_magma
+    from cupone.interval import interval_algebra
+    return fixture_complexes() + [interval_algebra(Z).delta] + [
+        bar_construction(cyclic_group_magma(mods), 3).delta
+        for mods in ((3,), (4,), (2, 2))]
+
+
+@pytest.mark.parametrize("ring", [Z, RingSpec.Zp(2), RingSpec.Zp(3),
+                                  RingSpec.Zp(17)], ids=str)
+def test_cohomology_matches_dense_segment_route(ring):
+    # segment_cohomology against the labeled, dense route it replaced
+    # (tests/segment_oracle.py): a segment of cell names and dense rows,
+    # with fresh factors per segment and, over GF(p), all rows of
+    # delta^k as dict columns.
+    from cupone.delta import segment_cohomology
+    from segment_oracle import cohomology_at as dense_cohomology_at
+    from segment_oracle import segment_at
+    rng = random.Random(2500 + (ring.p or 0))
+    complexes = dense_route_complexes()
+    assert len(complexes) == 13 + 1 + 3
+    for X in complexes:
+        for k in range(4):
+            if not X.cells[k]:
+                continue
+            new = segment_cohomology(X, ring, k)
+            old = dense_cohomology_at(segment_at(X, ring, k))
+            assert new.invariants == old.invariants
+            assert new.generators == old.generators
+            A, _, nl = delta_segment(X, k)
+            for _ in range(4):
+                cob = mat_vec(A, [rng.randint(-3, 3) for _ in range(nl)])
+                assert new.preimage(cob) == old.preimage(cob)
+                vec = cob
+                for _, rep in new.generators:
+                    c = rng.randint(-3, 3)
+                    vec = [a + c * b for a, b in zip(vec, rep)]
+                assert new.class_coords(vec) == old.class_coords(vec)
+                assert new.preimage(vec) == old.preimage(vec)
 
 
 def frozen_random_matrices():
@@ -410,11 +460,10 @@ def test_internal_checks_survive_optimize():
         "kernel = linalg.SNFResult.kernel\n"
         "linalg.SNFResult.kernel = lambda self: "
         "[[2 * x for x in v] for v in kernel(self)]\n"
-        "seg = linalg.ComplexSegment(RingSpec.Z(), [], ['a', 'b'], ['c'], "
-        "[], [[1, 1]])\n"
+        "seg = (RingSpec.Z(), [[], []], [[1, 1]], 0)\n"
         "rings.factorial = lambda n: 7\n"
         "print('debug', __debug__)\n"
-        "for check in (lambda: linalg.cohomology_at(seg),\n"
+        "for check in (lambda: linalg.cohomology_at(*seg),\n"
         "              lambda: rings.binom_of(5, 2)):\n"
         "    try:\n"
         "        check()\n"
@@ -480,11 +529,11 @@ def test_abelian_invariants_render():
 
 def circle_segment():
     # One vertex, one edge: 0 -> Z -> Z -> 0 with zero maps.
-    return ComplexSegment(Z, ["v"], ["e"], [], [[0]], [])
+    return Z, [[0]], [], 1
 
 
 def test_cohomology_circle():
-    data = cohomology_at(circle_segment())
+    data = cohomology_at(*circle_segment())
     assert data.invariants == AbelianInvariants(1, ())
     assert data.generators[0][0] == 0
     assert data.class_coords([3]) == [3]
@@ -493,8 +542,7 @@ def test_cohomology_circle():
 def test_cohomology_torsion():
     # <g | g^k>: relator matrix [k] in degree 2.
     for k in (2, 6):
-        seg = ComplexSegment(Z, ["e"], ["r"], [], [[k]], [])
-        data = cohomology_at(seg)
+        data = cohomology_at(Z, [[k]], [], 1)
         assert data.invariants == AbelianInvariants(0, (k,))
         assert data.class_coords([1]) == [1]
         assert data.class_coords([k]) == [0]
@@ -502,8 +550,7 @@ def test_cohomology_torsion():
 
 def test_cohomology_with_upper_term():
     # Z^2 --B--> Z with B = [1, 1]; A = 0. Kernel is rank 1.
-    seg = ComplexSegment(Z, [], ["a", "b"], ["c"], [], [[1, 1]])
-    data = cohomology_at(seg)
+    data = cohomology_at(Z, [[], []], [[1, 1]], 0)
     assert data.invariants == AbelianInvariants(1, ())
     rep = data.generators[0][1]
     assert rep[0] + rep[1] == 0
@@ -513,14 +560,13 @@ def test_cohomology_with_upper_term():
 
 def test_non_complex_segment_is_a_precondition_error():
     with pytest.raises(PreconditionError, match="B\\*A != 0"):
-        ComplexSegment(Z, ["f"], ["a", "b"], ["c"], [[1], [0]], [[1, 1]])
+        cohomology_at(Z, [[1], [0]], [[1, 1]], 1)
 
 
 @pytest.mark.parametrize("ring", [Z, Z5], ids=str)
 def test_non_cocycle_coords_are_a_precondition_error(ring):
     # Z goes through cohomology_Z, GF(p) through cohomology_sparse_zp.
-    data = cohomology_at(ComplexSegment(ring, [], ["a", "b"], ["c"], [],
-                                        [[1, 1]]))
+    data = cohomology_at(ring, [[], []], [[1, 1]], 0)
     with pytest.raises(PreconditionError, match="not a cocycle"):
         data.class_coords([1, 0])
 
@@ -534,7 +580,7 @@ def test_cohomology_random_consistency():
         up = rng.randint(0, 4)
         B = random_matrix(rng, up, mid) if up else []
         # Build A with columns inside ker B.
-        kb = kernel_basis_Z(B, mid) if up else identity(mid)
+        kb = smith_normal_form(B, mid).kernel() if up else identity(mid)
         cols = []
         for _ in range(low):
             v = [0] * mid
@@ -543,9 +589,7 @@ def test_cohomology_random_consistency():
                 v = [a + c * b for a, b in zip(v, kvec)]
             cols.append(v)
         A = [[cols[j][i] for j in range(low)] for i in range(mid)]
-        seg = ComplexSegment(Z, list(range(low)), list(range(mid)),
-                             list(range(up)), A, B)
-        data = cohomology_at(seg)
+        data = cohomology_at(Z, A, B, low)
         dim_ker = mid - (rank_over_Q(B) if up else 0)
         rank_im = rank_over_Q([list(r) for r in A]) if low and mid else 0
         assert data.invariants.rank == dim_ker - rank_im
@@ -782,12 +826,10 @@ def test_cohomology_sparse_zp_on_each_side_of_pack_rule(p):
 def test_cohomology_zp():
     ring = RingSpec.Zp(5)
     # Z5^2 --B--> Z5, B = [1, 1]; A = column (2, 3) with B*A = 0.
-    seg = ComplexSegment(ring, ["f"], ["a", "b"], ["c"], [[2], [3]], [[1, 1]])
-    data = cohomology_at(seg)
+    data = cohomology_at(ring, [[2], [3]], [[1, 1]], 1)
     assert data.invariants.rank == 0
     assert data.invariants.torsion == ()
-    seg2 = ComplexSegment(ring, [], ["a", "b"], ["c"], [], [[1, 1]])
-    data2 = cohomology_at(seg2)
+    data2 = cohomology_at(ring, [[], []], [[1, 1]], 0)
     assert data2.invariants.torsion == (5,)
     rep = data2.generators[0][1]
     assert (rep[0] + rep[1]) % 5 == 0
@@ -804,7 +846,7 @@ def test_cohomology_mod_p_dimension_oracle():
         up = rng.randint(0, 4)
         low = rng.randint(0, 4)
         B = random_matrix(rng, up, mid) if up else []
-        kb = kernel_basis_Z(B, mid) if up else identity(mid)
+        kb = smith_normal_form(B, mid).kernel() if up else identity(mid)
         cols = []
         for _ in range(low):
             v = [0] * mid
@@ -813,9 +855,7 @@ def test_cohomology_mod_p_dimension_oracle():
                 v = [a + c * b for a, b in zip(v, kvec)]
             cols.append(v)
         A = [[cols[j][i] for j in range(low)] for i in range(mid)]
-        seg = ComplexSegment(ring, list(range(low)), list(range(mid)),
-                             list(range(up)), A, B)
-        data = cohomology_at(seg)
+        data = cohomology_at(ring, A, B, low)
         elim_b = ZpEliminator(p, mid)
         for row in (B or []):
             elim_b.insert({j: v % p for j, v in enumerate(row) if v % p})

@@ -1,7 +1,7 @@
 import pytest
 
-from cupone.delta import coboundary, segment_at
-from cupone.linalg import AbelianInvariants, cohomology_at
+from cupone.delta import coboundary, segment_cohomology
+from cupone.linalg import AbelianInvariants
 from cupone.presentation import (
     PresentedGroup,
     borromean_presentation,
@@ -18,7 +18,7 @@ Z = RingSpec.Z()
 
 
 def cohomology(delta, ring, k):
-    return cohomology_at(segment_at(delta, ring, k)).invariants
+    return segment_cohomology(delta, ring, k).invariants
 
 
 def test_torus_complex_counts_and_cohomology():
@@ -86,7 +86,7 @@ def test_dual_hints_form_h1_basis_on_borromean():
     pc = presentation_complex(pg)
     X = pc.delta
     assert pg.all_zero_exponent_sums()
-    data = cohomology_at(segment_at(X, Z, 1))
+    data = segment_cohomology(X, Z, 1)
     assert data.invariants == AbelianInvariants(3, ())
     coords = [data.class_coords(pc.dual_cochain(g, Z).vector(X.cells[1]))
               for g in pg.generators]
@@ -144,5 +144,5 @@ def test_torus_cup_product_pairing():
     assert coboundary(X, c).is_zero() if c.dim == 2 else True
     val = c.pair_with_chain(pc.relator_cycle(0))
     assert val in (1, -1)
-    data = cohomology_at(segment_at(X, Z, 2))
+    data = segment_cohomology(X, Z, 2)
     assert data.class_coords(c.vector(X.cells[2])) in ([1], [-1])
