@@ -5,12 +5,12 @@ algebras, magmas and their classifying complexes, magma extensions by
 Faces are kept by position, d_0, ..., d_k of a k-cell as positions in
 the list of (k-1)-cells; cell names are only labels, for cochains and
 reports.  A finite magma keeps one product table on positions, and its
-complex writes every face from it and makes the name [x|y|z] of a 3-cell
-only when asked.  Over GF(p), p <= 13, the columns of delta^k reach the
-eliminator as packed rows written from the face positions in one pass
-(``coboundary_cols_packed``).  Cup products use the
-Alexander-Whitney front/back face rule; the cup-one product of
-1-cochains and the circle product of 2-cochains are pointwise.
+complex writes every face from it; a 3-cell name [x|y|z] is made, and a
+3-cell face written and checked, only when read.  Over GF(p), p <= 13,
+the columns of delta^k reach the eliminator as packed rows written from
+the face positions in one pass (``coboundary_cols_packed``).  Cup
+products use the Alexander-Whitney front/back face rule; the cup-one
+product of 1-cochains and the circle product of 2-cochains are pointwise.
 
 ``push_tensor`` sends T(X) to cochains along given 1-cochains rho(x):
 zeta_I to the pointwise binomials of the rho-values, a word to the cup
@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, product as iproduct, repeat
+from functools import partial, reduce
+from itertools import product as iproduct
 from operator import itemgetter, or_
 
 from .rings import (BinomialPoly, InternalError, MultiIndex,
@@ -35,7 +35,8 @@ class DeltaSet:
     """Semi-simplicial set truncated at dimension 3.
 
     ``cells[d]`` lists the names of the d-cells and ``faces[d][i]`` the
-    positions in ``cells[d - 1]`` of the faces of the i-th d-cell.
+    positions in ``cells[d - 1]`` of the faces of the i-th d-cell; on a
+    magma complex ``cells[3]`` and ``faces[3]`` are read-only sequences.
 
     The complex of a magma M checked associative also records
     ``last_generators``, the indices of a set S that generates M as a
@@ -111,55 +112,22 @@ class DeltaSet:
 
     def validate(self):
         """Every d-cell has d + 1 face positions inside cells[d - 1], and
-        d_i d_j = d_{j-1} d_i for i < j on every 2- and 3-cell.
-
-        Both are checked over whole face columns, in blocks of 4,096
-        cells to bound memory: at[j] picks face j of every cell in the
-        block, so at[j](lower[i]) lists d_i d_j.  A failing block falls
-        back to the per-cell scan, which names the first failing cell."""
+        d_i d_j = d_{j-1} d_i for i < j on every 2- and 3-cell.  Lazy
+        3-cell faces of a magma checked associative, beside the 2-cell
+        faces they were written with, are checked when read instead."""
         for d in (1, 2, 3):
-            top, n = self.faces[d], len(self.cells[d - 1])
+            top = self.faces[d]
             if len(top) != len(self.cells[d]):
                 raise ValueError(f"{len(self.cells[d])} {d}-cells but "
                                  f"{len(top)} face tuples")
-            if not top:
-                continue
-            inside = frozenset(range(n)).issuperset
-            # The faces of a 1-cell have no faces: it has positions only.
-            pairs = ([(i, j) for j in range(1, d + 1) for i in range(j)]
-                     if d > 1 else [])
-            lower = ([list(map(itemgetter(i), self.faces[d - 1]))
-                      for i in range(d)] if pairs else [])
-            for lo in range(0, len(top), 4096):
-                # Not zip(*block): it makes one iterator per cell, enough
-                # tracked objects to set off full GC passes on a big complex.
-                block = top[lo:lo + 4096]
-                cols = ([list(map(itemgetter(j), block)) for j in range(d + 1)]
-                        if set(map(len, block)) == {d + 1} else [])
-                if cols and all(map(inside, cols)):
-                    at = [itemgetter(*col) for col in cols]
-                    if all(at[j](lower[i]) == at[i](lower[j - 1])
-                           for i, j in pairs):
-                        continue
-                self._scan(d, pairs)
-                raise InternalError(
-                    f"the face columns of dimension {d} fail a check that "
-                    f"no {d}-cell fails")
+            if not (isinstance(top, _TripleFaces) and top.associative
+                    and top.lower is self.faces[2]):
+                _check_faces(d, top, self.faces[d - 1],
+                             len(self.cells[d - 1]), partial(self._scan, d))
 
     def _scan(self, d: int, pairs: list[tuple[int, int]]):
-        """Raise on the first d-cell whose faces are not d + 1 positions in
-        cells[d - 1] or fail d_i d_j = d_{j-1} d_i for an (i, j) in pairs."""
-        n, lower = len(self.cells[d - 1]), self.faces[d - 1]
-        for c, fs in zip(self.cells[d], self.faces[d]):
-            if len(fs) != d + 1 or not all(0 <= f < n for f in fs):
-                raise ValueError(f"cell {c!r} needs {d + 1} face positions "
-                                 f"in range({n}), not {fs!r}")
-            ffs = [lower[f] for f in fs]
-            for i, j in pairs:
-                if ffs[j][i] != ffs[i][j - 1]:
-                    raise ValueError(
-                        f"face identity fails on {c!r}: "
-                        f"d_{i} d_{j} != d_{j - 1} d_{i}")
+        _scan_cells(d, pairs, self.cells[d], self.faces[d],
+                    self.faces[d - 1], len(self.cells[d - 1]))
 
     def face_table(self, p: int, q: int) -> list[tuple[str, str, str]]:
         """(s, front p-face, back q-face) for every (p+q)-cell s, in
@@ -198,6 +166,49 @@ class DeltaSet:
     def __repr__(self):
         counts = [len(self.cells[d]) for d in range(4)]
         return f"DeltaSet(cells={counts})"
+
+
+def _check_faces(d: int, top, lower, n: int, scan):
+    """Check the faces ``top`` of d-cells against ``lower``, the faces of
+    the n (d-1)-cells, over whole face columns, in blocks of 4,096 cells
+    to bound memory: at[j] picks face j of every cell in the block, so
+    at[j](lower[i]) lists d_i d_j.  A failing block calls ``scan(pairs)``,
+    the per-cell scan, which names the first failing cell."""
+    if not top:
+        return
+    inside = frozenset(range(n)).issuperset
+    # The faces of a 1-cell have no faces: it has positions only.
+    pairs = ([(i, j) for j in range(1, d + 1) for i in range(j)]
+             if d > 1 else [])
+    lower = ([list(map(itemgetter(i), lower)) for i in range(d)]
+             if pairs else [])
+    for lo in range(0, len(top), 4096):
+        # Not zip(*block): it makes one iterator per cell, enough tracked
+        # objects to set off full GC passes on a big complex.
+        block = top[lo:lo + 4096]
+        cols = ([list(map(itemgetter(j), block)) for j in range(d + 1)]
+                if set(map(len, block)) == {d + 1} else [])
+        if cols and all(map(inside, cols)):
+            at = [itemgetter(*col) for col in cols]
+            if all(at[j](lower[i]) == at[i](lower[j - 1]) for i, j in pairs):
+                continue
+        scan(pairs)
+        raise InternalError(f"the face columns of dimension {d} fail a "
+                            f"check that no {d}-cell fails")
+
+
+def _scan_cells(d: int, pairs, names, top, lower, n: int, error=ValueError):
+    """Raise ``error`` on the first d-cell, of ``names``, whose faces in
+    ``top`` are not d + 1 positions in range(n) or fail an identity."""
+    for c, fs in zip(names, top):
+        if len(fs) != d + 1 or not all(0 <= f < n for f in fs):
+            raise error(f"cell {c!r} needs {d + 1} face positions "
+                        f"in range({n}), not {fs!r}")
+        ffs = [lower[f] for f in fs]
+        for i, j in pairs:
+            if ffs[j][i] != ffs[i][j - 1]:
+                raise error(f"face identity fails on {c!r}: "
+                            f"d_{i} d_{j} != d_{j - 1} d_{i}")
 
 
 class Cochain:
@@ -456,6 +467,42 @@ class _TripleNames(Sequence):
                 and not any("|" in x for x in names))
 
 
+class _TripleFaces(_TripleNames):
+    """The faces (b|c, ab|c, a|bc, a|b) of the same 3-cells [a|b|c], by
+    position, written from ``prod`` and checked against ``lower``, the
+    2-cell faces, when read: ``rows`` writes only the cells asked for, a
+    full read (indexing, slicing, iteration) the whole column, once.  Of
+    the face identities only d_1 d_2 = d_1 d_1 reads ``prod`` twice: it is
+    associativity, which ``associative`` records as checked."""
+
+    def __init__(self, names, prod, lower, associative: bool):
+        super().__init__(names)
+        self.prod, self.lower, self.associative = prod, lower, associative
+        self._column = None
+
+    def rows(self, rows) -> list[tuple[int, int, int, int]]:
+        # [a|b|c] is cell r = (a n + b) n + c: [a|b] is r // n, [b|c] is
+        # r % n^2, and ab = flat[a n + b]; one int per 2-cell position.
+        n, lower = len(self.prod), self.lower
+        nn, flat = n * n, [x for row in self.prod for x in row]
+        pos = list(range(nn))
+        out = [(pos[r % nn], pos[flat[r // n] * n + r % n],
+                pos[r // nn * n + flat[r % nn]], pos[r // n]) for r in rows]
+        names = map(partial(_TripleNames.__getitem__, self), rows)
+        _check_faces(3, out, lower, len(lower), partial(
+            _scan_cells, 3, names=names, top=out, lower=lower, n=len(lower),
+            error=InternalError))
+        return out
+
+    def __getitem__(self, i):
+        if self._column is None:
+            self._column = self.rows(range(len(self)))
+        return self._column[i]
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 @dataclass
 class MagmaComplex:
     """Delta(M) up to dimension <= 3; its cells list the elements, pairs
@@ -466,10 +513,11 @@ class MagmaComplex:
 
 # Largest |G|^k that delta_from_magma and bar_construction take on, for
 # the |G|^max_dim top cells and, in the monoid check of bar_construction,
-# the |G|^3 associativity triples.  Measured on B(Z_2^k) at dimension 3:
-# 262,144 3-cells (k = 6) build in 0.4 s at 103 MB peak RSS, 2,097,152
-# (k = 7) in 3.4 s at 708 MB; 16.8M associativity triples (|G| = 256)
-# take 0.8 s (one core of a 2-core x86 host, Python 3.11).
+# the |G|^3 associativity triples.  Measured on B(Z_2^k) at dimension 3,
+# which writes its 3-cells only when read: 262,144 3-cells (k = 6) build
+# in 0.01 s, and a full read of their faces takes 0.23 s at 45 MB peak
+# RSS, 2,097,152 (k = 7) 2.7 s at 230 MB; 16.8M associativity triples
+# (|G| = 256) take 0.8 s (one core of a 2-core x86 host, Python 3.11).
 MAGMA_CELL_LIMIT = 262_144
 
 
@@ -548,21 +596,10 @@ def _magma_complex(m: FiniteMagma, max_dim: int,
         faces[2] = [(j, ab, i) for i in range(n)
                     for j, ab in enumerate(prod[i])]
     if max_dim >= 3:
-        # [a|b|c] -> (b|c, ab|c, a|bc, a|b).  For each a these run over all
-        # b|c in order, the block ab|. for each b, a|bc along the flat
-        # table, and each a|b n times; zip builds the tuples in C from one
-        # shared int per 2-cell position.  Only a cochain or a report reads
-        # a 3-cell name, so each is made when asked.
+        # Only a cochain or a report reads a 3-cell name, and GF(p)
+        # cohomology reads only the generator rows of the faces.
         cells[3] = _TripleNames(names)
-        pos = list(range(n * n))
-        flat = [bc for row in prod for bc in row]
-        for i, row in enumerate(prod):
-            mine = pos[i * n:i * n + n]
-            faces[3].extend(zip(
-                pos,
-                chain.from_iterable([pos[ab * n:ab * n + n] for ab in row]),
-                map(mine.__getitem__, flat),
-                chain.from_iterable(map(repeat, mine, repeat(n, n)))))
+        faces[3] = _TripleFaces(names, prod, faces[2], associative)
     delta = DeltaSet.from_positions(cells, faces)
     if associative and max_dim >= 2:
         delta.last_generators = _semigroup_generators(
@@ -802,16 +839,24 @@ def coboundary_matrix(X: DeltaSet, k: int) -> list[list[int]]:
     return rows
 
 
+def _face_rows(X: DeltaSet, d: int, rows: list[int] | None):
+    """X.faces[d], or its entries at ``rows``: lazy faces write only those."""
+    top = X.faces[d]
+    if rows is None:
+        return top
+    if rows and not 0 <= min(rows) <= max(rows) < len(top):
+        raise InternalError(f"rows outside 0..{len(top) - 1}")
+    return (top.rows(rows) if isinstance(top, _TripleFaces)
+            else [top[r] for r in rows])
+
+
 def coboundary_cols_sparse(X: DeltaSet, k: int, p: int,
                            rows: list[int] | None = None) -> list[dict]:
     """Columns of delta^k as sparse dicts row -> value mod p.  The rows
     are the (k+1)-cells, or only the cells[k + 1][r] for r in ``rows``,
     numbered by their position there."""
     cols: list[dict] = [{} for _ in X.cells[k]]
-    upper = X.faces[k + 1]
-    if rows is not None:
-        upper = [upper[r] for r in rows]
-    for si, fs in enumerate(upper):
+    for si, fs in enumerate(_face_rows(X, k + 1, rows)):
         sign = 1
         for j in fs:
             col = cols[j]
@@ -832,22 +877,18 @@ def coboundary_cols_packed(X: DeltaSet, k: int, p: int,
     holds 1, for odd p the list whose entry c is that mask for the value c
     and whose entry 0 is their union.  One pass over the faces: the row of
     a cell holds (-1)^t at its face t, summed over repeated faces."""
-    upper = X.faces[k + 1]
-    if rows is None:
-        rows = range(len(upper))
-    elif rows and not 0 <= min(rows) <= max(rows) < len(upper):
-        raise InternalError(f"rows outside 0..{len(upper) - 1}")
+    upper = _face_rows(X, k + 1, rows)
     if p == 2:
         cols = [0] * len(X.cells[k])
-        for si, r in enumerate(rows):
+        for si, fs in enumerate(upper):
             bit = 1 << si
-            for j in upper[r]:
+            for j in fs:
                 cols[j] ^= bit
         return cols
     cols = [[0] * p for _ in range(len(X.cells[k]))]
     signs = (1, p - 1, 1, p - 1)
-    for si, r in enumerate(rows):
-        bit, fs = 1 << si, upper[r]
+    for si, fs in enumerate(upper):
+        bit = 1 << si
         if len(set(fs)) == len(fs):
             for j, sign in zip(fs, signs):
                 cols[j][sign] |= bit
