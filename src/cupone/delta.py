@@ -1,6 +1,6 @@
 """Finite Delta-sets (dimension <= 3) and their binomial cup-one cochain
-algebras, magmas and their classifying complexes, magma extensions by
-2-cochains, and the pushforward of tensor elements into cochains.
+algebras, finite magmas and their classifying complexes, and the
+pushforward of tensor elements into cochains.
 
 Faces are kept by position, d_0, ..., d_k of a k-cell as positions in
 the list of (k-1)-cells; cell names are only labels, for cochains and
@@ -19,15 +19,14 @@ product of its factors.  psi is this map along the coordinate cochains
 """
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product as iproduct
 from operator import itemgetter, or_
 
-from .rings import (BinomialPoly, InternalError, MultiIndex,
-                    PreconditionError, RingSpec, eval_index)
+from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
+                    eval_index)
 from .tensor import TensorElem
 
 
@@ -627,137 +626,6 @@ def bar_construction(g: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     # is_monoid has checked associativity, which dimension 3 and the
     # generator rows need.
     return _magma_complex(g, max_dim, associative=True)
-
-
-# ---------------------------------------------------------------------------
-# mu_tau: magma laws from 2-tensor assignments
-
-class MagmaLaw:
-    """mu_tau(a, a') = a + a' - f_tau(a, a') on M(X, R).
-
-    tau maps each generator to a degree-2 TensorElem over the other
-    generators; elements are coordinate tuples aligned with ``gens``.
-    """
-
-    def __init__(self, gens: list[str], tau: dict[str, TensorElem],
-                 ring: RingSpec):
-        self.gens = list(gens)
-        self.ring = ring
-        self.tau = {g: tau.get(g) for g in gens}
-        for g, t in self.tau.items():
-            if t is not None and not t.is_zero() and t.degree() != 2:
-                raise PreconditionError(f"tau({g}) must have degree 2")
-
-    def f_tau(self, a, b) -> tuple:
-        pa, pb = dict(zip(self.gens, a)), dict(zip(self.gens, b))
-        ring = self.ring
-        out = []
-        for g in self.gens:
-            t = self.tau.get(g)
-            total = 0
-            for (i1, i2), c in (t.terms.items() if t is not None else ()):
-                v = c * eval_index(i1, pa, ring)
-                if v:
-                    total += v * eval_index(i2, pb, ring)
-            out.append(ring.normalize(total))
-        return tuple(out)
-
-    def apply(self, a, b) -> tuple:
-        f = self.f_tau(a, b)
-        return tuple(self.ring.normalize(x + y - z)
-                     for x, y, z in zip(a, b, f))
-
-    def law_polynomials(self, prime: str = "'") -> dict[str, BinomialPoly]:
-        """Symbolic law: mu(a, a')(x) as a polynomial in the generator
-        values and their primed copies."""
-        out = {}
-        for gi, g in enumerate(self.gens):
-            p = (BinomialPoly.gen(self.ring, g)
-                 + BinomialPoly.gen(self.ring, g + prime))
-            t = self.tau.get(g)
-            if t is not None and not t.is_zero():
-                for word, c in t.terms.items():
-                    i1, i2 = word
-                    left = BinomialPoly._tidy(self.ring, [(i1, 1)])
-                    primed = MultiIndex((n + prime, e) for n, e in i2.entries)
-                    right = BinomialPoly._tidy(self.ring, [(primed, 1)])
-                    p = p - (left * right).scale(c)
-            out[g] = p
-        return out
-
-    def to_finite_magma(self) -> FiniteMagma:
-        if not self.ring.is_modular:
-            raise PreconditionError("finite carrier requires Z_p")
-        p = self.ring.p
-        elements = [tuple(t) for t in iproduct(range(p),
-                                               repeat=len(self.gens))]
-        name = lambda e: ",".join(str(x) for x in e)
-        return FiniteMagma(elements, self.apply,
-                           unit=tuple(0 for _ in self.gens), name_fn=name)
-
-
-@dataclass
-class AdmissibilityVerdict:
-    status: str          # "admissible" | "not-associative" | "no-counterexample-found"
-    counterexample: tuple | None = None
-    samples: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("admissible", "no-counterexample-found")
-
-
-def check_admissible(m, box: int = 4, samples: int = 200,
-                     seed: int = 0) -> AdmissibilityVerdict:
-    """Exhaustive associativity check on finite carriers; sampled integer
-    box over Z (which can only ever report 'no counterexample found')."""
-    if isinstance(m, FiniteMagma):
-        witness = m.associativity_counterexample()
-        if witness is None:
-            return AdmissibilityVerdict("admissible")
-        return AdmissibilityVerdict("not-associative", witness)
-    if not isinstance(m, MagmaLaw):
-        raise TypeError("expected FiniteMagma or MagmaLaw")
-    if m.ring.is_modular:
-        return check_admissible(m.to_finite_magma())
-    rng = random.Random(seed)
-    n = len(m.gens)
-    for _ in range(samples):
-        a, b, c = (tuple(rng.randint(-box, box) for _ in range(n))
-                   for _ in range(3))
-        if m.apply(m.apply(a, b), c) != m.apply(a, m.apply(b, c)):
-            return AdmissibilityVerdict("not-associative", (a, b, c))
-    return AdmissibilityVerdict("no-counterexample-found", samples=samples)
-
-
-def extension_magma(m: FiniteMagma, moduli: tuple[int, ...],
-                    nu: dict) -> tuple[FiniteMagma, tuple | None]:
-    """Extension of (M, mu) by the abelian group prod Z_{m_i} along nu.
-
-    ``nu`` maps ordered pairs of M-elements to B-tuples.  Returns the
-    extension magma and an associativity counterexample (None when nu is
-    a cocycle, by the coboundary formula on Delta(M))."""
-
-    def nu_val(a, b):
-        v = nu.get((a, b))
-        return tuple(v) if v is not None else tuple(0 for _ in moduli)
-
-    def badd(x, y):
-        return tuple((p + q) % mm for p, q, mm in zip(x, y, moduli))
-
-    elements = [(a, t) for a in m.elements
-                for t in iproduct(*(range(mm) for mm in moduli))]
-
-    def op(x, y):
-        (a1, b1), (a2, b2) = x, y
-        return (m.op(a1, a2), badd(badd(b1, b2), nu_val(a1, a2)))
-
-    unit = None
-    if m.unit is not None:
-        unit = (m.unit, tuple(0 for _ in moduli))
-    name = lambda e: f"{m.name_fn(e[0])};{','.join(str(x) for x in e[1])}"
-    ext = FiniteMagma(elements, op, unit=unit, name_fn=name)
-    return ext, ext.associativity_counterexample()
 
 
 # ---------------------------------------------------------------------------

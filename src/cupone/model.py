@@ -33,8 +33,6 @@ from .delta import (
     Cochain,
     DeltaSet,
     MAGMA_CELL_LIMIT,
-    MagmaLaw,
-    check_admissible,
     check_magma_size,
     coboundary,
     cup1_cochain,
@@ -59,6 +57,7 @@ from .linalg import (
     smith_normal_form,
     solve_Z,
 )
+from .magma import MagmaLaw, check_admissible
 from .rings import InternalError, MultiIndex, PreconditionError, RingSpec
 from .tensor import TensorElem, cup
 

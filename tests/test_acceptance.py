@@ -8,11 +8,7 @@ import time
 
 import pytest
 
-from cupone.delta import (
-    cyclic_group_magma,
-    coboundary,
-    extension_magma,
-)
+from cupone.delta import cyclic_group_magma, coboundary
 from cupone.differential import (
     GeneratorSet,
     apply_d,
@@ -21,6 +17,7 @@ from cupone.differential import (
     zero_differential,
 )
 from cupone.linalg import AbelianInvariants, smith_normal_form
+from cupone.magma import extension_magma
 from cupone.massey import magnus_gate
 from cupone.model import (
     construct_homotopy,

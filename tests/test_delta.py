@@ -7,9 +7,7 @@ import pytest
 from cupone.delta import (
     Cochain,
     FiniteMagma,
-    MagmaLaw,
     bar_construction,
-    check_admissible,
     coboundary,
     cup1_21_from_decomposition,
     cup1_cochain,
@@ -17,7 +15,6 @@ from cupone.delta import (
     cup_cochain,
     cyclic_group_magma,
     delta_from_magma,
-    extension_magma,
     psi_embed,
     segment_cohomology,
     steenrod_cup1_21,
@@ -26,6 +23,7 @@ from cupone.delta import (
 from cupone.formats import detect_and_parse
 from cupone.interval import interval_algebra
 from cupone.linalg import AbelianInvariants
+from cupone.magma import MagmaLaw, check_admissible, extension_magma
 from cupone.presentation import presentation_complex
 from cupone.rings import MultiIndex, RingSpec, binom_of
 from cupone.tensor import TensorElem, cup

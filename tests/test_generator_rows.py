@@ -14,7 +14,6 @@ import pytest
 
 from cupone.delta import (
     FiniteMagma,
-    MagmaLaw,
     _semigroup_generators,
     bar_construction,
     coboundary_cols_sparse,
@@ -25,6 +24,7 @@ from cupone.delta import (
 )
 from cupone.formats import detect_and_parse
 from cupone.linalg import cohomology_sparse_zp, mat_vec
+from cupone.magma import MagmaLaw
 from cupone.rings import PreconditionError, RingSpec
 from cupone.tensor import TensorElem, cup
 from dict_rows_oracle import kernel_mod_p

@@ -459,7 +459,7 @@ def test_realize_group_zp_exhaustive():
 
 
 def test_realize_group_zp_builds_one_finite_magma(monkeypatch):
-    from cupone.delta import MagmaLaw
+    from cupone.magma import MagmaLaw
     built = []
     to_finite = MagmaLaw.to_finite_magma
 
@@ -596,10 +596,11 @@ def test_psi_iso_for_realized_heisenberg_group_mod3():
     """Dual route: H^2 of the Heisenberg stage-2 model over Z_3 matches
     H^2 of the classifying complex of the realized order-27 group, and
     psi carries a basis to a basis (the structural quasi-isomorphism)."""
-    from cupone.delta import (MagmaLaw, delta_from_magma, psi_embed,
+    from cupone.delta import (delta_from_magma, psi_embed,
                               segment_cohomology)
     from cupone.differential import Differential
     from cupone.linalg import ZpEliminator
+    from cupone.magma import MagmaLaw
     from cupone.model import ModelStage, h2_stage_Zp
 
     ring = RingSpec.Zp(3)

@@ -11,12 +11,12 @@ from itertools import product
 import pytest
 
 from cupone.delta import (
-    MagmaLaw,
     bar_construction,
     cyclic_group_magma,
     delta_from_magma,
     psi_embed,
 )
+from cupone.magma import MagmaLaw
 from cupone.rings import MultiIndex, PreconditionError, RingSpec, binom_of
 from cupone.tensor import TensorElem, cup
 from test_generator_rows import heisenberg_law, transformation_monoid_3

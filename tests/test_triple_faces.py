@@ -5,7 +5,6 @@ checks that every read face still passes."""
 import pytest
 
 from cupone.delta import (
-    MagmaLaw,
     _TripleFaces,
     bar_construction,
     coboundary_cols_packed,
@@ -14,6 +13,7 @@ from cupone.delta import (
     delta_from_magma,
     segment_cohomology,
 )
+from cupone.magma import MagmaLaw
 from cupone.rings import InternalError, RingSpec
 from faces_oracle import three_cell_faces
 
