@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product as iproduct
-from operator import itemgetter, or_
+from operator import itemgetter, ne, or_
 
 from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
                     eval_index)
@@ -378,14 +378,13 @@ def steenrod_cup1_21(X: DeltaSet, u: Cochain, b: Cochain) -> Cochain:
 # magmas and their complexes
 
 class FiniteMagma:
-    """Finite carrier with a binary operation given by a table or callable,
-    kept once on positions: elements[prod[i][j]] = elements[i] elements[j]."""
+    """Finite carrier with a binary operation, kept once as a table on
+    positions: elements[prod[i][j]] = elements[i] elements[j].  The table
+    is built from a callable or dict, or taken as it is (``from_table``)."""
 
     def __init__(self, elements, op, unit=None, name_fn=None):
-        self.elements = list(elements)
-        self._index = index = {e: i for i, e in enumerate(self.elements)}
-        if len(index) != len(self.elements):
-            raise ValueError("duplicate carrier elements")
+        self._carrier(elements, unit, name_fn)
+        index = self._index
         if not callable(op):
             op = lambda a, b, table=dict(op): table[(a, b)]
         self.prod = [[index.get(op(a, b)) for b in self.elements]
@@ -394,6 +393,27 @@ class FiniteMagma:
             if None in row:
                 b = self.elements[row.index(None)]
                 raise ValueError(f"product {a}*{b} leaves the carrier")
+
+    @classmethod
+    def from_table(cls, elements, prod: list[list[int]], unit=None,
+                   name_fn=None) -> "FiniteMagma":
+        """The magma whose table on positions is ``prod``."""
+        m = cls.__new__(cls)
+        m._carrier(elements, unit, name_fn)
+        n = len(m.elements)
+        inside = frozenset(range(n)).issuperset
+        if len(prod) != n or not all(len(row) == n and inside(row)
+                                     for row in prod):
+            raise ValueError(f"a product table on {n} elements needs {n} "
+                             f"rows of {n} positions in range({n})")
+        m.prod = prod
+        return m
+
+    def _carrier(self, elements, unit, name_fn):
+        self.elements = list(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise ValueError("duplicate carrier elements")
         self.unit = unit
         self.name_fn = name_fn or (lambda e: str(e))
 
@@ -401,14 +421,32 @@ class FiniteMagma:
         return self.elements[self.prod[self._index[a]][self._index[b]]]
 
     def associativity_counterexample(self):
-        prod, e = self.prod, self.elements
-        for a, row_a in enumerate(prod):
-            for b, row_b in enumerate(prod):
-                row_ab = prod[row_a[b]]
-                for c, bc in enumerate(row_b):
-                    if row_ab[c] != row_a[bc]:
-                        return (e[a], e[b], e[c])
-        return None
+        """The first (a, b, c) in element order with (ab)c != a(bc), or
+        None.  Light's test: L = {s : (xs)y = x(sy) for all x, y} is closed
+        under the product in any magma, so M is associative once L holds a
+        set S that generates M; S picks, in element order, each element
+        that right products of earlier picks do not reach.  Each (s, x) is
+        one row comparison, (xs)y against x(sy) over all y.  Only on a
+        failure are the pairs (a, b) scanned, a row each, for the first c."""
+        rows = [tuple(row) for row in self.prod]
+        if len(rows) < 2:  # an itemgetter of one index returns no tuple
+            return None
+        picks, reached = [], set()
+        for g in range(len(rows)):
+            if g not in reached:
+                picks.append(g)
+                reached = _right_closure(rows, picks)
+        if not any(any(map(ne, map(itemgetter(*rows[s]), rows),
+                           map(rows.__getitem__, map(itemgetter(s), rows))))
+                   for s in picks):
+            return None
+        a_bc = [itemgetter(*row) for row in rows]  # a_bc[b](row a)
+        a, b = next((a, b) for a, row in enumerate(rows)
+                    for b, ab in enumerate(row) if rows[ab] != a_bc[b](row))
+        c = next(c for c, (u, v) in enumerate(zip(
+            rows[rows[a][b]], a_bc[b](rows[a]))) if u != v)
+        e = self.elements
+        return (e[a], e[b], e[c])
 
     def is_monoid(self) -> bool:
         if self.unit is None:
@@ -512,11 +550,14 @@ class MagmaComplex:
 
 # Largest |G|^k that delta_from_magma and bar_construction take on, for
 # the |G|^max_dim top cells and, in the monoid check of bar_construction,
-# the |G|^3 associativity triples.  Measured on B(Z_2^k) at dimension 3,
-# which writes its 3-cells only when read: 262,144 3-cells (k = 6) build
-# in 0.01 s, and a full read of their faces takes 0.23 s at 45 MB peak
-# RSS, 2,097,152 (k = 7) 2.7 s at 230 MB; 16.8M associativity triples
-# (|G| = 256) take 0.8 s (one core of a 2-core x86 host, Python 3.11).
+# the |G|^3 associativity triples (Light's test reads |G|^2 |S| of them,
+# but the guard counts them all).  group-realize takes it on the |G|^2
+# entries of the product table it builds.  Measured on B(Z_2^k) at
+# dimension 3, which writes its 3-cells only when read: 262,144 3-cells
+# (k = 6) build in 0.01 s, and a full read of their faces takes 0.23 s
+# at 45 MB peak RSS, 2,097,152 (k = 7) 2.7 s at 230 MB; group-realize on
+# a law with |G| = 512 takes about 1 s at 37 MB (one core of a 2-core x86
+# host, Python 3.11).
 MAGMA_CELL_LIMIT = 262_144
 
 
@@ -549,6 +590,22 @@ def delta_from_magma(m: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
     return _magma_complex(m, max_dim, associative=max_dim >= 3)
 
 
+def _right_closure(prod, picks: list[int]) -> set[int]:
+    """The picks and their right products by picks, ((s s')s'')...: a
+    subset of the submagma the picks generate, all of it when M is
+    associative, since each product of picks is a shorter one times a
+    pick."""
+    seen = set(picks)
+    queue = list(picks)
+    for x in queue:
+        for s in picks:
+            y = prod[x][s]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def _semigroup_generators(prod: list[list[int]], unit) -> list[int]:
     """A set S that generates an associative magma with product table
     ``prod`` (on indices) as a semigroup, ascending.  Each pick is the
@@ -556,26 +613,14 @@ def _semigroup_generators(prod: list[list[int]], unit) -> list[int]:
     on a tie, and the unit only when nothing else is left: a finite group
     never needs it, a monoid such as max on {0..3} does.  Every caller
     has capped |M| at 64, so trying each element per pick is cheap."""
-
-    def closure(picks: list[int]) -> set[int]:
-        # Each product of picks is a shorter one times a pick.
-        seen = set(picks)
-        queue = list(picks)
-        for x in queue:
-            for s in picks:
-                y = prod[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
     gens: list[int] = []
     reached: set[int] = set()
     while len(reached) < len(prod):
         left = [g for g in range(len(prod))
                 if g not in reached and g != unit] or [unit]
-        gens.append(max(left, key=lambda g: len(closure(gens + [g]))))
-        reached = closure(gens)
+        gens.append(max(left,
+                        key=lambda g: len(_right_closure(prod, gens + [g]))))
+        reached = _right_closure(prod, gens)
     return sorted(gens)
 
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
+from operator import mul
 
 from .delta import FiniteMagma
 from .rings import (BinomialPoly, MultiIndex, PreconditionError, RingSpec,
@@ -68,14 +69,52 @@ class MagmaLaw:
         return out
 
     def to_finite_magma(self) -> FiniteMagma:
+        """Z_p^n under mu_tau, its elements in ``iproduct`` order, so that
+        (a_0, ..., a_{n-1}) sits at position sum_g a_g p^(n-1-g).  The
+        table is written from per-point tables, a row at a time: each index
+        of tau is evaluated once per element, and coordinate g of ab is
+        (a_g + b_g - sum_t c_t I_t(a) J_t(b)) mod p over the terms
+        c_t [I_t|J_t] of tau(g)."""
         if not self.ring.is_modular:
             raise PreconditionError("finite carrier requires Z_p")
-        p = self.ring.p
-        elements = [tuple(t) for t in iproduct(range(p),
-                                               repeat=len(self.gens))]
+        ring, p, n = self.ring, self.ring.p, len(self.gens)
+        elements = [tuple(t) for t in iproduct(range(p), repeat=n)]
+        points = [dict(zip(self.gens, e)) for e in elements]
+        at: dict = {}  # index -> its values at the elements
+
+        def values(idx):
+            if idx not in at:
+                at[idx] = [eval_index(idx, x, ring) for x in points]
+            return at[idx]
+
+        terms = [[(c, values(i1), values(i2))
+                  for (i1, i2), c in (t.terms.items() if t is not None else ())]
+                 for t in self.tau.values()]
+        # sums[g][s]: coordinate g of s + b over the elements b; plain[g][s]
+        # the same times p^(n-1-g), its share of the position of s + b.
+        weights = [p ** (n - 1 - g) for g in range(n)]
+        sums = [[[(s + b[g]) % p for b in elements] for s in range(p)]
+                for g in range(n)]
+        plain = [[[w * v for v in col] for col in cols]
+                 for w, cols in zip(weights, sums)]
+        zero = [0] * len(elements)  # a row even when n = 0
+        prod = []
+        for x, a in enumerate(elements):
+            cols = [zero]
+            for g, ts in enumerate(terms):
+                fs = [map(mul, right, repeat(c * left[x]))
+                      for c, left, right in ts if left[x]]
+                if not fs:
+                    cols.append(plain[g][a[g]])
+                    continue
+                f = fs[0] if len(fs) == 1 else map(sum, zip(*fs))
+                w = weights[g]
+                cols.append([w * ((u - v) % p)
+                             for u, v in zip(sums[g][a[g]], f)])
+            prod.append(list(map(sum, zip(*cols))))
         name = lambda e: ",".join(str(x) for x in e)
-        return FiniteMagma(elements, self.apply,
-                           unit=tuple(0 for _ in self.gens), name_fn=name)
+        return FiniteMagma.from_table(elements, prod, unit=elements[0],
+                                      name_fn=name)
 
 
 @dataclass

@@ -393,19 +393,35 @@ def test_cli_massey_defect_is_not_a_result(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fixture, ring", [
-    ("borromean_n1", "Zp:2"),   # |G| = 2^9 = 512
-    ("heisenberg_k2", "Zp:3"),  # |G| = 3^5 = 243
+    ("torus", "Zp:5"),          # |G| = 5^4 = 625
+    ("heisenberg_k3", "Zp:3"),  # |G| = 3^6 = 729
 ])
-def test_cli_group_realize_refuses_large_zp_group(capsys, fixture, ring):
-    # The exhaustive associativity scan is cubic in |G|; the group is
-    # refused before its multiplication table is built.
+def test_cli_group_realize_refuses_large_zp_group(capsys, monkeypatch,
+                                                  fixture, ring):
+    # Checking the group axioms builds a table of |G|^2 products; the group
+    # is refused before that table is built.
+    from cupone.magma import MagmaLaw
+
+    def no_table(law):
+        raise AssertionError("product table built before the size guard")
+
+    monkeypatch.setattr(MagmaLaw, "to_finite_magma", no_table)
     start = time.monotonic()
     code, out, err = run_cli(capsys, "group-realize", "--ring", ring,
                              str(FIXTURES / f"{fixture}.pres"))
     assert time.monotonic() - start < 5
     assert (code, out) == (1, "")
     assert "group-realize refused" in err
-    assert "associativity triples" in err
+    assert "table entries (limit 262,144)" in err
+
+
+def test_cli_group_realize_admits_order_243(capsys):
+    # |G| = 3^5: 59,049 table entries, under the limit.
+    code, out, err = run_cli(capsys, "group-realize", "--ring", "Zp:3",
+                             str(FIXTURES / "heisenberg_k2.pres"))
+    assert (code, err) == (0, "")
+    assert "audit associativity: admissible\n" in out
+    assert "audit order: 243\n" in out
 
 
 def test_massey_output_frozen(capsys):
