@@ -440,7 +440,8 @@ class FiniteMagma:
                            map(rows.__getitem__, map(itemgetter(s), rows))))
                    for s in picks):
             return None
-        a_bc = [itemgetter(*row) for row in rows]  # a_bc[b](row a)
+        # a_bc[b](rows[a]) lists a(bc) over c, and rows[ab] lists (ab)c.
+        a_bc = [itemgetter(*row) for row in rows]
         a, b = next((a, b) for a, row in enumerate(rows)
                     for b, ab in enumerate(row) if rows[ab] != a_bc[b](row))
         c = next(c for c, (u, v) in enumerate(zip(
@@ -564,8 +565,8 @@ MAGMA_CELL_LIMIT = 262_144
 def check_magma_size(base: int, max_dim: int, monoid: bool = False,
                      power: int = 1):
     """Refuse a magma complex on |G| = base^power elements before any
-    table is built: its |G|^max_dim top cells, and the |G|^3 triples of
-    the associativity scan when the monoid check runs."""
+    table is built: its |G|^max_dim top cells, and the |G|^3 associativity
+    triples when the monoid check runs."""
     if base < 2:
         return
     k = power * (max(max_dim, 3) if monoid else max_dim)

@@ -80,16 +80,12 @@ class MagmaLaw:
         ring, p, n = self.ring, self.ring.p, len(self.gens)
         elements = [tuple(t) for t in iproduct(range(p), repeat=n)]
         points = [dict(zip(self.gens, e)) for e in elements]
-        at: dict = {}  # index -> its values at the elements
-
-        def values(idx):
-            if idx not in at:
-                at[idx] = [eval_index(idx, x, ring) for x in points]
-            return at[idx]
-
-        terms = [[(c, values(i1), values(i2))
-                  for (i1, i2), c in (t.terms.items() if t is not None else ())]
-                 for t in self.tau.values()]
+        taus = [t.terms if t is not None else {} for t in self.tau.values()]
+        at = {idx: [eval_index(idx, x, ring) for x in points]
+              for idx in {i for words in taus for word in words for i in word}}
+        # per g: (c, I at each a, J at each b) over the terms c [I|J]
+        terms = [[(c, at[i1], at[i2]) for (i1, i2), c in words.items()]
+                 for words in taus]
         # sums[g][s]: coordinate g of s + b over the elements b; plain[g][s]
         # the same times p^(n-1-g), its share of the position of s + b.
         weights = [p ** (n - 1 - g) for g in range(n)]
