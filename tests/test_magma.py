@@ -81,12 +81,16 @@ def test_light_matches_the_scan_on_extensions(moduli, b):
 # Every fixture at Z_2 and Z_3 but borromean_n1..n4 (|G| = 512 at Z_2,
 # 134M triples for the scan; the stage is refused at Z_3) and
 # heisenberg_k3 and k6 at Z_3 (|G| = 729, refused by group-realize).
-FIXTURE_RUNS = [(name, ring) for name in ("cyclic4", "heisenberg_k1",
-                                          "heisenberg_k2", "heisenberg_k3",
-                                          "heisenberg_k6", "torus", "wedge2")
+FIXTURE_RUNS = [(name, ring) for name in ("bar_z2.delta", "cyclic4.pres",
+                                          "heisenberg_k1.pres",
+                                          "heisenberg_k2.pres",
+                                          "heisenberg_k3.pres",
+                                          "heisenberg_k6.pres",
+                                          "interval.delta", "torus.pres",
+                                          "wedge2.pres")
                 for ring in ("Zp:2", "Zp:3")
-                if ring == "Zp:2" or name not in ("heisenberg_k3",
-                                                  "heisenberg_k6")]
+                if ring == "Zp:2" or name not in ("heisenberg_k3.pres",
+                                                  "heisenberg_k6.pres")]
 
 
 def test_per_point_table_and_light_on_fixture_laws():
@@ -94,15 +98,14 @@ def test_per_point_table_and_light_on_fixture_laws():
     # have heisenberg_k1's law (|G| = 243).
     seen = set()
     for name, ring in FIXTURE_RUNS:
-        stage = LoadedInput(str(FIXTURES / f"{name}.pres"),
-                            ring).build_model(2)[-1]
+        stage = LoadedInput(str(FIXTURES / name), ring).build_model(2)[-1]
         law = MagmaLaw(stage.gens.names, stage.diff.tau, stage.ring)
         key = (ring, tuple(law.gens),
                tuple(str(t.terms) if t else "" for t in law.tau.values()))
         if key not in seen:
             seen.add(key)
             check_law(law)
-    assert len(seen) == 7
+    assert len(seen) == 9
 
 
 def random_laws():
