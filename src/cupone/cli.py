@@ -22,6 +22,7 @@ from .model import (
     PreconditionError,
     RepresentativesRejected,
     StageCapError,
+    check_group_size,
     kappa,
     minimal_model,
     n_step_compare,
@@ -128,14 +129,14 @@ class LoadedInput:
             return None
         return reps
 
-    def build_model(self, stages: int):
+    def build_model(self, stages: int, guard=None):
         reps = self.h1_reps()
         try:
-            return minimal_model(self.delta, self.ring, stages, reps)
+            return minimal_model(self.delta, self.ring, stages, reps, guard)
         except RepresentativesRejected:
             if reps is None:
                 raise
-            return minimal_model(self.delta, self.ring, stages, None)
+            return minimal_model(self.delta, self.ring, stages, None, guard)
 
 
 def emit(args, text: str, payload: dict) -> int:
@@ -205,7 +206,9 @@ def cmd_massey(args) -> int:
 
 def cmd_group_realize(args) -> int:
     inp = LoadedInput(args.input, args.ring)
-    stages = inp.build_model(args.stages)
+    # The group's size is known once the last stage's generators are
+    # adjoined; an oversized one is refused before that stage's H^2.
+    stages = inp.build_model(args.stages, guard=check_group_size)
     gr = realize_group(stages[-1])
     return emit(args, *reports.render_group(inp.ring, gr))
 

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import BinomialPoly, MultiIndex, PreconditionError, RingSpec
-from .tensor import (
-    TensorElem,
-    circ_22,
-    cup,
-    cup1_hirsch,
-)
+from .rings import (_INTERNED, BinomialPoly, MultiIndex, PreconditionError,
+                    RingSpec)
+from .tensor import TensorElem, circ_22, cup1_hirsch
 
 
 class GeneratorSet:
@@ -118,24 +114,29 @@ class Differential:
 
     def _d_cup1(self, a: TensorElem, b: TensorElem,
                 da: TensorElem, db: TensorElem) -> TensorElem:
-        """cup1-d formula for degree-1 a, b with known differentials.
+        """cup1-d formula for one-word degree-1 a, b with known
+        differentials.
 
+        The cup parts -ab and -ba are the single words (a, b) and (b, a).
         The parts add into one dict in the formula's order.  A word whose
         sum reaches zero leaves the dict at once, so a later part that
         meets it again appends it: the terms come out in the order that
         chained ``TensorElem`` additions give."""
-        parts = [(cup(a, b), -1), (cup(b, a), -1)]
+        ((ia,), ca), = a.terms.items()
+        ((ib,), cb), = b.terms.items()
+        c = ca * cb
+        parts = [((((ia, ib), c),), -1), ((((ib, ia), c),), -1)]
         if da.terms:
-            parts.append((cup1_hirsch(da, b), 1))
+            parts.append((cup1_hirsch(da, b).terms.items(), 1))
         if db.terms:
-            parts.append((cup1_hirsch(db, a), 1))
+            parts.append((cup1_hirsch(db, a).terms.items(), 1))
         if da.terms and db.terms:
-            parts.append((circ_22(da, db), -1))
+            parts.append((circ_22(da, db).terms.items(), -1))
         p = self.ring.p
         acc: dict = {}
         get = acc.get
         for part, sign in parts:
-            for w, c in part.terms.items():
+            for w, c in part:
                 v = get(w, 0) + sign * c
                 if v % p if p else v:
                     acc[w] = v
@@ -151,15 +152,17 @@ class Differential:
         cached = self.cache.get(idx)
         if cached is not None:
             return cached
-        name, k = idx.entries[0]
-        if len(idx.entries) == 1:
-            val = self._d_single(name, k)
+        entries = idx.entries
+        if len(entries) == 1:
+            val = self._d_single(*entries[0])
         else:
-            head = MultiIndex.single(name, k)
-            rest = idx.drop(name)
-            a = TensorElem._tidy(self.ring, [((head,), 1)])
-            b = TensorElem._tidy(self.ring, [((rest,), 1)])
-            val = self._d_cup1(a, b, self.d_index(head), self.d_index(rest))
+            # Both parts are canonical entry tuples, so the interned table
+            # finds their indices without a constructor call.
+            head = _INTERNED.get(entries[:1]) or MultiIndex(entries[:1])
+            rest = _INTERNED.get(entries[1:]) or MultiIndex(entries[1:])
+            val = self._d_cup1(TensorElem._tidy(self.ring, [((head,), 1)]),
+                               TensorElem._tidy(self.ring, [((rest,), 1)]),
+                               self.d_index(head), self.d_index(rest))
         self.cache[idx] = val
         return val
 
@@ -256,13 +259,18 @@ def check_d_squared(d: Differential, weight_cap: int = 6) -> DSquaredReport:
     names = list(d.gens.names)
     failures = []
     checked = 0
+    on_gens = {}
     for name in names:
-        val = apply_d(d, d.tau[name])
+        val = on_gens[name] = apply_d(d, d.tau[name])
         checked += 1
         if not val.is_zero():
             failures.append((f"d^2({name})", val))
     for idx in iter_indices(names, weight_cap, d.ring.max_zeta):
-        val = apply_d(d, d.d_index(idx))
+        # d(zeta_1(x)) is tau(x), whose d was taken above.
+        if idx.weight == 1:
+            val = on_gens[idx.entries[0][0]]
+        else:
+            val = apply_d(d, d.d_index(idx))
         checked += 1
         if not val.is_zero():
             failures.append((f"d^2(zeta_{idx!r})", val))

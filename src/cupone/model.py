@@ -215,7 +215,7 @@ def rho_push(stage: "ModelStage", t: TensorElem) -> Cochain:
 # stage 1
 
 def stage1(X: DeltaSet, ring: RingSpec,
-           h1_reps: list[Cochain] | None = None) -> ModelStage:
+           h1_reps: list[Cochain] | None = None, guard=None) -> ModelStage:
     h0 = segment_cohomology(X, ring, 0)
     if len(h0.generators) != 1:
         raise PreconditionError(f"target is not connected: H^0 = "
@@ -245,6 +245,8 @@ def stage1(X: DeltaSet, ring: RingSpec,
     h2x = segment_cohomology(X, ring, 2)
     stage = ModelStage(n=1, ring=ring, gens=gens, diff=diff, target=X,
                        rho=dict(zip(names, reps)), h1_names=names, h2x=h2x)
+    if guard:
+        guard(stage)
     _compute_kernel(stage)
     return stage
 
@@ -289,9 +291,10 @@ def _compute_kernel(stage: "ModelStage"):
 # ---------------------------------------------------------------------------
 # stage extension
 
-def extend_stage(stage: "ModelStage") -> "ModelStage":
+def extend_stage(stage: "ModelStage", guard=None) -> "ModelStage":
     """Adjoin one generator per kernel-basis element (d y = -rep) and
-    lift rho; returns the input stage when the model is complete."""
+    lift rho; returns the input stage when the model is complete.
+    ``guard`` sees the new stage before its H^2 is computed."""
     if stage.complete:
         return stage
     ring = stage.ring
@@ -320,6 +323,8 @@ def extend_stage(stage: "ModelStage") -> "ModelStage":
     diff = Differential(ring, gens, tau)
     nxt = ModelStage(n=level, ring=ring, gens=gens, diff=diff, target=X,
                      rho=rho, h1_names=stage.h1_names, h2x=stage.h2x)
+    if guard:
+        guard(nxt)
     _compute_kernel(nxt)
     return nxt
 
@@ -408,6 +413,18 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
 ZP_STAGE_LIMIT = 1_023
 
 
+def check_zp_stage_size(n: int, ring: RingSpec) -> int:
+    """n1 = p^n - 1, the dimension of T^1 on n generators over Z_p;
+    refuses it above ZP_STAGE_LIMIT."""
+    n1 = ring.p ** n - 1
+    if n1 > ZP_STAGE_LIMIT:
+        raise PreconditionError(
+            f"Z_p stage cohomology refused: {n} generators over "
+            f"Z_{ring.p} give T^1 of dimension n1 = {n1:,} "
+            f"(limit {ZP_STAGE_LIMIT:,})")
+    return n1
+
+
 def resolution_cohomology_Zp(names, ring: RingSpec,
                              diff: Differential | None = None):
     """H^1 and H^2 of (T_{Z_p}(X), d) from a minimal resolution.
@@ -425,18 +442,13 @@ def resolution_cohomology_Zp(names, ring: RingSpec,
     representatives; each H^2 one is audited as a cocycle.
     """
     p, cap = ring.p, ring.max_zeta
-    n1 = p ** len(names) - 1
-    if n1 > ZP_STAGE_LIMIT:
-        raise PreconditionError(
-            f"Z_p stage cohomology refused: {len(names)} generators over "
-            f"Z_{p} give T^1 of dimension n1 = {n1:,} "
-            f"(limit {ZP_STAGE_LIMIT:,})")
+    n1 = check_zp_stage_size(len(names), ring)
     diff = diff or zero_differential(GeneratorSet(names), ring)
     basis = list(iter_indices(names, cap * len(names), cap))
-    pos = {f.entries: i for i, f in enumerate(basis)}
+    pos = {f: i for i, f in enumerate(basis)}
     # d(e^c) keyed by the T^2 code a*n1 + b of its words: read by code,
     # it is the product table of A.
-    d1 = [{pos[a.entries] * n1 + pos[b.entries]: v
+    d1 = [{pos[a] * n1 + pos[b]: v
            for (a, b), v in diff.d_index(f).terms.items()} for f in basis]
     prod: dict[int, dict[int, int]] = {}
     for c, dv in enumerate(d1):
@@ -624,10 +636,14 @@ def kappa(stage: "ModelStage") -> KappaInvariant:
 
 
 def minimal_model(X: DeltaSet, ring: RingSpec, stages: int = 2,
-                  h1_reps=None) -> list[ModelStage]:
-    out = [stage1(X, ring, h1_reps)]
+                  h1_reps=None, guard=None) -> list[ModelStage]:
+    """Stages 1..stages, or up to the first complete one.  ``guard``, when
+    given, sees stage ``stages`` once its generators are adjoined, before
+    its H^2 is computed, and may refuse it by raising."""
+    out = [stage1(X, ring, h1_reps, guard if stages == 1 else None)]
     while out[-1].n < stages and not out[-1].complete:
-        out.append(extend_stage(out[-1]))
+        last = out[-1].n + 1 == stages
+        out.append(extend_stage(out[-1], guard if last else None))
     return out
 
 
@@ -670,6 +686,27 @@ class GroupRealization:
     audit: dict
 
 
+def check_group_size(stage: "ModelStage") -> None:
+    """Refuse to realize the group of a Z_p stage when checking its group
+    axioms would build more than MAGMA_CELL_LIMIT table entries.
+
+    |G| = p^n needs only the stage's n generators, so this can run as
+    the ``minimal_model`` guard, before the stage's H^2; the refusal that
+    the H^2 itself would raise (``check_zp_stage_size``) comes first."""
+    ring = stage.ring
+    if not ring.is_modular:
+        return
+    n = len(stage.gens.names)
+    check_zp_stage_size(n, ring)
+    order = ring.p ** n
+    if order ** 2 > MAGMA_CELL_LIMIT:
+        raise PreconditionError(
+            f"group-realize refused: the realized group has |G| = "
+            f"{ring.p}^{n} = {order:,} elements, and checking its group "
+            f"axioms builds |G|^2 = {order ** 2:,} table entries "
+            f"(limit {MAGMA_CELL_LIMIT:,})")
+
+
 def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
                   seed: int = 0) -> GroupRealization:
     ring = stage.ring
@@ -680,14 +717,7 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
         # The exhaustive check and the audits below share one magma, whose
         # table of |G|^2 products is what they build; Light's test then
         # reads |G|^2 |S| of the |G|^3 triples.
-        n = len(law.gens)
-        order = ring.p ** n
-        if order ** 2 > MAGMA_CELL_LIMIT:
-            raise PreconditionError(
-                f"group-realize refused: the realized group has |G| = "
-                f"{ring.p}^{n} = {order:,} elements, and checking its group "
-                f"axioms builds |G|^2 = {order ** 2:,} table entries "
-                f"(limit {MAGMA_CELL_LIMIT:,})")
+        check_group_size(stage)
         fm = law.to_finite_magma()
         verdict = check_admissible(fm)
     else:

@@ -198,9 +198,6 @@ class MultiIndex:
             acc[n] = acc.get(n, 0) + e
         return MultiIndex(acc.items())
 
-    def drop(self, name: str) -> "MultiIndex":
-        return MultiIndex((n, e) for n, e in self.entries if n != name)
-
     def max_exponent(self) -> int:
         return max((e for _, e in self.entries), default=0)
 

@@ -233,6 +233,12 @@ def _slot_products(u: TensorElem, vp: BinomialPoly, slots: int) -> TensorElem:
                     raise InternalError(
                         "constant-free product grew a constant")
                 prod = prods[f] = tuple(terms.items())
+            if slots == 2:  # each word in one tuple display
+                a, b = w
+                for idx, cc in prod:
+                    nw = (a, idx) if slot else (idx, b)
+                    out[nw] = get(nw, 0) + c * cc
+                continue
             pre, post = w[:slot], w[slot + 1:]
             for idx, cc in prod:
                 nw = pre + (idx,) + post

@@ -16,11 +16,16 @@ terms in the same order.
 
 ``d_cup1`` is the cup1-d formula as chained ``TensorElem`` additions;
 the library's ``Differential._d_cup1`` adds the parts into one dict.
+
+``check_d_squared`` is the d^2 audit as first written: a generator loop
+and an index loop, each taking ``apply_d`` afresh.  The library's audit
+reuses d^2(x) for the index zeta_1(x), whose d-value is tau(x); its
+report must be the same.
 """
 from __future__ import annotations
 
-from cupone import tensor
-from cupone.differential import Differential
+from cupone import differential, tensor
+from cupone.differential import Differential, DSquaredReport, iter_indices
 from cupone.rings import BinomialPoly, InternalError
 from cupone.tensor import TensorElem
 
@@ -109,3 +114,23 @@ def d_cup1(self: Differential, a: TensorElem, b: TensorElem,
     if not (da.is_zero() or db.is_zero()):
         out = out - tensor.circ_22(da, db)
     return out
+
+
+def check_d_squared(d: Differential, weight_cap: int = 6) -> DSquaredReport:
+    """d^2 = 0 on generators and on the zeta basis up to weight_cap, one
+    ``apply_d`` per generator and per index."""
+    names = list(d.gens.names)
+    failures = []
+    checked = 0
+    for name in names:
+        val = differential.apply_d(d, d.tau[name])
+        checked += 1
+        if not val.is_zero():
+            failures.append((f"d^2({name})", val))
+    for idx in iter_indices(names, weight_cap, d.ring.max_zeta):
+        val = differential.apply_d(d, d.d_index(idx))
+        checked += 1
+        if not val.is_zero():
+            failures.append((f"d^2(zeta_{idx!r})", val))
+    return DSquaredReport(passed=not failures, checked=checked,
+                          failures=failures)

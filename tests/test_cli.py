@@ -392,20 +392,29 @@ def test_cli_massey_defect_is_not_a_result(capsys, monkeypatch):
                    "cocycles failed: vector is not a cocycle\n")
 
 
-@pytest.mark.parametrize("fixture, ring", [
-    ("torus", "Zp:5"),          # |G| = 5^4 = 625
-    ("heisenberg_k3", "Zp:3"),  # |G| = 3^6 = 729
-])
+@pytest.mark.parametrize("fixture, ring, n", [
+    ("torus", "Zp:5", 4),          # |G| = 5^4 = 625
+    ("heisenberg_k3", "Zp:3", 6),  # |G| = 3^6 = 729
+], ids=["torus-Zp:5", "heisenberg_k3-Zp:3"])
 def test_cli_group_realize_refuses_large_zp_group(capsys, monkeypatch,
-                                                  fixture, ring):
+                                                  fixture, ring, n):
     # Checking the group axioms builds a table of |G|^2 products; the group
-    # is refused before that table is built.
+    # is refused before that table is built, and before the H^2 of the
+    # last stage (the one with n generators) is computed.
+    from cupone import model
     from cupone.magma import MagmaLaw
 
     def no_table(law):
         raise AssertionError("product table built before the size guard")
 
+    def no_last_h2(names, ring, diff=None):
+        if len(names) == n:
+            raise AssertionError("last stage's H^2 built before the guard")
+        return resolution_cohomology_Zp(names, ring, diff)
+
+    resolution_cohomology_Zp = model.resolution_cohomology_Zp
     monkeypatch.setattr(MagmaLaw, "to_finite_magma", no_table)
+    monkeypatch.setattr(model, "resolution_cohomology_Zp", no_last_h2)
     start = time.monotonic()
     code, out, err = run_cli(capsys, "group-realize", "--ring", ring,
                              str(FIXTURES / f"{fixture}.pres"))

@@ -456,6 +456,22 @@ def test_corrupted_tau_fails_d_squared_on_warm_cache():
         == [(label, list(w.terms.items())) for label, w in cold.failures]
 
 
+def same_report(got, want):
+    """Equal in verdict, count, and failure labels and witnesses in order."""
+    return (got.passed == want.passed and got.checked == want.checked
+            and [(label, list(w.terms.items())) for label, w in got.failures]
+            == [(label, list(w.terms.items())) for label, w in want.failures])
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zp:2", "Zp:3"])
+@pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+def test_d_squared_audit_matches_oracle(fixture, ring):
+    d = stage2_differential(fixture, ring)
+    got = check_d_squared(d, weight_cap=3)
+    assert got.passed
+    assert same_report(got, d_oracle.check_d_squared(fresh(d), weight_cap=3))
+
+
 # -- the coded Leibniz rule against the MultiIndex oracle -----------------
 
 def oracle_stage_builders() -> dict:
@@ -543,9 +559,8 @@ def test_corrupted_tau_fails_d_squared_like_oracle(monkeypatch, fixture,
         [(x1, 1), (x2, 1)])): 1})
     bad = Differential(d.ring, d.gens, tau)
     got = check_d_squared(bad, weight_cap=3)
+    labels = [label for label, _ in got.failures]
+    # Both loops of the audit fail: the generator y and zeta_1(y), ...
+    assert f"d^2({y})" in labels and f"d^2(zeta_z({y},1))" in labels
     monkeypatch.setattr(differential, "apply_d", d_oracle.apply_d)
-    want = check_d_squared(fresh(bad), weight_cap=3)
-    assert not got.passed
-    assert got.checked == want.checked
-    assert [(label, list(w.terms.items())) for label, w in got.failures] \
-        == [(label, list(w.terms.items())) for label, w in want.failures]
+    assert same_report(got, d_oracle.check_d_squared(fresh(bad), weight_cap=3))

@@ -217,10 +217,12 @@ def test_equal_indices_are_one_object():
     assert MultiIndex([("x", 1), ("z", 0), ("y", 2)]) is a
     assert MultiIndex({"y": 2, "x": 1}.items()) is a
     assert MultiIndex.single("x").merge(MultiIndex.single("y", 2)) is a
-    assert MultiIndex((("x", 1), ("y", 2), ("w", 3))).drop("w") is a
-    assert a.drop("x").drop("y") is MultiIndex.unit()
+    assert MultiIndex(MultiIndex((("x", 1), ("y", 2), ("w", 3))).entries[1:]) \
+        is a
     assert MultiIndex(()) is MultiIndex.unit()
-    assert a.drop("x") is MultiIndex.single("y", 2)
+    # The head and rest of a's entries find their indices in the table.
+    assert rings._INTERNED[a.entries[:1]] is MultiIndex.single("x")
+    assert rings._INTERNED[a.entries[1:]] is MultiIndex.single("y", 2)
 
 
 def test_copies_and_pickles_return_the_interned_index():
