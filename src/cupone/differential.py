@@ -32,11 +32,11 @@ class GeneratorSet:
     def __init__(self, names, level=None):
         self.names = list(names)
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate generator names")
+            raise PreconditionError("duplicate generator names")
         self.level = dict(level) if level else {n: 1 for n in self.names}
         for n in self.names:
             if self.level.get(n, 0) < 1:
-                raise ValueError(f"generator {n} needs a level >= 1")
+                raise PreconditionError(f"generator {n} needs a level >= 1")
 
     def at_level(self, m: int) -> list:
         return [n for n in self.names if self.level[n] == m]
@@ -210,7 +210,7 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
                 acc[w] = get(w, 0) - c * cm
             continue
         if len(word) > 3:
-            raise ValueError("degree cap exceeded in apply_d")
+            raise PreconditionError("degree cap exceeded in apply_d")
         for slot, f in enumerate(word):
             dv = cache.get(f)
             if dv is None:

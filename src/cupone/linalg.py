@@ -32,7 +32,10 @@ dicts column -> value.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
-by the rest of the package and makes every output deterministic.
+by the rest of the package and makes every output deterministic.  A
+pivot step searches the rows upward from its index t and stops at the
+first unit, then clears the pivot column in one pass over its rows; the
+operation logs are the ones one row operation at a time gave.
 """
 from __future__ import annotations
 
@@ -189,8 +192,13 @@ def smith_normal_form(rows: list[list[int]],
     """U * M * V = D with U, V unimodular and D a divisibility chain.
 
     The matrix is given as a list of dense rows; internally the
-    elimination runs on a sparse dict-of-dicts copy and logs each row and
-    column operation for ``SNFResult`` to replay.
+    elimination runs on a sparse dict-of-dicts copy with a column index
+    (column -> set of rows) and logs each row and column operation for
+    ``SNFResult`` to replay.  Step t walks the rows upward from t for the
+    pivot, stopping at the first unit, then clears column t in one pass:
+    the pivot row is read once, and the rows of the column index, in its
+    order, each get their multiple in place.  Remainders are promoted and
+    cleared again; a fix-up makes the diagonal a divisibility chain.
     """
     nrows = len(rows)
     if ncols is None:
@@ -220,22 +228,31 @@ def smith_normal_form(rows: list[list[int]],
             if not row:
                 del work[i]
 
-    def row_add(i, t, q):
-        # row_i += q * row_t
-        if not q:
-            return
-        dst = work.setdefault(i, {})
-        for j, v in work.get(t, {}).items():
-            nv = dst.get(j, 0) + q * v
-            if nv:
-                dst[j] = nv
-                colidx.setdefault(j, set()).add(i)
-            else:
-                del dst[j]
-                colidx[j].discard(i)
-        if not dst:
-            del work[i]
-        row_ops.append((i, t, q))
+    def reduce_rows(targets, t, c):
+        # row_i -= (row_i[c] // row_t[c]) * row_t for each i in targets, in
+        # order, in one pass: row t is read once, and the column index
+        # changes only where an entry appears or cancels.
+        prow = list(work[t].items())
+        piv = work[t][c]
+        for i in targets:
+            row = work[i]
+            q = -(row[c] // piv)
+            if not q:
+                continue
+            for j, v in prow:
+                if j in row:
+                    nv = row[j] + q * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+                        colidx[j].discard(i)
+                else:
+                    row[j] = q * v
+                    colidx[j].add(i)
+            if not row:
+                del work[i]
+            row_ops.append((i, t, q))
 
     def row_swap(i, t):
         if i == t:
@@ -290,14 +307,14 @@ def smith_normal_form(rows: list[list[int]],
     t = 0
     while t < limit:
         # Deterministic pivot: smallest magnitude, ties by (row, col).
-        # Rows are scanned in order, so a unit ends the search.
+        # Rows are scanned upward from t (rows and columns before t hold
+        # only their diagonal entry), so a unit ends the search.
         best = None
-        for i in sorted(work):
-            if i < t:
+        for i in range(t, nrows):
+            row = work.get(i)
+            if row is None:
                 continue
-            for j, v in work[i].items():
-                if j < t:
-                    continue
+            for j, v in row.items():
                 key = (abs(v), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j)
@@ -309,11 +326,8 @@ def smith_normal_form(rows: list[list[int]],
         row_swap(t, bi)
         col_swap(t, bj)
         while True:
-            piv = get(t, t)
-            for i in list(colidx.get(t, ())):
-                if i == t:
-                    continue
-                row_add(i, t, -(get(i, t) // piv))
+            piv = work[t][t]
+            reduce_rows([i for i in colidx[t] if i != t], t, t)
             for j in list(work.get(t, {})):
                 if j == t:
                     continue
@@ -350,19 +364,17 @@ def smith_normal_form(rows: list[list[int]],
                 col_add(i, i + 1, 1)
                 # Euclid on rows i, i+1 in column i, then clear.
                 while get(i + 1, i):
-                    q = get(i, i) // get(i + 1, i)
-                    row_add(i, i + 1, -q)
+                    reduce_rows((i,), i + 1, i)
                     if get(i, i):
                         row_swap(i, i + 1)
                     else:
                         break
                 if get(i + 1, i):
                     row_swap(i, i + 1)
-                piv = get(i, i)
                 if get(i + 1, i):
-                    row_add(i + 1, i, -(get(i + 1, i) // piv))
+                    reduce_rows((i + 1,), i, i)
                 if get(i, i + 1):
-                    col_add(i + 1, i, -(get(i, i + 1) // piv))
+                    col_add(i + 1, i, -(get(i, i + 1) // get(i, i)))
     for i in range(ndiag):
         if get(i, i) < 0:
             row_negate(i)

@@ -10,21 +10,25 @@ from fractions import Fraction
 
 
 def rank_over_Q(rows: list[list[int]]) -> int:
-    """Independent rank oracle: Gaussian elimination over the rationals."""
-    work = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        work[rank] = [x * inv for x in prow]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Independent rank oracle: Gaussian elimination over the rationals.
+
+    Rows are kept sparse (column -> Fraction).  Each row in turn is
+    reduced at its leading column by the pivot row stored there, until it
+    vanishes or leads a column of its own and becomes that pivot row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for r in rows:
+        row = {j: Fraction(x) for j, x in enumerate(r) if x}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            f = row[lead] / prow[lead]
+            for j, v in prow.items():
+                nv = row.get(j, 0) - f * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+    return len(pivots)

@@ -25,6 +25,7 @@ from cupone.delta import (
 from cupone.formats import detect_and_parse
 from cupone.linalg import cohomology_sparse_zp, mat_vec
 from cupone.magma import MagmaLaw
+from cupone.presentation import presentation_complex
 from cupone.rings import PreconditionError, RingSpec
 from cupone.tensor import TensorElem, cup
 from dict_rows_oracle import kernel_mod_p
@@ -123,6 +124,48 @@ def test_bar_cohomology_mod_p_frozen():
                 h.update(repr(data.class_coords(vec)).encode())
     assert h.hexdigest() == \
         "4deebc24b952efafde5dc3672c56f860463d3693d4ed0526cd2c7285b8a9b440"
+
+
+def z_digest_complexes():
+    """The 13 fixtures and B(Z/3), B(Z/4), B(Z_2^2), B(Z_3^2) up to
+    3-cells, by name."""
+    out = []
+    for path in sorted(FIXTURES.iterdir()):
+        kind, parsed = detect_and_parse(path.read_text(), str(path))
+        out.append((path.name, parsed[0] if kind == "delta"
+                    else presentation_complex(parsed).delta))
+    for mods in ((3,), (4,), (2, 2), (3, 3)):
+        out.append((mods, bar_construction(cyclic_group_magma(mods), 3).delta))
+    return out
+
+
+def test_cohomology_Z_frozen():
+    # H^0, H^1, H^2 over Z, each read off a Smith factor: invariants,
+    # generators, the class coordinates of seeded cocycles and the
+    # preimages of seeded coboundaries, byte for byte.
+    rng = random.Random(2901)
+    h = hashlib.sha256()
+    ring = RingSpec.Z()
+    for name, X in z_digest_complexes():
+        for k in (0, 1, 2):
+            if not X.cells[k]:
+                continue
+            data = segment_cohomology(X, ring, k)
+            h.update(repr((name, k, data.invariants,
+                           data.generators)).encode())
+            n_low = len(X.cells[k - 1]) if k else 0
+            A = coboundary_matrix(X, k - 1) if k else []
+            for _ in range(3):
+                x = [rng.randint(-2, 2) for _ in range(n_low)]
+                cob = mat_vec(A, x) if k else [0] * len(X.cells[k])
+                h.update(repr(data.preimage(cob)).encode())
+                vec = cob
+                for _, rep in data.generators:
+                    c = rng.randint(-2, 2)
+                    vec = [a + c * r for a, r in zip(vec, rep)]
+                h.update(repr(data.class_coords(vec)).encode())
+    assert h.hexdigest() == \
+        "3ad10dc04dd6e2b3ece5b34df53f2a396b1d03024cc49fd04edce896e34cabeb"
 
 
 def all_rows_cohomology(X, ring, k):

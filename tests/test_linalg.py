@@ -148,6 +148,52 @@ def delta_segment(X, k):
     return A, B, nl
 
 
+def oracle_matrices():
+    """Smith inputs with their widths: delta^0..delta^2 of the fixtures, of
+    the presentation complexes of Borromean X(1..7) and Heisenberg k = 1..6
+    and of bar complexes up to 3-cells; diag(2, 3) and diag(4, 6), which
+    need the divisibility fix-up; a zero matrix; and seeded random
+    matrices, about 40% zeros, whose pivots leave remainders."""
+    from cupone.delta import bar_construction, cyclic_group_magma
+    from cupone.presentation import (borromean_presentation,
+                                     heisenberg_presentation)
+    complexes = fixture_complexes()
+    complexes += [presentation_complex(borromean_presentation(n)).delta
+                  for n in range(1, 8)]
+    complexes += [presentation_complex(heisenberg_presentation(k)).delta
+                  for k in range(1, 7)]
+    complexes += [bar_construction(cyclic_group_magma(mods), 3).delta
+                  for mods in ((3,), (4,), (2, 2), (6,), (3, 3), (2, 2, 2))]
+    for X in complexes:
+        for k in (0, 1, 2):
+            if X.cells[k] and X.cells[k + 1]:
+                yield coboundary_matrix(X, k), len(X.cells[k])
+    yield [[2, 0], [0, 3]], 2
+    yield [[4, 0], [0, 6]], 2
+    yield [[0] * 4 for _ in range(3)], 4
+    rng = random.Random(2902)
+    for _ in range(2000):
+        r, c = rng.randint(1, 10), rng.randint(1, 10)
+        yield [[0 if rng.random() < 0.4 else rng.randint(-9, 9)
+                for _ in range(c)] for _ in range(r)], c
+
+
+def test_smith_matches_oracle():
+    # The one-pass elimination against the one it replaced
+    # (tests/snf_oracle.py), operation for operation: every query replays
+    # these logs, so equal logs mean equal answers everywhere.
+    from snf_oracle import smith_normal_form as oracle_snf
+    count = 0
+    for m, c in oracle_matrices():
+        new, old = smith_normal_form(m, c), oracle_snf(m, c)
+        assert new.diag == old.diag
+        assert new.rank == old.rank == rank_over_Q(m)
+        assert new.row_ops == old.row_ops
+        assert new.col_ops == old.col_ops
+        count += 1
+    assert count > 2000
+
+
 def random_test_matrices(rng):
     """Seeded integer matrices: generic, torsion, rank-deficient, and with a
     zero row and a zero column."""
