@@ -26,7 +26,7 @@ from itertools import product as iproduct
 from operator import itemgetter, ne, or_
 
 from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
-                    eval_index)
+                    eval_columns)
 from .tensor import TensorElem
 
 
@@ -102,7 +102,8 @@ class DeltaSet:
         self.validate()
         # (ring, k) -> H^k(X; R) and, over Z, j -> the Smith factor of
         # delta^j, filled by segment_cohomology; (p, q) -> the cup
-        # product's face table, filled by face_table.  Nothing changes a
+        # product's face table, filled by face_table, and (p, q, "front")
+        # -> its front index, filled by front_index.  Nothing changes a
         # Delta-set after validation.
         self._cohomology: dict = {}
         self._factors: dict = {}
@@ -144,6 +145,16 @@ class DeltaSet:
                 (s, self.cells[p][f], self.cells[q][b])
                 for s, f, b in zip(self.cells[d], front, back)]
         return table
+
+    def front_index(self, p: int, q: int) -> dict[str, list]:
+        """front p-face -> [(s, back q-face)] in cells[p + q] order: the
+        ``face_table(p, q)`` by front face, built once and kept beside it."""
+        index = self._face_tables.get((p, q, "front"))
+        if index is None:
+            index = self._face_tables[(p, q, "front")] = {}
+            for s, front, back in self.face_table(p, q):
+                index.setdefault(front, []).append((s, back))
+        return index
 
     def generator_rows(self, k: int) -> list[int] | None:
         """Indices into cells[k + 1] of the cells whose last entry lies in
@@ -217,7 +228,7 @@ class Cochain:
 
     def __init__(self, dim: int, ring: RingSpec, values=None):
         if not 0 <= dim <= 3:
-            raise ValueError("cochain dimension must be 0..3")
+            raise PreconditionError("cochain dimension must be 0..3")
         self.dim = dim
         self.ring = ring
         vals = {}
@@ -254,7 +265,7 @@ class Cochain:
 
     def _check(self, other: "Cochain"):
         if self.dim != other.dim or self.ring != other.ring:
-            raise ValueError("cochain dimension or ring mismatch")
+            raise PreconditionError("cochain dimension or ring mismatch")
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.dim == other.dim
@@ -280,7 +291,7 @@ class Cochain:
 
 def coboundary(X: DeltaSet, c: Cochain) -> Cochain:
     if c.dim >= 3:
-        raise ValueError("coboundary capped at dimension 2 inputs")
+        raise PreconditionError("coboundary capped at dimension 2 inputs")
     vals = c.vector(X.cells[c.dim]) if X.cells[c.dim + 1] else []
     out = {}
     for s, fs in zip(X.cells[c.dim + 1], X.faces[c.dim + 1]):
@@ -293,32 +304,26 @@ def coboundary(X: DeltaSet, c: Cochain) -> Cochain:
 
 
 def cup_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
-    """Alexander-Whitney product u(front) * v(back)."""
+    """Alexander-Whitney product u(front) * v(back), read along the
+    support of u."""
     if u.ring != v.ring:
-        raise ValueError("ring mismatch")
+        raise PreconditionError("ring mismatch")
     p, q = u.dim, v.dim
     if p + q > 3:
-        raise ValueError("cup product capped at total dimension 3")
-    uv, vv = u.values, v.values
-    out = {}
-    for s, front, back in X.face_table(p, q):
-        a = uv.get(front)
-        if a:
-            b = vv.get(back)
-            if b:
-                out[s] = a * b
-    return Cochain(p + q, u.ring, out)
+        raise PreconditionError("cup product capped at total dimension 3")
+    return Cochain(p + q, u.ring,
+                   _cup_into({}, X.front_index(p, q), u.values, v.values))
 
 
 def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     """Pointwise product on 1-cells; zero when a factor is 0-dimensional."""
     if u.ring != v.ring:
-        raise ValueError("ring mismatch")
+        raise PreconditionError("ring mismatch")
     if 0 in (u.dim, v.dim):
         return Cochain(max(u.dim + v.dim - 1, 0), u.ring, {})
     if u.dim != 1 or v.dim != 1:
-        raise ValueError("cup-one on cochains supports dimensions (1,1) "
-                         "and zero-dimensional factors only")
+        raise PreconditionError("cup-one on cochains supports dimensions "
+                                "(1,1) and zero-dimensional factors only")
     vv = v.values
     return Cochain(1, u.ring,
                    {c: a * vv[c] for c, a in u.values.items() if c in vv})
@@ -327,9 +332,9 @@ def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
 def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     """The circle map: pointwise product on 2-cells."""
     if u.dim != 2 or v.dim != 2:
-        raise ValueError("circle product requires two 2-cochains")
+        raise PreconditionError("circle product requires two 2-cochains")
     if u.ring != v.ring:
-        raise ValueError("ring mismatch")
+        raise PreconditionError("ring mismatch")
     vv = v.values
     return Cochain(2, u.ring,
                    {c: a * vv[c] for c, a in u.values.items() if c in vv})
@@ -338,7 +343,7 @@ def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
 def zeta_cochain(X: DeltaSet, f: Cochain, k: int) -> Cochain:
     """Pointwise binomial coefficient on 1-cells."""
     if f.dim != 1:
-        raise ValueError("zeta maps apply to 1-cochains")
+        raise PreconditionError("zeta maps apply to 1-cochains")
     if k == 0:
         return Cochain(1, f.ring, {c: 1 for c in X.cells[1]})
     return push_zeta(X, {"f": f}, MultiIndex.single("f", k), f.ring)
@@ -362,7 +367,7 @@ def steenrod_cup1_21(X: DeltaSet, u: Cochain, b: Cochain) -> Cochain:
     Agrees with the Hirsch rewriting on every decomposition of u, which
     makes the rewriting independent of the chosen decomposition."""
     if u.dim != 2 or b.dim != 1:
-        raise ValueError("requires a 2-cochain and a 1-cochain")
+        raise PreconditionError("requires a 2-cochain and a 1-cochain")
     uv, bv = u.values, b.values
     out = {}
     for s, front, back in X.face_table(1, 1):
@@ -680,18 +685,25 @@ def bar_construction(g: FiniteMagma, max_dim: int = 2) -> MagmaComplex:
 def push_zeta(X: DeltaSet, rho: dict[str, Cochain], idx: MultiIndex,
               ring: RingSpec) -> Cochain:
     """The image of zeta_I, I not the unit: on each 1-cell e, zeta_I at
-    the point x -> rho[x](e).  C(0, k) = 0 for k >= 1, so only the cells
-    where the first generator of I has a value can be nonzero."""
-    vals = [(name, rho[name].values) for name in idx.support]
-    first = vals[0][1]
-    out = {}
-    for e in X.cells[1]:
-        if e in first:
-            v = eval_index(idx, {name: f.get(e, 0) for name, f in vals},
-                           ring)
-            if v:
-                out[e] = v
-    return Cochain(1, ring, out)
+    the point x -> rho[x](e).  C(0, k) = 0 for k >= 1, so ``eval_columns``
+    evaluates it only on the cells where every rho[x] of I has a value."""
+    vals = [rho[name].values for name in idx.support]
+    cells = list(vals[0])
+    for f in vals[1:]:
+        cells = list(filter(f.__contains__, cells))
+    cols = [list(map(f.__getitem__, cells)) for f in vals]
+    return Cochain(1, ring, zip(cells, eval_columns(idx, cols, ring)))
+
+
+def _cup_into(out: dict, front: dict, uv: dict, vv: dict) -> dict:
+    """out += u cup v on values, along the front index of u's and v's
+    dimensions: only the cells whose front face carries u are read."""
+    for f, a in uv.items():
+        for s, back in front.get(f, ()):
+            b = vv.get(back)
+            if b:
+                out[s] = out.get(s, 0) + a * b
+    return out
 
 
 def push_tensor(X: DeltaSet, rho: dict[str, Cochain], t: TensorElem,
@@ -699,23 +711,39 @@ def push_tensor(X: DeltaSet, rho: dict[str, Cochain], t: TensorElem,
     """The map T(X) -> C*(X) that sends each generator x to the 1-cochain
     rho[x]: zeta_I goes to ``push_zeta`` (once per I, kept in ``cache``),
     a word to the cup product of its factors, and a constant to the
-    constant on the 0-cells.  ``deg`` is the degree of a zero ``t``."""
+    constant on the 0-cells.  ``deg`` is the degree of a zero ``t``.  Words
+    with one prefix sum their last factors' images, and the prefix's image
+    is cupped with that sum once along ``DeltaSet.front_index``."""
     ring = t.ring
     if t.terms:
         deg = t.degree()
     if deg == 0:
         c = t.terms.get((), 0)
         return Cochain(0, ring, {v: c for v in X.cells[0]})
-    acc = Cochain(deg, ring, {})
+    if deg > 3:
+        raise PreconditionError("cup product capped at total dimension 3")
+
+    def image(idx) -> dict:
+        f = cache.get(idx)
+        if f is None:
+            f = cache[idx] = push_zeta(X, rho, idx, ring)
+        return f.values
+
+    groups: dict[tuple, dict] = {}
     for word, c in t.terms.items():
-        cur = None
-        for idx in word:
-            f = cache.get(idx)
-            if f is None:
-                f = cache[idx] = push_zeta(X, rho, idx, ring)
-            cur = f if cur is None else cup_cochain(X, cur, f)
-        acc = acc + cur.scale(c)
-    return acc
+        last = groups.setdefault(word[:-1], {})
+        for e, v in image(word[-1]).items():
+            last[e] = last.get(e, 0) + c * v
+    out: dict = {}
+    for prefix, last in groups.items():
+        if not prefix:  # degree 1: the only group
+            out = last
+            continue
+        cur = image(prefix[0])
+        for p, idx in enumerate(prefix[1:], 1):
+            cur = _cup_into({}, X.front_index(p, 1), cur, image(idx))
+        _cup_into(out, X.front_index(deg - 1, 1), cur, last)
+    return Cochain(deg, ring, out)
 
 
 def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],

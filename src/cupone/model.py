@@ -112,8 +112,9 @@ def t_word_basis(names, w, length, ring) -> list[tuple]:
         return [(i,) for i in t1_weight_basis(names, w, ring)]
     out = []
     for w1 in range(1, w - length + 2):
+        tails = t_word_basis(names, w - w1, length - 1, ring)
         for head in t1_weight_basis(names, w1, ring):
-            for tail in t_word_basis(names, w - w1, length - 1, ring):
+            for tail in tails:
                 out.append((head,) + tail)
     return out
 
@@ -206,8 +207,8 @@ def word_pair(a: str, b: str, ring, c: int = 1) -> TensorElem:
 
 def rho_push(stage: "ModelStage", t: TensorElem) -> Cochain:
     """Apply the structural morphism to a tensor element (degree <= 3; a
-    zero one gives a 2-cochain): the pushforward along ``stage.rho``.
-    Each rho(zeta_I) is computed once per stage and kept on it."""
+    zero one gives a 2-cochain): the pushforward along ``stage.rho``, one
+    cup per shared prefix.  Each rho(zeta_I) is kept on the stage."""
     return push_tensor(stage.target, stage.rho, t, 2, stage.rho_zeta)
 
 

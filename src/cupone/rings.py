@@ -121,12 +121,22 @@ def binom_of(a: int, n: int, ring: RingSpec = ZZ) -> int:
 def eval_index(idx: "MultiIndex", point, ring: RingSpec = ZZ) -> int:
     """zeta_I at a point: the product of C(point[x], e) over the entries
     (x, e) of I; generators the point does not set are 0."""
-    v = 1
-    for name, e in idx.entries:
-        v *= binom_of(point.get(name, 0), e, ring)
-        if not v:
-            return 0
-    return ring.normalize(v)
+    if not idx.entries:
+        return ring.normalize(1)
+    return ring.normalize(eval_columns(
+        idx, [[point.get(name, 0)] for name, _ in idx.entries], ring)[0])
+
+
+def eval_columns(idx: "MultiIndex", columns, ring: RingSpec = ZZ) -> list:
+    """zeta_I at many points, up to ``ring.normalize``: ``columns`` holds,
+    per entry (x, e) of I (not the unit), the values of x at the points.
+    C(a, 1) = a takes no ``binom_of``."""
+    vals = None
+    for (_, e), col in zip(idx.entries, columns):
+        if e != 1:
+            col = [binom_of(a, e, ring) for a in col]
+        vals = col if vals is None else [a * b for a, b in zip(vals, col)]
+    return vals
 
 
 # The one MultiIndex per canonical entry tuple (see MultiIndex).
@@ -447,15 +457,6 @@ class BinomialPoly:
         return ring.normalize(sum(c * eval_index(idx, point, ring)
                                   for idx, c in self.terms.items()))
 
-    def reduce_mod_p(self, p: int) -> "BinomialPoly":
-        """Quotient map Int(Z^X) -> Int(Z_p^X)."""
-        if self.ring.is_modular:
-            raise ValueError("already modular")
-        target = RingSpec.Zp(p)
-        return BinomialPoly._tidy(target, [
-            (idx, c) for idx, c in self.terms.items()
-            if idx.max_exponent() < p])
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
@@ -482,30 +483,6 @@ class BinomialPoly:
 
     def __repr__(self):
         return f"<{self.render()} over {self.ring!r}>"
-
-
-def parse_poly(text: str, ring: RingSpec) -> BinomialPoly:
-    """Parse the canonical rendering produced by :meth:`BinomialPoly.render`."""
-    text = text.strip()
-    if text == "0":
-        return BinomialPoly.zero(ring)
-    terms = []
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if "*" in chunk:
-            coeff_str, _, mono = chunk.partition(" * ")
-            coeff = int(coeff_str)
-            entries = []
-            for factor in mono.split("*"):
-                factor = factor.strip()
-                if not (factor.startswith("z(") and factor.endswith(")")):
-                    raise ValueError(f"bad monomial factor {factor!r}")
-                name, _, exp = factor[2:-1].partition(",")
-                entries.append((name.strip(), int(exp)))
-            terms.append((MultiIndex(entries), coeff))
-        else:
-            terms.append((UNIT_INDEX, int(chunk)))
-    return BinomialPoly(ring, terms)
 
 
 def zeta_add_expand(k: int, ring: RingSpec = ZZ,

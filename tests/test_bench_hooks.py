@@ -44,10 +44,10 @@ def test_every_hook_target_resolves():
         assert callable(target), f"cupone.{h.name} does not resolve"
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_no_hook_is_silent_on_its_workload(workload, tmp_path):
-    # As in a traced benchmark run: one untraced round fills the memo
-    # caches, then a traced round runs and checks every job.
+def traced_round(workload, tmp_path):
+    """As in a traced benchmark run: one untraced round fills the memo
+    caches, then a traced round runs and checks every job.  Returns the
+    tracer and the check errors per job."""
     tracer = load_perfbench("tracer").Tracer()
     jobs = load_perfbench("workloads").build(workload, 7, str(tmp_path),
                                              small=True)
@@ -58,5 +58,19 @@ def test_no_hook_is_silent_on_its_workload(workload, tmp_path):
         checked = [(job.name, job.check(job.run())[1]) for job in jobs]
     finally:
         tracer.uninstall()
+    return tracer, checked
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_no_hook_is_silent_on_its_workload(workload, tmp_path):
+    tracer, checked = traced_round(workload, tmp_path)
     assert all(not errors for _, errors in checked), checked
     assert tracer.silent_hooks(workload) == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_no_hook_is_busy_where_the_map_says_idle(workload, tmp_path):
+    # A traced run reports a call to a hook that the layer map calls idle
+    # on the workload as a map error.
+    tracer, _ = traced_round(workload, tmp_path)
+    assert tracer.busy_idle_hooks(workload) == []

@@ -123,6 +123,30 @@ def test_exterior_weight_cohomology_ranks():
             assert hw.invariants.is_trivial(), (m, w)
 
 
+def recursive_word_basis(names, w, length, ring):
+    """Words of the given length with total weight w, the tail basis
+    enumerated again for every head, as t_word_basis did before."""
+    from cupone.model import t1_weight_basis
+    if length == 1:
+        return [(i,) for i in t1_weight_basis(names, w, ring)]
+    out = []
+    for w1 in range(1, w - length + 2):
+        for head in t1_weight_basis(names, w1, ring):
+            for tail in recursive_word_basis(names, w - w1, length - 1, ring):
+                out.append((head,) + tail)
+    return out
+
+
+def test_word_basis_matches_the_recursive_form():
+    from cupone.model import t_word_basis
+    for ring in (Z, RingSpec.Zp(2), RingSpec.Zp(3)):
+        for k in range(1, 5):
+            names = [f"x{i + 1}" for i in range(k)]
+            for w in range(1, 6):
+                for length in (1, 2, 3):
+                    assert (t_word_basis(names, w, length, ring)
+                            == recursive_word_basis(names, w, length, ring))
+
 def test_lambda2_coords_match_linear_algebra():
     names = ["x1", "x2", "x3"]
     data = exterior_weight_cohomology(names, Z, 2, 2)

@@ -3,23 +3,33 @@ evaluator, against the per-cell loops they replace.
 
 ``psi_embed`` is the pushforward along the coordinate cochains; the
 oracle below evaluates every word of u on every cell, slot by slot, as
-psi did before it went through ``push_tensor``.
+psi did before it went through ``push_tensor``.  ``push_oracle`` keeps
+the pushforward as it was before it grouped words by prefix: on model
+stages, on psi and on random elements the two give equal cochains.
 """
+import pathlib
 import random
 from itertools import product
 
 import pytest
 
+import push_oracle
+from cupone.cli import LoadedInput
 from cupone.delta import (
+    Cochain,
     bar_construction,
     cyclic_group_magma,
     delta_from_magma,
     psi_embed,
+    push_tensor,
 )
 from cupone.magma import MagmaLaw
+from cupone.model import resolution_cohomology_Zp, rho_push
 from cupone.rings import MultiIndex, PreconditionError, RingSpec, binom_of
 from cupone.tensor import TensorElem, cup
 from test_generator_rows import heisenberg_law, transformation_monoid_3
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 RINGS = {"Z": RingSpec.Z(), "Zp2": RingSpec.Zp(2), "Zp3": RingSpec.Zp(3),
          "Zp5": RingSpec.Zp(5)}
@@ -161,3 +171,80 @@ def test_semigroup_generators_take_the_largest_closure_first():
         assert len(X.generator_rows(2)) == rows
     T3 = bar_construction(transformation_monoid_3(), 2).delta
     assert len(T3.last_generators) <= 3
+
+
+def oracle_coords(mc, gens, ring):
+    """The coordinate cochains [a] -> a_i that psi pushes along."""
+    return {g: Cochain(1, ring, zip(mc.delta.cells[1], col))
+            for g, col in zip(gens, zip(*mc.magma.elements))}
+
+
+def shared_prefix_element(rng, ring, pool, deg):
+    """Up to six words over a small pool of indices, so that words share
+    prefixes and repeat factors, with coefficients of both signs."""
+    if deg == 0:
+        return TensorElem(ring, {(): rng.randint(-4, 4)})
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        terms[tuple(rng.choice(pool) for _ in range(deg))] = rng.choice(
+            [-3, -2, -1, 1, 2, 3])
+    return TensorElem(ring, terms)
+
+
+def stage_cases():
+    """(fixture, ring, stage) for stages 1-2 of every fixture; where stage
+    2 is refused, stage 1 alone."""
+    for path in sorted(FIXTURES.iterdir()):
+        for ring in ("Z", "Zp:2", "Zp:3"):
+            inp = LoadedInput(str(path), ring)
+            try:
+                stages = inp.build_model(2)
+            except PreconditionError:
+                stages = inp.build_model(1)
+            for s in stages:
+                yield path.name, ring, s
+
+
+def test_push_matches_oracle():
+    covered = 0
+    # rho_push of every H^2 generator and kernel representative
+    for name, ring, s in stage_cases():
+        for rep in [g.rep for g in s.h2_model] + s.ker_basis:
+            want = push_oracle.push_tensor(s.target, s.rho, rep, 2, {})
+            assert rho_push(s, rep) == want, (name, ring, s.n, rep)
+            covered += 1
+    assert covered > 400
+    # psi of the resolution representatives on B(Z_p^k)
+    for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)):
+        ring = RingSpec.Zp(p)
+        names = [f"x{i + 1}" for i in range(k)]
+        mc = delta_from_magma(MagmaLaw(names, {}, ring).to_finite_magma(), 3)
+        coords = oracle_coords(mc, names, ring)
+        for deg, reps in enumerate(resolution_cohomology_Zp(names, ring), 1):
+            assert reps
+            for rep in reps:
+                want = push_oracle.push_tensor(mc.delta, coords, rep, deg, {})
+                assert psi_embed(rep, mc, names, deg) == want, (p, k, rep)
+    # random elements along random 1-cochains, negative values over Z
+    for ring in (RingSpec.Z(), RingSpec.Zp(2), RingSpec.Zp(3)):
+        rng = random.Random(f"push/{ring}")
+        X = bar_construction(cyclic_group_magma((3, 2)), 3).delta
+        rho = {g: Cochain(1, ring, [(e, rng.randint(-3, 3))
+                                    for e in X.cells[1]])
+               for g in ("a", "b", "c")}
+        rho["o"] = Cochain(1, ring, {})
+        top = ring.max_zeta or 3
+        pool = [MultiIndex.single(g, e) for g in "abco"
+                for e in range(1, top + 1)]
+        pool += [MultiIndex((("a", top), ("b", 1))),
+                 MultiIndex((("b", 2 if top > 1 else 1), ("c", top)))]
+        cache = {}
+        for deg in range(4):
+            for _ in range(25):
+                u = shared_prefix_element(rng, ring, pool, deg)
+                want = push_oracle.push_tensor(X, rho, u, deg, {})
+                assert push_tensor(X, rho, u, deg, {}) == want, u
+                assert push_tensor(X, rho, u, deg, cache) == want, u
+            zero = TensorElem(ring, {})
+            want = push_oracle.push_tensor(X, rho, zero, deg, {})
+            assert push_tensor(X, rho, zero, deg, cache) == want
