@@ -25,8 +25,8 @@ from functools import partial, reduce
 from itertools import product as iproduct
 from operator import itemgetter, ne, or_
 
-from .rings import (InternalError, MultiIndex, PreconditionError, RingSpec,
-                    eval_columns)
+from .rings import (Combination, InternalError, MultiIndex,
+                    PreconditionError, RingSpec, eval_columns)
 from .tensor import TensorElem
 
 
@@ -221,10 +221,10 @@ def _scan_cells(d: int, pairs, names, top, lower, n: int, error=ValueError):
                             f"d_{i} d_{j} != d_{j - 1} d_{i}")
 
 
-class Cochain:
+class Cochain(Combination):
     """Sparse cochain of a fixed dimension."""
 
-    __slots__ = ("dim", "ring", "values")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, ring: RingSpec, values=None):
         if not 0 <= dim <= 3:
@@ -238,51 +238,33 @@ class Cochain:
                 c = ring.normalize(c)
                 if c:
                     vals[cell] = c
-        self.values = vals
+        self.terms = vals
+
+    def _like(self, items):
+        return Cochain(self.dim, self.ring, items)
 
     def __call__(self, cell: str) -> int:
-        return self.values.get(cell, 0)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check(other)
-        acc = dict(self.values)
-        for cell, c in other.values.items():
-            acc[cell] = acc.get(cell, 0) + c
-        return Cochain(self.dim, self.ring, acc)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "Cochain":
-        return Cochain(self.dim, self.ring,
-                       {cell: v * c for cell, v in self.values.items()})
+        return self.terms.get(cell, 0)
 
     def _check(self, other: "Cochain"):
         if self.dim != other.dim or self.ring != other.ring:
             raise PreconditionError("cochain dimension or ring mismatch")
 
     def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.dim == other.dim
-                and self.ring == other.ring and self.values == other.values)
+        return super().__eq__(other) and self.dim == other.dim
 
     def __hash__(self):
-        return hash((self.dim, self.ring, frozenset(self.values.items())))
+        return hash((self.dim, self.ring, frozenset(self.terms.items())))
 
     def vector(self, cells: list[str]) -> list[int]:
-        return [self.values.get(c, 0) for c in cells]
+        return [self.terms.get(c, 0) for c in cells]
 
     def pair_with_chain(self, chain: dict[str, int]) -> int:
         return self.ring.normalize(
-            sum(self.values.get(c, 0) * m for c, m in chain.items()))
+            sum(self.terms.get(c, 0) * m for c, m in chain.items()))
 
     def __repr__(self):
-        body = ", ".join(f"{c}: {v}" for c, v in sorted(self.values.items()))
+        body = ", ".join(f"{c}: {v}" for c, v in sorted(self.terms.items()))
         return f"Cochain{self.dim}({{{body}}})"
 
 
@@ -312,7 +294,7 @@ def cup_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     if p + q > 3:
         raise PreconditionError("cup product capped at total dimension 3")
     return Cochain(p + q, u.ring,
-                   _cup_into({}, X.front_index(p, q), u.values, v.values))
+                   _cup_into({}, X.front_index(p, q), u.terms, v.terms))
 
 
 def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
@@ -324,9 +306,9 @@ def cup1_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
     if u.dim != 1 or v.dim != 1:
         raise PreconditionError("cup-one on cochains supports dimensions "
                                 "(1,1) and zero-dimensional factors only")
-    vv = v.values
+    vv = v.terms
     return Cochain(1, u.ring,
-                   {c: a * vv[c] for c, a in u.values.items() if c in vv})
+                   {c: a * vv[c] for c, a in u.terms.items() if c in vv})
 
 
 def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
@@ -335,9 +317,9 @@ def cup2_cochain(X: DeltaSet, u: Cochain, v: Cochain) -> Cochain:
         raise PreconditionError("circle product requires two 2-cochains")
     if u.ring != v.ring:
         raise PreconditionError("ring mismatch")
-    vv = v.values
+    vv = v.terms
     return Cochain(2, u.ring,
-                   {c: a * vv[c] for c, a in u.values.items() if c in vv})
+                   {c: a * vv[c] for c, a in u.terms.items() if c in vv})
 
 
 def zeta_cochain(X: DeltaSet, f: Cochain, k: int) -> Cochain:
@@ -368,7 +350,7 @@ def steenrod_cup1_21(X: DeltaSet, u: Cochain, b: Cochain) -> Cochain:
     makes the rewriting independent of the chosen decomposition."""
     if u.dim != 2 or b.dim != 1:
         raise PreconditionError("requires a 2-cochain and a 1-cochain")
-    uv, bv = u.values, b.values
+    uv, bv = u.terms, b.terms
     out = {}
     for s, front, back in X.face_table(1, 1):
         val = uv.get(s)
@@ -687,7 +669,7 @@ def push_zeta(X: DeltaSet, rho: dict[str, Cochain], idx: MultiIndex,
     """The image of zeta_I, I not the unit: on each 1-cell e, zeta_I at
     the point x -> rho[x](e).  C(0, k) = 0 for k >= 1, so ``eval_columns``
     evaluates it only on the cells where every rho[x] of I has a value."""
-    vals = [rho[name].values for name in idx.support]
+    vals = [rho[name].terms for name in idx.support]
     cells = list(vals[0])
     for f in vals[1:]:
         cells = list(filter(f.__contains__, cells))
@@ -727,7 +709,7 @@ def push_tensor(X: DeltaSet, rho: dict[str, Cochain], t: TensorElem,
         f = cache.get(idx)
         if f is None:
             f = cache[idx] = push_zeta(X, rho, idx, ring)
-        return f.values
+        return f.terms
 
     groups: dict[tuple, dict] = {}
     for word, c in t.terms.items():

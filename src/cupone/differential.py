@@ -98,19 +98,7 @@ class Differential:
         d_prod = self._d_cup1(TensorElem(self.ring, {(zn,): 1}),
                               TensorElem.gen(self.ring, name),
                               d_zn, self.tau[name])
-        return self._divide(d_prod - d_zn.scale(n), n + 1)
-
-    def _divide(self, t: TensorElem, m: int) -> TensorElem:
-        if self.ring.is_modular:
-            return t.scale(self.ring.inv(m))
-        out = {}
-        for w, c in t.terms.items():
-            q, r = divmod(c, m)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division by {m} in zeta recursion")
-            out[w] = q
-        return TensorElem(self.ring, out)
+        return (d_prod - d_zn.scale(n)).divide(n + 1)
 
     def _d_cup1(self, a: TensorElem, b: TensorElem,
                 da: TensorElem, db: TensorElem) -> TensorElem:

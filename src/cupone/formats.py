@@ -43,9 +43,9 @@ def parse_delta_text(text: str, path: str = "<delta>") -> tuple[DeltaSet, RingSp
             continue
         parts = line.split()
         if parts[0] == "ring":
-            if parts[1] == "Z" and len(parts) == 2:
+            if parts[1:] == ["Z"]:
                 ring = RingSpec.Z()
-            elif parts[1] == "Zp" and len(parts) == 3:
+            elif parts[1:2] == ["Zp"] and len(parts) == 3:
                 try:
                     ring = RingSpec.Zp(int(parts[2]))
                 except ValueError as e:
@@ -108,17 +108,26 @@ def parse_presentation_text(text: str,
             gens = tuple(line[len("gens:"):].split())
             if not gens:
                 raise ParseError(path, lineno, "empty generator list")
+            for i, g in enumerate(gens):
+                if g in gens[:i]:
+                    raise ParseError(path, lineno,
+                                     f"duplicate generator {g!r}")
         elif line.startswith("rel:"):
             toks = line[len("rel:"):].split()
             if not toks:
                 raise ParseError(path, lineno, "empty relator")
-            rels.append(word(toks))
+            rels.append((lineno, word(toks)))
         else:
             raise ParseError(path, lineno, f"unrecognized line {line!r}")
     if gens is None:
         raise ParseError(path, 1, "missing gens: line")
+    for lineno, rel in rels:
+        for name, _ in rel:
+            if name not in gens:
+                raise ParseError(path, lineno,
+                                 f"relator uses unknown generator {name}")
     try:
-        return PresentedGroup(gens, tuple(rels))
+        return PresentedGroup(gens, tuple(rel for _, rel in rels))
     except ValueError as e:
         raise ParseError(path, 0, str(e))
 

@@ -160,21 +160,10 @@ class Cylinder:
             raise ArithmeticError(
                 "constant part of a falling factorial must vanish at 0")
         f = factorial(k)
-        if self.ring.is_modular:
-            return self.scale(acc_h, self.ring.inv(f % self.ring.p))
-        return CylEl(1, _divide_exact(acc_h.f0, f),
-                     _divide_exact(acc_h.f1, f), _divide_exact(acc_h.g, f))
+        return CylEl(1, acc_h.f0.divide(f), acc_h.f1.divide(f),
+                     acc_h.g.divide(f))
 
     def restrict(self, x: CylEl, end: int):
         """Endpoint restriction id (x) eta_end."""
         return x.f0 if end == 0 else x.f1
 
-
-def _divide_exact(part: Cochain, m: int) -> Cochain:
-    out = {}
-    for cell, v in part.values.items():
-        q, r = divmod(v, m)
-        if r:
-            raise ArithmeticError("inexact division in cylinder zeta")
-        out[cell] = q
-    return Cochain(part.dim, part.ring, out)

@@ -50,19 +50,19 @@ class MagmaLaw:
         return tuple(self.ring.normalize(x + y - z)
                      for x, y, z in zip(a, b, f))
 
-    def law_polynomials(self, prime: str = "'") -> dict[str, BinomialPoly]:
+    def law_polynomials(self) -> dict[str, BinomialPoly]:
         """Symbolic law: mu(a, a')(x) as a polynomial in the generator
         values and their primed copies."""
         out = {}
         for gi, g in enumerate(self.gens):
             p = (BinomialPoly.gen(self.ring, g)
-                 + BinomialPoly.gen(self.ring, g + prime))
+                 + BinomialPoly.gen(self.ring, g + "'"))
             t = self.tau.get(g)
             if t is not None and not t.is_zero():
                 for word, c in t.terms.items():
                     i1, i2 = word
                     left = BinomialPoly._tidy(self.ring, [(i1, 1)])
-                    primed = MultiIndex((n + prime, e) for n, e in i2.entries)
+                    primed = MultiIndex((n + "'", e) for n, e in i2.entries)
                     right = BinomialPoly._tidy(self.ring, [(primed, 1)])
                     p = p - (left * right).scale(c)
             out[g] = p

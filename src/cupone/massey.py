@@ -117,12 +117,12 @@ class MagnusPairings:
         return all(not any(t.values()) for t in self.eps2)
 
 
-def magnus_pairings(group: PresentedGroup, depth: int = 3) -> MagnusPairings:
+def magnus_pairings(group: PresentedGroup) -> MagnusPairings:
     gens = group.generators
     n = len(gens)
     eps2, eps3 = [], []
     for rel in group.relators:
-        series = magnus_expand(rel, gens, depth)
+        series = magnus_expand(rel, gens)
         table2 = {}
         table3 = {}
         for i in range(1, n + 1):
@@ -159,7 +159,7 @@ class MasseyResult:
 def _content(c: Cochain) -> tuple:
     """What Cochain.__hash__ hashes, frozen: an equal copy of c finds
     the same cache entry, and c changed later does not."""
-    return (c.dim, c.ring, frozenset(c.values.items()))
+    return (c.dim, c.ring, frozenset(c.terms.items()))
 
 
 class MasseyContext:

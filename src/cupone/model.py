@@ -708,8 +708,13 @@ def check_group_size(stage: "ModelStage") -> None:
             f"(limit {MAGMA_CELL_LIMIT:,})")
 
 
-def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
-                  seed: int = 0) -> GroupRealization:
+# Over Z the group axioms and the unit are audited on AUDIT_SAMPLES points
+# with coordinates in [-AUDIT_BOX, AUDIT_BOX], drawn from a fixed seed.
+AUDIT_BOX = 3
+AUDIT_SAMPLES = 50
+
+
+def realize_group(stage: "ModelStage") -> GroupRealization:
     ring = stage.ring
     law = MagmaLaw(stage.gens.names, stage.diff.tau, ring)
     rendered = {g: p.render() for g, p in law.law_polynomials().items()}
@@ -722,22 +727,22 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
         fm = law.to_finite_magma()
         verdict = check_admissible(fm)
     else:
-        verdict = check_admissible(law, box=box, samples=samples, seed=seed)
+        verdict = check_admissible(law, box=AUDIT_BOX, samples=AUDIT_SAMPLES)
     audit["associativity"] = verdict.status
     if not verdict.ok:
         raise InternalError(
             f"group axioms fail: counterexample {verdict.counterexample}")
     n = len(stage.gens.names)
     zero = tuple(0 for _ in range(n))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     if ring.is_modular:
         audit["order"] = len(fm)
         audit["unit"] = all(fm.op(a, zero) == a and fm.op(zero, a) == a
                             for a in fm.elements)
         audit["inverses"] = fm.has_inverses()
     else:
-        pts = [tuple(rng.randint(-box, box) for _ in range(n))
-               for _ in range(samples)]
+        pts = [tuple(rng.randint(-AUDIT_BOX, AUDIT_BOX) for _ in range(n))
+               for _ in range(AUDIT_SAMPLES)]
         audit["unit"] = all(law.apply(a, zero) == a
                             and law.apply(zero, a) == a for a in pts)
         audit["inverses"] = "not-audited-over-Z (group by construction)"
@@ -749,14 +754,15 @@ def realize_group(stage: "ModelStage", box: int = 3, samples: int = 50,
         lv = stage.gens.at_level(m)
         tower.append((m, lv))
         idxs = [stage.gens.names.index(g) for g in lv]
-        for _ in range(min(samples, 25)):
+        for _ in range(25):
             zvec = [0] * n
             for i in idxs:
                 zvec[i] = (rng.randint(0, ring.p - 1) if ring.is_modular
-                           else rng.randint(-box, box))
+                           else rng.randint(-AUDIT_BOX, AUDIT_BOX))
             zt = tuple(zvec)
             a = tuple(rng.randint(0, ring.p - 1) if ring.is_modular
-                      else rng.randint(-box, box) for _ in range(n))
+                      else rng.randint(-AUDIT_BOX, AUDIT_BOX)
+                      for _ in range(n))
             expect = tuple(ring.normalize(x + y) for x, y in zip(a, zt))
             if law.apply(a, zt) != expect or law.apply(zt, a) != expect:
                 central_ok = False

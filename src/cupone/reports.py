@@ -41,7 +41,7 @@ def stage_dict(stage: ModelStage) -> dict:
             "name": g,
             "level": stage.gens.level[g],
             "differential": stage.diff.tau[g].render(),
-            "rho": {c: v for c, v in sorted(stage.rho[g].values.items())}
+            "rho": {c: v for c, v in sorted(stage.rho[g].terms.items())}
             if g in stage.rho else None,
         })
     h2 = None

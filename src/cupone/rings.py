@@ -311,10 +311,83 @@ def _expand_product(ring: RingSpec, i1: MultiIndex, i2: MultiIndex):
     return tuple(out_list)
 
 
-class BinomialPoly:
-    """Element of Int(R^X): sparse combination of zeta-basis monomials."""
+class Combination:
+    """Sparse R-linear combination: a dict key -> coefficient whose
+    coefficients are normalized in ``ring`` and nonzero.  Subclasses fix
+    the keys and validate outside input in their constructors; the
+    arithmetic here builds its results through ``_like``."""
 
     __slots__ = ("ring", "terms")
+
+    @classmethod
+    def _tidy(cls, ring: RingSpec, items):
+        """Element from (key, coefficient) pairs whose keys are distinct
+        and valid (a result of arithmetic on elements): normalizes the
+        coefficients and drops the zero ones, checking nothing else."""
+        t = cls.__new__(cls)
+        t.ring = ring
+        p = ring.p
+        if p:
+            t.terms = {k: r for k, c in items if (r := c % p)}
+        else:
+            t.terms = {k: c for k, c in items if c}
+        return t
+
+    def _like(self, items):
+        """``_tidy`` over this element's ring; ``Cochain`` overrides it
+        to keep its dimension."""
+        return self._tidy(self.ring, items)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            acc[k] = acc.get(k, 0) + c
+        return self._like(acc.items())
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: int):
+        return self._like([(k, v * c) for k, v in self.terms.items()])
+
+    def divide(self, m: int):
+        """The exact quotient by m: over Z_p the product with m^-1; over Z
+        a coefficient that m does not divide raises ArithmeticError."""
+        ring = self.ring
+        if ring.is_modular:
+            return self.scale(ring.inv(m))
+        out = []
+        for k, c in self.terms.items():
+            q, r = divmod(c, m)
+            if r:
+                raise ArithmeticError(
+                    f"inexact division by {m} at {k!r} (coefficient {c})")
+            out.append((k, q))
+        return self._like(out)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.ring == other.ring
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+
+class BinomialPoly(Combination):
+    """Element of Int(R^X): sparse combination of zeta-basis monomials."""
+
+    __slots__ = ()
 
     def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
@@ -334,20 +407,6 @@ class BinomialPoly:
         self.terms = tidy
 
     @classmethod
-    def _tidy(cls, ring: RingSpec, items) -> "BinomialPoly":
-        """Element from (index, coefficient) pairs whose indices are
-        distinct and valid over ring (a product of the basis): normalizes
-        the coefficients and drops the zero ones, checking nothing else."""
-        t = cls.__new__(cls)
-        t.ring = ring
-        p = ring.p
-        if p:
-            t.terms = {i: r for i, c in items if (r := c % p)}
-        else:
-            t.terms = {i: c for i, c in items if c}
-        return t
-
-    @classmethod
     def zero(cls, ring: RingSpec) -> "BinomialPoly":
         return cls(ring, {})
 
@@ -363,9 +422,6 @@ class BinomialPoly:
     def zeta_monomial(cls, ring: RingSpec, idx: MultiIndex, c: int = 1) -> "BinomialPoly":
         return cls(ring, {idx: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant_free(self) -> bool:
         return UNIT_INDEX not in self.terms
 
@@ -378,29 +434,7 @@ class BinomialPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = BinomialPoly.const(self.ring, other)
-        self._check_ring(other)
-        acc = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc[idx] = acc.get(idx, 0) + c
-        return BinomialPoly._tidy(self.ring, acc.items())
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BinomialPoly.const(self.ring, other)
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "BinomialPoly":
-        if not self.ring.normalize(c):
-            return BinomialPoly.zero(self.ring)
-        return BinomialPoly._tidy(self.ring, [(i, v * c) for i, v
-                                              in self.terms.items()])
-
-    def _check_ring(self, other: "BinomialPoly"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
+        return super().__add__(other)
 
     def __mul__(self, other):
         """Product re-expanded in the zeta basis.
@@ -411,7 +445,7 @@ class BinomialPoly:
         """
         if isinstance(other, int):
             return self.scale(other)
-        self._check_ring(other)
+        self._check(other)
         ring = self.ring
         out: dict[MultiIndex, int] = {}
         for i1, c1 in self.terms.items():
@@ -439,17 +473,7 @@ class BinomialPoly:
         prod = BinomialPoly.const(ring, 1)
         for i in range(k):
             prod = prod * (self - i)
-        if ring.is_modular:
-            return prod.scale(ring.inv(factorial(k) % ring.p))
-        out = {}
-        f = factorial(k)
-        for idx, c in prod.terms.items():
-            q, r = divmod(c, f)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division by {k}! at {idx!r} (coefficient {c})")
-            out[idx] = q
-        return BinomialPoly._tidy(ring, out.items())
+        return prod.divide(factorial(k))
 
     def evaluate(self, point: dict) -> int:
         """Evaluate at a point (unset generators default to 0)."""
@@ -473,20 +497,11 @@ class BinomialPoly:
                 parts.append(f"{c} * {mono}")
         return " + ".join(parts)
 
-    def __eq__(self, other):
-        return (isinstance(other, BinomialPoly)
-                and self.ring == other.ring and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(
-            (i, c) for i, c in self.terms.items()))))
-
     def __repr__(self):
         return f"<{self.render()} over {self.ring!r}>"
 
 
-def zeta_add_expand(k: int, ring: RingSpec = ZZ,
-                    left: str = "a", right: str = "b") -> BinomialPoly:
+def zeta_add_expand(k: int, ring: RingSpec = ZZ) -> BinomialPoly:
     """The addition law zeta_k(a+b) = sum_{i+j=k} zeta_i(a) zeta_j(b)
     as an element of Int(R^{a,b})."""
     if k < 1:
@@ -498,8 +513,8 @@ def zeta_add_expand(k: int, ring: RingSpec = ZZ,
         j = k - i
         entries = []
         if i:
-            entries.append((left, i))
+            entries.append(("a", i))
         if j:
-            entries.append((right, j))
+            entries.append(("b", j))
         terms.append((MultiIndex(entries), 1))
     return BinomialPoly(ring, terms)

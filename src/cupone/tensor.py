@@ -14,24 +14,24 @@ tuple (cached under the factors in call order, so a hit is one lookup),
 and cup1_hirsch / cup1_31 multiply each distinct slot factor by v once
 per call (through ``BinomialPoly.__mul__``), reusing the product for
 every word and slot that holds the factor.  The results of this module's
-own arithmetic already have distinct, valid words, so
-``TensorElem._tidy`` and ``BinomialPoly._tidy`` build them, only
+own arithmetic already have distinct, valid words, so ``_tidy``, which
+both classes take from ``rings.Combination``, builds them, only
 normalizing coefficients; the constructors validate outside input.
 """
 from __future__ import annotations
 
-from .rings import (UNIT_INDEX, BinomialPoly, InternalError, MultiIndex,
-                    RingSpec, mono_product)
+from .rings import (UNIT_INDEX, BinomialPoly, Combination, InternalError,
+                    MultiIndex, RingSpec, mono_product)
 
 Word = tuple  # tuple of MultiIndex, none of them the unit
 
 DEGREE_CAP = 4  # degree 4 arises only transiently inside d^2 checks
 
 
-class TensorElem:
+class TensorElem(Combination):
     """Sparse element of T_R(X); may mix degrees (words of any length)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
     def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
@@ -52,20 +52,6 @@ class TensorElem:
                 if not ring.normalize(tidy[word]):
                     del tidy[word]
         self.terms = tidy
-
-    @classmethod
-    def _tidy(cls, ring: RingSpec, items) -> "TensorElem":
-        """Element from (word, coefficient) pairs whose words are distinct
-        and valid (a product of this module): normalizes the coefficients
-        and drops the zero ones, checking nothing else."""
-        t = cls.__new__(cls)
-        t.ring = ring
-        p = ring.p
-        if p:
-            t.terms = {w: r for w, c in items if (r := c % p)}
-        else:
-            t.terms = {w: c for w, c in items if c}
-        return t
 
     # -- constructors -------------------------------------------------
 
@@ -93,9 +79,6 @@ class TensorElem:
 
     # -- basics --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         degs = {len(w) for w in self.terms}
         if not degs:
@@ -109,34 +92,6 @@ class TensorElem:
             raise ValueError("only degree-1 elements convert to polynomials")
         return BinomialPoly._tidy(self.ring, [(w[0], c) for w, c
                                               in self.terms.items()])
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, 0) + c
-        return TensorElem._tidy(self.ring, acc.items())
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "TensorElem":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "TensorElem":
-        return TensorElem._tidy(self.ring,
-                                [(w, v * c) for w, v in self.terms.items()])
-
-    def _check(self, other: "TensorElem"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("ring mismatch")
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElem)
-                and self.ring == other.ring and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def weight_of(self) -> tuple[int, int]:
         """(min, max) total zeta-weight over the words."""

@@ -29,7 +29,7 @@ def push_zeta(X: DeltaSet, rho: dict[str, Cochain], idx: MultiIndex,
     """The image of zeta_I, I not the unit: on each 1-cell e, zeta_I at
     the point x -> rho[x](e).  C(0, k) = 0 for k >= 1, so only the cells
     where the first generator of I has a value can be nonzero."""
-    vals = [(name, rho[name].values) for name in idx.support]
+    vals = [(name, rho[name].terms) for name in idx.support]
     first = vals[0][1]
     out = {}
     for e in X.cells[1]:

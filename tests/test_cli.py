@@ -331,6 +331,24 @@ def test_cli_massey_bad_triples_exit_2(capsys, triples):
     assert f"bad --triples {triples!r}" in err
 
 
+def test_cli_duplicate_generator_exits_2(tmp_path, capsys):
+    # Read as a Delta-set cell id, a repeated generator used to exit 1.
+    path = tmp_path / "dup.pres"
+    path.write_text("# two a's\ngens: a a\nrel: a a^-1\n")
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: {path}:2: duplicate generator 'a'\n")
+
+
+def test_cli_unknown_relator_generator_names_its_line(tmp_path, capsys):
+    # The relator check used to report line 0.
+    path = tmp_path / "unk.pres"
+    path.write_text("gens: a b\nrel: a b a^-1 b^-1\nrel: a c a^-1 c^-1\n")
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: {path}:3: relator uses unknown generator c\n")
+
+
 def run_module(*args):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

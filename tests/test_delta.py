@@ -333,7 +333,7 @@ def test_psi_injective_on_basis_weight_4():
     seen = {}
     for idx in iter_indices(gens, 4, max_exp=4):
         c = psi_embed(TensorElem(ring, {(idx,): 1}), mc, gens)
-        key = tuple(sorted(c.values.items()))
+        key = tuple(sorted(c.terms.items()))
         assert key not in seen, (idx, seen[key])
         seen[key] = idx
 
@@ -590,32 +590,35 @@ def test_complexes_frozen():
 
 
 MALFORMED_DELTAS = {
-    "duplicate": ("ring Z\ncells 0\nv :\nv :\n", "duplicate cell id 'v'"),
+    "duplicate": ("ring Z\ncells 0\nv :\nv :\n", 0, "duplicate cell id 'v'"),
     "first-duplicate": ("ring Z\ncells 0\nv :\nw :\nw :\ncells 1\n"
-                        "v : w w\n", "duplicate cell id 'w'"),
+                        "v : w w\n", 0, "duplicate cell id 'w'"),
     "low-face": ("ring Z\ncells 0\nv :\ncells 1\ne : v v\ncells 2\n"
-                 "s : e v e\n", "face 'v' of 's' is not a 1-cell"),
+                 "s : e v e\n", 0, "face 'v' of 's' is not a 1-cell"),
     "unknown-face": ("ring Z\ncells 0\nv :\ncells 1\ne : v v\ncells 2\n"
-                     "s : e x e\n", "face 'x' of 's' is not a 1-cell"),
+                     "s : e x e\n", 0, "face 'x' of 's' is not a 1-cell"),
     "identity": ("ring Z\ncells 0\nv :\nw :\ncells 1\ne : w v\ncells 2\n"
-                 "s : e e e\n",
+                 "s : e e e\n", 0,
                  "face identity fails on 's': d_0 d_2 != d_1 d_0"),
     "first-failing": ("ring Z\ncells 0\nv :\nw :\ncells 1\ne : w v\n"
-                      "f : v v\ncells 2\ns : f f f\nt : e e e\n",
+                      "f : v v\ncells 2\ns : f f f\nt : e e e\n", 0,
                       "face identity fails on 't': d_0 d_2 != d_1 d_0"),
+    # A bare ring line used to raise IndexError (a traceback, exit 1).
+    "bare-ring": ("# no ring named\nring\ncells 0\nv :\n", 2,
+                  "bad ring line 'ring'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DELTAS))
 def test_malformed_delta_exits_2(tmp_path, capsys, case):
     from cupone.cli import main
-    text, message = MALFORMED_DELTAS[case]
+    text, lineno, message = MALFORMED_DELTAS[case]
     path = tmp_path / f"{case}.delta"
     path.write_text(text)
     assert main(["cohomology", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"error: {path}:0: {message}\n"
+    assert out.err == f"error: {path}:{lineno}: {message}\n"
 
 
 def test_face_identity_failure_on_built_complex_is_internal():

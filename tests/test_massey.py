@@ -141,7 +141,7 @@ def massey_outcome(ctx, us):
     except PreconditionError as e:
         return "refused", str(e)
     return res, (res.coords, res.indeterminacy,
-                 sorted(res.representative.values.items()))
+                 sorted(res.representative.terms.items()))
 
 
 def test_memoized_massey_matches_fresh_context():
@@ -160,7 +160,7 @@ def test_memoized_massey_matches_fresh_context():
             triples = list(product(range(len(reps)), repeat=3))
             rng.shuffle(triples)
             for n, t in enumerate(triples):
-                us = [Cochain(1, R, reps[i].values) if (3 * n + j) % 2
+                us = [Cochain(1, R, reps[i].terms) if (3 * n + j) % 2
                       else reps[i] for j, i in enumerate(t)]
                 res, got = massey_outcome(ctx, us)
                 _, want = massey_outcome(MasseyContext(X, R, reps),

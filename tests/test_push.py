@@ -101,10 +101,10 @@ def test_psi_matches_the_per_cell_loop(complex_name, ring_name):
             u = random_element(rng, ring, gens, deg)
             got = psi_embed(u, mc, gens, deg=deg)
             want, want_deg = psi_oracle(u, mc, gens, deg)
-            assert (got.dim, got.ring, got.values) == (want_deg, ring, want)
+            assert (got.dim, got.ring, got.terms) == (want_deg, ring, want)
         zero = TensorElem(ring, {})
         got = psi_embed(zero, mc, gens, deg=deg)
-        assert (got.dim, got.values) == (deg, {})
+        assert (got.dim, got.terms) == (deg, {})
     assert psi_embed(TensorElem(ring, {}), mc, gens).dim == 1
 
 

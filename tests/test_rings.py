@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from cupone import rings
+from cupone.delta import Cochain
 from cupone.rings import (
     BinomialPoly,
     MultiIndex,
@@ -16,6 +17,7 @@ from cupone.rings import (
     zeta_add_expand,
     zeta_structure_constants,
 )
+from cupone.tensor import TensorElem
 
 Z = RingSpec.Z()
 Z2 = RingSpec.Zp(2)
@@ -371,3 +373,69 @@ def test_product_equals_validated_raw_sums(ring):
         assert all(got.terms.values())
         if ring.p:
             assert all(0 < c < ring.p for c in got.terms.values())
+
+
+# -- the shared R-linear arithmetic (rings.Combination) -----------------
+
+CLASSES = [BinomialPoly, TensorElem, Cochain]
+
+
+def _make(cls, ring, coeffs, dim=1):
+    """An element of cls with coefficients coeffs on up to three keys of
+    its kind: monomials, one-factor words or 1-cells."""
+    keys = [MultiIndex.single(n) for n in "xyz"]
+    if cls is TensorElem:
+        keys = [(i,) for i in keys]
+    if cls is Cochain:
+        return Cochain(dim, ring, dict(zip("efg", coeffs)))
+    return cls(ring, dict(zip(keys, coeffs)))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_divide_over_z_is_exact(cls):
+    u = _make(cls, Z, [6, -4, 10])
+    assert u.divide(2) == _make(cls, Z, [3, -2, 5])
+    assert u.divide(-2) == _make(cls, Z, [-3, 2, -5])
+    assert u.divide(1) == u
+    assert _make(cls, Z, []).divide(7).is_zero()
+    for m in (4, 3, -4):
+        with pytest.raises(ArithmeticError, match=f"inexact division by {m}"):
+            u.divide(m)
+
+
+@pytest.mark.parametrize("ring", [Z2, Z3, Z5], ids=repr)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_divide_over_zp_scales_by_the_inverse(cls, ring):
+    rng = random.Random(f"divide/{cls.__name__}/{ring!r}")
+    for _ in range(20):
+        u = _make(cls, ring, [rng.randint(-9, 9) for _ in range(3)])
+        for m in range(1, 3 * ring.p):
+            if m % ring.p:
+                assert u.divide(m) == u.scale(pow(m, -1, ring.p))
+                assert u.divide(m).scale(m) == u
+        with pytest.raises(ZeroDivisionError):
+            u.divide(ring.p)
+
+
+def test_equality_needs_the_same_class_and_dimension():
+    items = [("k", 1), ("l", -2)]
+    for group in ([_make(cls, Z, []) for cls in CLASSES],
+                  [cls._tidy(Z, items) for cls in (BinomialPoly, TensorElem)]):
+        for i, u in enumerate(group):
+            for j, v in enumerate(group):
+                assert u.terms == v.terms
+                assert (u == v) == (i == j)
+    assert Cochain(1, Z, {"e": 1}) != Cochain(2, Z, {"e": 1})
+    assert Cochain(0, Z) != Cochain(3, Z)
+    assert _make(BinomialPoly, Z3, [1]) != _make(BinomialPoly, Z, [1])
+
+
+@pytest.mark.parametrize("ring", [Z, Z3], ids=repr)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equal_elements_hash_equal(cls, ring):
+    u = _make(cls, ring, [2, -1, 5])
+    v = _make(cls, ring, [1, 0, 5]) + _make(cls, ring, [1, -1, 0])
+    assert list(u.terms) != list(v.terms)  # built in another order
+    assert u == v and hash(u) == hash(v)
+    assert u - u == -u + u == _make(cls, ring, [])
+    assert hash(u - u) == hash(_make(cls, ring, []))
