@@ -231,17 +231,12 @@ class Cochain(Combination):
             raise PreconditionError("cochain dimension must be 0..3")
         self.dim = dim
         self.ring = ring
-        vals = {}
-        if values:
-            for cell, c in (values.items()
-                            if isinstance(values, dict) else values):
-                c = ring.normalize(c)
-                if c:
-                    vals[cell] = c
-        self.terms = vals
+        self.terms = self._summed(ring, values)
 
     def _like(self, items):
-        return Cochain(self.dim, self.ring, items)
+        t = self._tidy(self.ring, items)
+        t.dim = self.dim
+        return t
 
     def __call__(self, cell: str) -> int:
         return self.terms.get(cell, 0)
@@ -674,7 +669,7 @@ def push_zeta(X: DeltaSet, rho: dict[str, Cochain], idx: MultiIndex,
     for f in vals[1:]:
         cells = list(filter(f.__contains__, cells))
     cols = [list(map(f.__getitem__, cells)) for f in vals]
-    return Cochain(1, ring, zip(cells, eval_columns(idx, cols, ring)))
+    return Cochain(1, ring, dict(zip(cells, eval_columns(idx, cols, ring))))
 
 
 def _cup_into(out: dict, front: dict, uv: dict, vv: dict) -> dict:
@@ -743,7 +738,7 @@ def psi_embed(u: TensorElem, mc: MagmaComplex, gens: list[str],
     # The 1-cells list the elements in order.
     cells = X.cells[1]
     columns = zip(*mc.magma.elements)
-    coords = {g: Cochain(1, u.ring, zip(cells, col))
+    coords = {g: Cochain(1, u.ring, dict(zip(cells, col)))
               for g, col in zip(gens, columns)}
     return push_tensor(X, coords, u, 1 if deg is None else deg, {})
 

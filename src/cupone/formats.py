@@ -43,6 +43,8 @@ def parse_delta_text(text: str, path: str = "<delta>") -> tuple[DeltaSet, RingSp
             continue
         parts = line.split()
         if parts[0] == "ring":
+            if ring is not None:
+                raise ParseError(path, lineno, "second ring line")
             if parts[1:] == ["Z"]:
                 ring = RingSpec.Z()
             elif parts[1:2] == ["Zp"] and len(parts) == 3:
@@ -105,6 +107,8 @@ def parse_presentation_text(text: str,
         if not line or line.startswith("#"):
             continue
         if line.startswith("gens:"):
+            if gens is not None:
+                raise ParseError(path, lineno, "second gens: line")
             gens = tuple(line[len("gens:"):].split())
             if not gens:
                 raise ParseError(path, lineno, "empty generator list")

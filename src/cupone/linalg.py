@@ -24,11 +24,13 @@ of the columns beside the relation columns o_i e_i over Z, one tagged
 membership test serve the kernel and cokernel of H^2(rho_n), the H^1
 and psi basis checks and the Massey indeterminacy.
 
-``ZpEliminator`` is Gaussian elimination with combination tracking.  Its
-row format follows p alone: for p <= 13 one-hot bit masks, one Python int
-per nonzero value c holding the columns whose value is c (a single mask
-for p = 2), so a row operation is a few AND/OR/XOR passes; for p >= 17
-dicts column -> value.
+``ZpEliminator`` is Gaussian elimination with combination tracking, one
+algorithm for every row format: a row keeps its combination over the
+tagged rows in tag slots above its columns, so one row operation updates
+both.  The format follows p alone: for p <= 13 one-hot bit masks, one
+Python int per nonzero value c holding the indices whose value is c (a
+single mask for p = 2), so a row operation is a few AND/OR/XOR passes;
+for p >= 17 dicts index -> value.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -434,7 +436,10 @@ def _bits(x: int):
 
 
 def _entries(p: int, row) -> list[tuple[int, int]]:
-    """(index, value) for every nonzero entry of a packed row, ascending."""
+    """(index, value) for every nonzero entry of a row in either format,
+    ascending."""
+    if isinstance(row, dict):
+        return sorted(row.items())
     if p == 2:
         return [(i, 1) for i in _bits(row)]
     return sorted((i, c) for c in range(1, p) for i in _bits(row[c]))
@@ -446,29 +451,31 @@ class ZpEliminator:
     Each row is reduced on its leading (lowest) column only and stored
     with leading coefficient 1 under that column.  Tagged insertions track
     how each stored pivot row decomposes over the tagged originals, which
-    yields coordinate functionals on quotients.
+    yields coordinate functionals on quotients.  The combination lives in
+    the row itself: the t-th tag seen takes slot t, at index ``width + t``,
+    so one row operation updates both, and no pivot ever holds a slot.
 
-    The row format follows p.  For p >= 17 a row is a dict column ->
-    value, beside a dict tag -> coefficient.  For p <= 13 it is packed
-    one-hot: bit j of mask c is set when column j holds the value c.  Its
-    combination lives in the same masks, one bit per tag from bit
-    ``width`` up, so one row operation updates both.  For p = 2 the row
-    is its single mask and a row operation is XOR.  For odd p a row is a
-    list whose entry c, for 0 < c < p, is the mask of value c and whose
-    entry 0 is the support, the OR of the others; scaling permutes the
-    masks and adding is AND/OR/XOR (``_add``), so no value can spill into
-    a neighbouring column.  In both formats a column outside 0..width-1
-    is a caller's defect and raises InternalError.
+    The row format follows p.  For p >= 17 a row is a dict index -> value.
+    For p <= 13 it is packed one-hot: bit j of mask c is set when index j
+    holds the value c.  For p = 2 the row is its single mask and a row
+    operation is XOR.  For odd p a row is a list whose entry c, for
+    0 < c < p, is the mask of value c and whose entry 0 is the support,
+    the OR of the others; scaling permutes the masks and adding is
+    AND/OR/XOR (``_add``), so no value can spill into a neighbouring
+    column.  Dict rows stay above p = 13 because a one-hot row costs O(p)
+    masks.  Only the per-format helpers ``_pack``, ``_reduce``, ``_monic``,
+    ``_high`` and ``_columns`` read the format.  In both formats a column
+    outside 0..width-1 is a caller's defect and raises InternalError.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
-        self.width = width  # packed: columns below, combination bits above
+        self.width = width  # columns below, combination slots from here up
         self.pivots: dict[int, object] = {}
         self.packed = p <= PACKED_MAX_P
+        self._slots: dict = {}  # tag -> slot
+        self._tags: list = []
         if self.packed:
-            self._slots: dict = {}  # tag -> combination bit - width
-            self._tags: list = []
             # _scale[m][k]: the mask of a row that holds k in m * row
             self._scale = [None] + [[k * pow(m, -1, p) % p for k in range(p)]
                                     for m in range(1, p)]
@@ -479,11 +486,9 @@ class ZpEliminator:
 
     def insert(self, vec, tag=None) -> bool:
         """Insert a row; returns True when it enlarged the space."""
-        if self.packed:
-            return self._insert_packed(vec, tag) is None
-        return self.insert_relation(vec, tag) is None
+        return self._insert(vec, tag) is None
 
-    def insert_relation(self, vec: dict[int, int], tag=None) -> dict | None:
+    def insert_relation(self, vec, tag=None) -> dict | None:
         """Insert a row, or return the relation that makes it redundant.
 
         None means the row enlarged the space.  Otherwise nothing is
@@ -492,21 +497,9 @@ class ZpEliminator:
         rows; a tagged new row is listed too, under ``tag`` with c = 1.  So
         one reduction both tests a row and yields its relation.
         """
-        p = self.p
-        if self.packed:
-            rel = self._insert_packed(vec, tag)
-            return None if rel is None else {
-                self._tags[t]: c for t, c in _entries(p, rel)}
-        vec, expr = self._reduce(vec, {} if tag is None else {tag: 1})
-        if not vec:
-            return expr
-        lead = min(vec)
-        if vec[lead] != 1:
-            inv = pow(vec[lead], p - 2, p)
-            vec = {j: (v * inv) % p for j, v in vec.items()}
-            expr = {t: (c * inv) % p for t, c in expr.items()}
-        self.pivots[lead] = (vec, expr)
-        return None
+        rel = self._insert(vec, tag)
+        return None if rel is None else {
+            self._tags[t]: c for t, c in _entries(self.p, rel)}
 
     def express(self, vec: dict[int, int]) -> dict | None:
         """Write vec as a combination of tagged rows modulo untagged ones.
@@ -515,17 +508,10 @@ class ZpEliminator:
         or None when vec is not in the row space.
         """
         p = self.p
-        if self.packed:
-            v = self._reduce_packed(self._pack(vec))
-            s = v if p == 2 else v[0]
-            if 0 <= (s & -s).bit_length() - 1 < self.width:
-                return None
-            return {self._tags[t]: p - c
-                    for t, c in _entries(p, self._high(v))}
-        out, expr = self._reduce(vec, {})
-        if out:
+        row, lead = self._reduce(self._pack(vec))
+        if 0 <= lead < self.width:
             return None
-        return {t: (-c) % p for t, c in expr.items()}
+        return {self._tags[t]: p - c for t, c in _entries(p, self._high(row))}
 
     def annihilator(self, width: int) -> list[dict[int, int]]:
         """Basis of the functionals on GF(p)^width that vanish on the row
@@ -537,9 +523,8 @@ class ZpEliminator:
         # at[c]: functional index -> value at column c
         at: dict[int, dict[int, int]] = {f: {j: 1} for j, f in enumerate(free)}
         for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
             acc: dict[int, int] = {}
-            for c, v in self._columns(row) if self.packed else row[0].items():
+            for c, v in self._columns(self.pivots[lead]):
                 if c == lead:
                     continue
                 for j, y in at.get(c, {}).items():
@@ -551,6 +536,17 @@ class ZpEliminator:
                 out[j][c] = y
         return out
 
+    def _insert(self, vec, tag):
+        """Reduce vec (as ``_pack`` takes it) and store it with leading
+        coefficient 1.  None when it enlarged the space; otherwise nothing
+        is stored, and the combination of its relation comes back as a row
+        over the tag slots (``_high``)."""
+        row, lead = self._reduce(self._pack(vec, tag))
+        if not 0 <= lead < self.width:
+            return self._high(row)
+        self.pivots[lead] = self._monic(row, lead)
+        return None
+
     def _top_column(self, vec: dict[int, int]) -> int:
         """The greatest column of a nonempty vec.  A column outside
         0..width-1 would be stored or dropped silently, so it raises."""
@@ -560,83 +556,53 @@ class ZpEliminator:
                                 f"outside 0..{self.width - 1}")
         return hi
 
-    # dict rows
+    # per-format helpers
 
-    def _reduce(self, vec: dict[int, int], expr: dict) -> tuple[dict, dict]:
-        p = self.p
-        if vec:
-            self._top_column(vec)
-        vec = {j: v % p for j, v in vec.items() if v % p}
-        while vec:
-            lead = min(vec)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            prow, pexpr = hit
-            f = vec[lead]
-            for j, v in prow.items():
-                nv = (vec.get(j, 0) - f * v) % p
-                if nv:
-                    vec[j] = nv
-                else:
-                    vec.pop(j, None)
-            for tag, c in pexpr.items():
-                nc = (expr.get(tag, 0) - f * c) % p
-                if nc:
-                    expr[tag] = nc
-                else:
-                    expr.pop(tag, None)
-        return vec, expr
-
-    # packed rows
-
-    def _insert_packed(self, vec, tag):
-        """Reduce vec (as ``_pack`` takes it) and store it with leading
-        coefficient 1.  None when it enlarged the space; otherwise nothing
-        is stored, and the combination of its relation comes back as a
-        packed row over the tag slots (``_high``)."""
-        p = self.p
-        v = self._reduce_packed(self._pack(vec, tag))
-        s = v if p == 2 else v[0]
-        low = s & -s
-        lead = low.bit_length() - 1
-        if not 0 <= lead < self.width:
-            return self._high(v)
-        if p != 2:
-            f = 1
-            while not v[f] & low:
-                f += 1
-            if f != 1:
-                v = [v[k * f % p] for k in range(p)]  # mask k of v / f
-        self.pivots[lead] = v
-        return None
-
-    def _reduce_packed(self, v):
-        """Clear leads of v while a pivot row holds them.  A lead at or
-        above ``width`` is a combination bit, which no pivot holds.  Each
-        step must raise the lead; a step that does not is a defect and
-        raises ArithmeticError instead of looping."""
-        pivots = self.pivots
-        if self.p == 2:
+    def _reduce(self, v):
+        """Clear leads of v while a pivot row holds them, and return v with
+        its lead (-1 for a zero row).  A lead at or above ``width`` is a
+        tag slot, which no pivot holds.  Each step must raise the lead; a
+        step that does not is a defect and raises ArithmeticError instead
+        of looping."""
+        pivots, p = self.pivots, self.p
+        if not self.packed:
+            lead = min(v) if v else -1
+            while True:
+                hit = pivots.get(lead)
+                if hit is None:
+                    return v, lead
+                f = v[lead]
+                for j, x in hit.items():
+                    nx = (v.get(j, 0) - f * x) % p
+                    if nx:
+                        v[j] = nx
+                    else:
+                        v.pop(j, None)
+                nxt = min(v) if v else -1
+                if 0 <= nxt <= lead:
+                    raise ArithmeticError(
+                        f"GF({p}) reduction did not clear lead {lead}")
+                lead = nxt
+        if p == 2:
             lead = (v & -v).bit_length() - 1
             while True:
                 hit = pivots.get(lead)
                 if hit is None:
-                    return v
+                    return v, lead
                 v ^= hit
                 nxt = (v & -v).bit_length() - 1
                 if 0 <= nxt <= lead:
                     raise ArithmeticError(
                         f"packed GF(2) reduction did not clear lead {lead}")
                 lead = nxt
-        p, add, scale = self.p, self._add, self._scale
+        add, scale = self._add, self._scale
         s = v[0]
         low = s & -s
         lead = low.bit_length() - 1
         while True:
             hit = pivots.get(lead)
             if hit is None:
-                return v
+                return v, lead
             f = 1
             while not v[f] & low:
                 f += 1
@@ -676,27 +642,52 @@ class ZpEliminator:
         out[0] = (sv | sw) ^ gone
         return out
 
+    def _monic(self, row, lead: int):
+        """row divided by its value at lead."""
+        p = self.p
+        if not self.packed:
+            c = row[lead]
+            if c == 1:
+                return row
+            inv = pow(c, p - 2, p)
+            return {j: x * inv % p for j, x in row.items()}
+        if p == 2:
+            return row
+        low = 1 << lead
+        f = 1
+        while not row[f] & low:
+            f += 1
+        # mask k of row / f
+        return row if f == 1 else [row[k * f % p] for k in range(p)]
+
     def _pack(self, vec, tag=None):
-        """The packed row of vec, with the combination bit of tag set.  vec
-        is a dict column -> value, or a packed row already, which is
-        checked to lie below ``width`` and copied."""
-        packed = not isinstance(vec, dict)
-        if packed:
+        """The row of vec in this eliminator's format, with the slot of tag
+        set to 1.  vec is a dict column -> value, or for one-hot rows a
+        packed row already, which is checked to lie below ``width`` and
+        copied."""
+        given = not isinstance(vec, dict)
+        if given:
             s = vec if self.p == 2 else vec[0]
             if s >> self.width:  # also when s < 0
                 raise InternalError(f"packed row spans {s.bit_length()} "
                                     f"columns, not 0..{self.width - 1}")
         elif vec:
             self._top_column(vec)
-        bit = 0
+        slot = -1
         if tag is not None:
             slot = self._slots.get(tag)
             if slot is None:
                 slot = self._slots[tag] = len(self._tags)
                 self._tags.append(tag)
-            bit = 1 << (self.width + slot)
+            slot += self.width
         p = self.p
-        if packed:
+        if not self.packed:
+            row = {j: x % p for j, x in vec.items() if x % p}
+            if slot >= 0:
+                row[slot] = 1
+            return row
+        bit = 0 if slot < 0 else 1 << slot
+        if given:
             if p == 2:
                 return vec | bit
             row = list(vec)
@@ -718,16 +709,20 @@ class ZpEliminator:
         return row
 
     def _columns(self, row) -> list[tuple[int, int]]:
-        """(column, value) for every nonzero column of a packed row,
-        ascending."""
-        keep = (1 << self.width) - 1
+        """(column, value) for every nonzero column of a row."""
+        w = self.width
+        if not self.packed:
+            return [(j, x) for j, x in row.items() if j < w]
+        keep = (1 << w) - 1
         return _entries(self.p, row & keep if self.p == 2
                         else [m & keep for m in row])
 
     def _high(self, row):
-        """The combination bits of a packed row shifted down to bit 0: a
-        packed row over the tag slots."""
+        """The tag slots of a row shifted down to index 0: a row over the
+        slots."""
         w = self.width
+        if not self.packed:
+            return {j - w: x for j, x in row.items() if j >= w}
         return row >> w if self.p == 2 else [m >> w for m in row]
 
 
@@ -735,12 +730,11 @@ def _kernel_rows(p: int, cols: list, width: int) -> list:
     """Kernel basis over GF(p) of the matrix with columns ``cols`` (sparse
     dicts, or packed rows for p <= 13; indices below ``width``): one
     relation per column that depends on the earlier ones, with
-    coefficient 1 at that column, in the eliminator's row format.  Packed,
-    column j carries tag j, which takes slot j, so the combination row of
-    a relation is its packed row over the columns."""
+    coefficient 1 at that column, in the eliminator's row format.  Column
+    j carries tag j, which takes slot j, so the slots of a relation
+    (``_high``) are its row over the columns."""
     elim = ZpEliminator(p, width)
-    insert = elim._insert_packed if elim.packed else elim.insert_relation
-    rels = [insert(col, j) for j, col in enumerate(cols)]
+    rels = [elim._insert(col, j) for j, col in enumerate(cols)]
     return [rel for rel in rels if rel is not None]
 
 
@@ -987,8 +981,7 @@ def cohomology_sparse_zp(ring: RingSpec, n_mid: int,
     for rel in ker:
         if quotient.insert(rel, tag=len(gens)):
             vec = [0] * n_mid
-            for i, x in (rel.items() if isinstance(rel, dict)
-                         else _entries(p, rel)):
+            for i, x in _entries(p, rel):
                 vec[i] = x
             gens.append((p, vec))
     inv = AbelianInvariants(rank=0, torsion=tuple(p for _ in gens))

@@ -117,7 +117,6 @@ class MagmaLaw:
 class AdmissibilityVerdict:
     status: str          # "admissible" | "not-associative" | "no-counterexample-found"
     counterexample: tuple | None = None
-    samples: int = 0
 
     @property
     def ok(self) -> bool:
@@ -144,7 +143,7 @@ def check_admissible(m, box: int = 4, samples: int = 200,
                    for _ in range(3))
         if m.apply(m.apply(a, b), c) != m.apply(a, m.apply(b, c)):
             return AdmissibilityVerdict("not-associative", (a, b, c))
-    return AdmissibilityVerdict("no-counterexample-found", samples=samples)
+    return AdmissibilityVerdict("no-counterexample-found")
 
 
 def extension_magma(m: FiniteMagma, moduli: tuple[int, ...],

@@ -74,7 +74,6 @@ class StageCapError(RuntimeError):
 class H2Gen:
     order: int              # 0 for a free generator, d > 1 for torsion
     rep: TensorElem
-    label: str
 
 
 @dataclass
@@ -259,7 +258,7 @@ def _h2_model(stage: "ModelStage") -> list[H2Gen]:
     if stage.ring.is_modular:
         return h2_stage_Zp(stage)
     if stage.n == 1:
-        return [H2Gen(0, word_pair(a, b, stage.ring), f"[{a} T {b}]")
+        return [H2Gen(0, word_pair(a, b, stage.ring))
                 for a, b in lambda2_basis(stage.h1_names)]
     return h2_stage2_Z(stage)
 
@@ -357,8 +356,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
             for coeff, (a, b) in zip(snf.uinv_column(i), basis2):
                 if coeff:
                     rep = rep + word_pair(a, b, ring, coeff)
-            label = f"[{rep.render()}]"
-            gens_out.append(H2Gen(d if d else 0, rep, label))
+            gens_out.append(H2Gen(d if d else 0, rep))
     # E: kernel of the pairing H^1 (x) span(Y) -> Lambda^3.
     pair_cols = []
     col_labels = []
@@ -398,10 +396,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
         rep = z + c_elem
         if not apply_d(stage.diff, rep).is_zero():
             raise InternalError("stage-2 representative is not a cocycle")
-        label = " + ".join(
-            f"{coeff}*[{xi} T {y}]"
-            for coeff, (xi, y) in zip(v, col_labels) if coeff)
-        gens_out.append(H2Gen(0, rep, label))
+        gens_out.append(H2Gen(0, rep))
     return gens_out
 
 
@@ -533,7 +528,7 @@ def h2_stage_Zp(stage: "ModelStage") -> list[H2Gen]:
         raise PreconditionError("h2_stage_Zp requires a Z_p model")
     _, reps = resolution_cohomology_Zp(stage.gens.names, stage.ring,
                                        stage.diff)
-    return [H2Gen(stage.ring.p, rep, f"[{rep.render()}]") for rep in reps]
+    return [H2Gen(stage.ring.p, rep) for rep in reps]
 
 
 def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],

@@ -333,6 +333,21 @@ class Combination:
             t.terms = {k: c for k, c in items if c}
         return t
 
+    @staticmethod
+    def _summed(ring: RingSpec, terms) -> dict:
+        """The terms of outside input, a dict key -> coefficient or
+        (key, coefficient) pairs: a repeated key gets the sum of its
+        coefficients, normalized, and is dropped when that is zero."""
+        if not isinstance(terms, dict):
+            acc: dict = {}
+            for k, c in terms or ():
+                acc[k] = acc.get(k, 0) + c
+            terms = acc
+        p = ring.p
+        if p:
+            return {k: r for k, c in terms.items() if (r := c % p)}
+        return {k: c for k, c in terms.items() if c}
+
     def _like(self, items):
         """``_tidy`` over this element's ring; ``Cochain`` overrides it
         to keep its dimension."""
@@ -391,14 +406,7 @@ class BinomialPoly(Combination):
 
     def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
-        tidy: dict[MultiIndex, int] = {}
-        if terms:
-            for idx, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = ring.normalize(c)
-                if c:
-                    tidy[idx] = tidy.get(idx, 0) + c
-                    if not ring.normalize(tidy[idx]):
-                        del tidy[idx]
+        tidy = self._summed(ring, terms)
         if ring.is_modular:
             for idx in tidy:
                 if idx.max_exponent() > ring.max_zeta:

@@ -35,23 +35,13 @@ class TensorElem(Combination):
 
     def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
-        tidy: dict[Word, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, c in items:
-                c = ring.normalize(c)
-                if not c:
-                    continue
-                word = tuple(word)
-                if len(word) > DEGREE_CAP:
-                    raise ValueError(f"degree cap {DEGREE_CAP} exceeded")
-                for f in word:
-                    if f.is_unit:
-                        raise ValueError("unit factor in tensor word")
-                tidy[word] = tidy.get(word, 0) + c
-                if not ring.normalize(tidy[word]):
-                    del tidy[word]
-        self.terms = tidy
+        self.terms = self._summed(ring, terms)
+        for word in self.terms:
+            if len(word) > DEGREE_CAP:
+                raise ValueError(f"degree cap {DEGREE_CAP} exceeded")
+            for f in word:
+                if f.is_unit:
+                    raise ValueError("unit factor in tensor word")
 
     # -- constructors -------------------------------------------------
 

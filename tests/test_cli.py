@@ -349,6 +349,23 @@ def test_cli_unknown_relator_generator_names_its_line(tmp_path, capsys):
         2, "", f"error: {path}:3: relator uses unknown generator c\n")
 
 
+@pytest.mark.parametrize("name, text, lineno, message", [
+    # A second gens: line used to replace the first: this read as the
+    # group on b and exited 0.
+    ("two-gens.pres", "gens: a\ngens: b\nrel: b b\n", 2,
+     "second gens: line"),
+    # A second ring line used to replace the first.
+    ("two-rings.delta", "ring Z\ncells 0\nv :\nring Zp 5\n", 4,
+     "second ring line"),
+])
+def test_cli_second_header_line_exits_2(tmp_path, capsys, name, text,
+                                        lineno, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:{lineno}: {message}\n")
+
+
 def run_module(*args):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -367,8 +384,8 @@ def test_python_m_cupone_matches_main(capsys):
 def test_cli_internal_error_exits_3(flags):
     # A failed internal audit is a defect, not a precondition failure:
     # exit 3 with a one-line message, also when python -O strips asserts.
-    # The faults: an unsolvable rho-lift (InternalError) and a kernel
-    # basis that is not primitive (ArithmeticError).
+    # The faults: an unsolvable rho-lift (InternalError), a kernel basis
+    # that is not primitive (ArithmeticError) and a stray KeyError.
     cases = [
         ("linalg.CohomologyData.preimage = lambda self, vec: None\n",
          "heisenberg_k1",
@@ -380,6 +397,9 @@ def test_cli_internal_error_exits_3(flags):
          "borromean_n2",
          "internal error: kernel basis is not primitive: Smith normal "
          "form diagonal [2, 2, 2]\n"),
+        # Any exception main() has no other rule for names its type.
+        ("linalg.SNFResult.kernel = lambda self: {}['kernel']\n",
+         "borromean_n2", "internal error: KeyError: 'kernel'\n"),
     ]
     for fault, fixture, stderr in cases:
         script = ("import sys\n"

@@ -606,6 +606,12 @@ MALFORMED_DELTAS = {
     # A bare ring line used to raise IndexError (a traceback, exit 1).
     "bare-ring": ("# no ring named\nring\ncells 0\nv :\n", 2,
                   "bad ring line 'ring'"),
+    # A second ring line used to replace the first silently.
+    "second-ring": ("ring Z\ncells 0\nv :\nring Zp 3\n", 4,
+                    "second ring line"),
+    # Read by content, so as a presentation: a second gens: line used to
+    # replace the first, and this read as the group on b.
+    "second-gens": ("gens: a\ngens: b\nrel: b b\n", 2, "second gens: line"),
 }
 
 

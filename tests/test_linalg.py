@@ -27,7 +27,7 @@ from cupone.linalg import (
 )
 from cupone.presentation import presentation_complex
 from cupone.rings import InternalError, PreconditionError, RingSpec
-from dict_rows_oracle import kernel_mod_p
+from dict_rows_oracle import DictRowsOracle, kernel_mod_p
 from q_oracle import rank_over_Q
 from snf_dense import dense
 
@@ -760,12 +760,13 @@ def test_packed_rows_reject_negative_columns():
             assert len(elim.annihilator(4)) == 4
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
 def test_packed_reduction_without_progress_raises(p):
     # A pivot row that cannot clear its lead (the row stored under column
-    # 0 replaced by the one under column 1) must raise, not loop forever.
+    # 0 replaced by the one under column 1) must raise, not loop forever,
+    # on one-hot rows and (p = 17) on dict rows alike.
     elim = ZpEliminator(p, 4)
-    assert elim.packed
+    assert elim.packed == (p <= linalg.PACKED_MAX_P)
     elim.insert({0: 1, 2: 1}, tag="a")
     elim.insert({1: 1}, tag="b")
     elim.pivots[0] = elim.pivots[1]
@@ -773,6 +774,39 @@ def test_packed_reduction_without_progress_raises(p):
         elim.express({0: 1})
     with pytest.raises(ArithmeticError, match="did not clear lead 0"):
         elim.insert_relation({0: 1, 3: 1}, tag="c")
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 31, 101])
+def test_dict_rows_match_the_oracle(p):
+    # Dict rows keep their combination in tag slots above the width; the
+    # oracle keeps it in a second dict.  Operation by operation they must
+    # give the same relations, expressions, ranks, pivot columns, stored
+    # rows and annihilators.
+    rng = random.Random(7300 + p)
+    for _ in range(40):
+        count, width = rng.randint(1, 16), rng.randint(1, 40)
+        vecs = random_sparse_vectors(rng, p, count, width)
+        elim, oracle = ZpEliminator(p, width), DictRowsOracle(p, width)
+        assert not elim.packed
+        for i, vec in enumerate(vecs):
+            tag = rng.choice([None, i, f"t{i % 4}"])
+            assert elim.insert_relation(vec, tag) == \
+                oracle.insert_relation(vec, tag)
+            assert elim.rank == oracle.rank
+            assert elim.pivots.keys() == oracle.pivots.keys()
+            for lead, (row, expr) in oracle.pivots.items():
+                assert dict(elim._columns(elim.pivots[lead])) == row
+                assert {elim._tags[t]: c for t, c in
+                        elim._high(elim.pivots[lead]).items()} == expr
+            for q in rng.sample(vecs, min(3, len(vecs))) + \
+                    random_sparse_vectors(rng, p, 2, width):
+                assert elim.express(q) == oracle.express(q)
+        for dim in (width, width + 2):
+            assert elim.annihilator(dim) == oracle.annihilator(dim)
+        for bad in ({-1: 1}, {width: 2}):
+            for e in (elim, oracle):
+                with pytest.raises(InternalError, match="column index"):
+                    e.express(bad)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])

@@ -439,3 +439,21 @@ def test_equal_elements_hash_equal(cls, ring):
     assert u == v and hash(u) == hash(v)
     assert u - u == -u + u == _make(cls, ring, [])
     assert hash(u - u) == hash(_make(cls, ring, []))
+
+
+@pytest.mark.parametrize("ring", [Z, Z3], ids=repr)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_constructors_sum_repeated_keys(cls, ring):
+    # A key listed twice gets the sum of its coefficients, normalized in
+    # the ring, and a sum that vanishes drops the key.
+    key = next(iter(_make(cls, ring, [1]).terms))
+
+    def make(pairs):
+        return Cochain(1, ring, pairs) if cls is Cochain else cls(ring, pairs)
+
+    assert make([(key, 1), (key, 2)]) == _make(cls, ring, [3])
+    assert make([(key, 2), (key, 2)]) == _make(cls, ring, [4])
+    assert make([(key, 2), (key, 2)]).terms == {key: ring.normalize(4)}
+    assert make([(key, 1), (key, -1), (key, 5)]).terms == \
+        {key: ring.normalize(5)}
+    assert make([(key, 3), (key, -3)]).is_zero()
