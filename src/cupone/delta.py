@@ -20,7 +20,6 @@ product of its factors.  psi is this map along the coordinate cochains
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product as iproduct
 from operator import itemgetter, ne, or_
@@ -523,12 +522,12 @@ class _TripleFaces(_TripleNames):
         return iter(self[:])
 
 
-@dataclass
 class MagmaComplex:
     """Delta(M) up to dimension <= 3; its cells list the elements, pairs
     and triples of ``magma.elements`` in order, the last entry fastest."""
-    delta: DeltaSet
-    magma: FiniteMagma
+
+    def __init__(self, delta: DeltaSet, magma: FiniteMagma):
+        self.delta, self.magma = delta, magma
 
 
 # Largest |G|^k that delta_from_magma and bar_construction take on, for

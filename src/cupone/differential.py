@@ -19,8 +19,6 @@ Callers share the cached elements and must not mutate them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rings import (_INTERNED, BinomialPoly, MultiIndex, PreconditionError,
                     RingSpec)
 from .tensor import TensorElem, circ_22, cup1_hirsch
@@ -214,11 +212,12 @@ def apply_d(d: Differential, u: TensorElem) -> TensorElem:
     return TensorElem._tidy(d.ring, acc.items())
 
 
-@dataclass
 class DSquaredReport:
-    passed: bool
-    checked: int
-    failures: list = field(default_factory=list)  # (label, witness TensorElem)
+    def __init__(self, passed: bool, checked: int,
+                 failures: list | None = None):
+        self.passed, self.checked = passed, checked
+        # (label, witness TensorElem)
+        self.failures = [] if failures is None else failures
 
     def first_failure(self):
         return self.failures[0] if self.failures else None

@@ -13,20 +13,17 @@ rules with vanishing mixed terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .delta import Cochain, DeltaSet, coboundary, cup1_cochain, cup_cochain
-from .rings import RingSpec
+from .rings import PreconditionError, RingSpec
 
 
-@dataclass
 class IntervalAlgebra:
-    delta: DeltaSet
-    ring: RingSpec
-    t0: Cochain
-    t1: Cochain
-    u: Cochain
+    def __init__(self, delta: DeltaSet, ring: RingSpec, t0: Cochain,
+                 t1: Cochain, u: Cochain):
+        self.delta, self.ring = delta, ring
+        self.t0, self.t1, self.u = t0, t1, u
 
 
 def interval_algebra(ring: RingSpec) -> IntervalAlgebra:
@@ -85,7 +82,7 @@ class Cylinder:
 
     def add(self, x: CylEl, y: CylEl) -> CylEl:
         if x.deg != y.deg:
-            raise ValueError("degree mismatch")
+            raise PreconditionError("degree mismatch")
         g = None
         if x.deg:
             g = x.g + y.g
@@ -133,7 +130,7 @@ class Cylinder:
     def cup1(self, x: CylEl, y: CylEl) -> CylEl:
         """Degree-1 cup-one: slotwise with vanishing mixed terms."""
         if x.deg != 1 or y.deg != 1:
-            raise ValueError("cylinder cup1 supports degree (1,1)")
+            raise PreconditionError("cylinder cup1 supports degree (1,1)")
         X = self.X
         return CylEl(1, cup1_cochain(X, x.f0, y.f0),
                      cup1_cochain(X, x.f1, y.f1), cup_cochain(X, x.g, y.g))
@@ -145,11 +142,13 @@ class Cylinder:
         r in R track the scalar part of h - i along the product.
         """
         if x.deg != 1:
-            raise ValueError("zeta applies to degree-1 cylinder elements")
+            raise PreconditionError(
+                "zeta applies to degree-1 cylinder elements")
         if self.ring.is_modular and k > self.ring.max_zeta:
-            raise ValueError("zeta index exceeds p-1")
+            raise PreconditionError("zeta index exceeds p-1")
         if k == 0:
-            raise ValueError("zeta_0 of a cylinder element is the scalar 1")
+            raise PreconditionError(
+                "zeta_0 of a cylinder element is the scalar 1")
         acc_r, acc_h = 1, self.elem(1)
         for i in range(k):
             # (acc_r, acc_h) * (-i, x) in the ring R + (C*(X) (x) C*(I))^1

@@ -41,7 +41,6 @@ operation logs are the ones one row operation at a time gave.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -70,10 +69,11 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass
 class SolveResult:
-    solution: list[int] | None
-    certificate: dict | None  # SNF residue witnessing unsolvability
+    def __init__(self, solution: list[int] | None,
+                 certificate: dict | None):
+        self.solution = solution
+        self.certificate = certificate  # SNF residue witnessing unsolvability
 
     @property
     def ok(self) -> bool:
@@ -113,7 +113,6 @@ def _unit(n: int, i: int) -> list[int]:
     return x
 
 
-@dataclass
 class SNFResult:
     """U M V = D, and the factor of M that every later query reuses.
 
@@ -128,12 +127,12 @@ class SNFResult:
     do not depend on a right-hand side, so U b is exactly what carrying b
     through the elimination would give.
     """
-    diag: list[int]
-    rank: int
-    nrows: int
-    ncols: int
-    row_ops: list[Op]
-    col_ops: list[Op]
+
+    def __init__(self, diag: list[int], rank: int, nrows: int, ncols: int,
+                 row_ops: list[Op], col_ops: list[Op]):
+        self.diag, self.rank = diag, rank
+        self.nrows, self.ncols = nrows, ncols
+        self.row_ops, self.col_ops = row_ops, col_ops
 
     def u_times(self, b: list[int]) -> list[int]:
         """U b."""
@@ -741,10 +740,22 @@ def _kernel_rows(p: int, cols: list, width: int) -> list:
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
-@dataclass(frozen=True)
 class AbelianInvariants:
-    rank: int
-    torsion: tuple[int, ...]  # divisibility chain d1 | d2 | ..., each > 1
+    def __init__(self, rank: int, torsion: tuple[int, ...]):
+        self.rank = rank
+        self.torsion = torsion  # divisibility chain d1 | d2 | ..., each > 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.torsion) == (other.rank, other.torsion)
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion))
+
+    def __repr__(self):
+        return (f"AbelianInvariants(rank={self.rank!r}, "
+                f"torsion={self.torsion!r})")
 
     @classmethod
     def from_coker(cls, diag: list[int], target_dim: int) -> "AbelianInvariants":

@@ -5,7 +5,6 @@ over Z it is checked on a sampled box."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product as iproduct, repeat
 from operator import mul
 
@@ -113,10 +112,11 @@ class MagmaLaw:
                                       name_fn=name)
 
 
-@dataclass
 class AdmissibilityVerdict:
-    status: str          # "admissible" | "not-associative" | "no-counterexample-found"
-    counterexample: tuple | None = None
+    def __init__(self, status: str, counterexample: tuple | None = None):
+        # "admissible" | "not-associative" | "no-counterexample-found"
+        self.status = status
+        self.counterexample = counterexample
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ beyond it; the recorded calibration is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .delta import (
@@ -107,11 +106,12 @@ def magnus_expand(w, gens, depth: int = 3) -> MagnusSeries:
     return out
 
 
-@dataclass
 class MagnusPairings:
-    gens: tuple[str, ...]
-    eps2: list[dict[tuple[int, int], int]]       # per relator
-    eps3: list[dict[tuple[int, int, int], int]]  # per relator
+    def __init__(self, gens: tuple[str, ...],
+                 eps2: list[dict[tuple[int, int], int]],
+                 eps3: list[dict[tuple[int, int, int], int]]):
+        self.gens = gens
+        self.eps2, self.eps3 = eps2, eps3  # per relator
 
     def eps2_zero(self) -> bool:
         return all(not any(t.values()) for t in self.eps2)
@@ -142,11 +142,11 @@ def magnus_pairings(group: PresentedGroup) -> MagnusPairings:
 # ---------------------------------------------------------------------------
 # triple Massey products on cochain algebras
 
-@dataclass
 class MasseyResult:
-    coords: list[int]
-    indeterminacy: list[list[int]]
-    representative: object
+    def __init__(self, coords: list[int], indeterminacy: list[list[int]],
+                 representative: object):
+        self.coords, self.indeterminacy = coords, indeterminacy
+        self.representative = representative
 
     def indeterminacy_contains(self, delta_coords, orders) -> bool:
         """Is delta_coords in the span of the indeterminacy generators
@@ -265,14 +265,13 @@ class MasseyContext:
 # ---------------------------------------------------------------------------
 # cross-validation of the two routes
 
-@dataclass
 class CrossValidation:
-    ok: bool
-    sign2: int | None
-    sign3: int | None
-    cup_table: dict
-    massey_table: dict
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, ok: bool, sign2: int | None, sign3: int | None,
+                 cup_table: dict, massey_table: dict,
+                 messages: list[str] | None = None):
+        self.ok, self.sign2, self.sign3 = ok, sign2, sign3
+        self.cup_table, self.massey_table = cup_table, massey_table
+        self.messages = [] if messages is None else messages
 
 
 def cross_validate(group: PresentedGroup,
@@ -359,10 +358,9 @@ def cross_validate(group: PresentedGroup,
 # ---------------------------------------------------------------------------
 # the Magnus gate for Borromean-type families
 
-@dataclass
 class GateReport:
-    ok: bool
-    details: list[str]
+    def __init__(self, ok: bool, details: list[str]):
+        self.ok, self.details = ok, details
 
 
 def magnus_gate(group: PresentedGroup, n: int) -> GateReport:

@@ -27,7 +27,6 @@ invariants ride along, being themselves an n-step invariant).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .delta import (
     Cochain,
@@ -47,7 +46,6 @@ from .differential import (
     iter_indices,
     zero_differential,
 )
-from .interval import Cylinder, CylEl
 from .linalg import (
     AbelianInvariants,
     ClassSpan,
@@ -57,7 +55,6 @@ from .linalg import (
     smith_normal_form,
     solve_Z,
 )
-from .magma import MagmaLaw, check_admissible
 from .rings import InternalError, MultiIndex, PreconditionError, RingSpec
 from .tensor import TensorElem, cup
 
@@ -70,31 +67,30 @@ class StageCapError(RuntimeError):
     """Stage-model H^2 over Z is supported for n <= 2 only."""
 
 
-@dataclass
 class H2Gen:
-    order: int              # 0 for a free generator, d > 1 for torsion
-    rep: TensorElem
+    def __init__(self, order: int, rep: TensorElem):
+        self.order = order  # 0 for a free generator, d > 1 for torsion
+        self.rep = rep
 
 
-@dataclass
 class ModelStage:
-    n: int
-    ring: RingSpec
-    gens: GeneratorSet
-    diff: Differential
-    target: DeltaSet
-    rho: dict[str, Cochain]
-    h1_names: list[str]
-    h2x: CohomologyData
-    h2_model: list[H2Gen] | None = None
-    # the span in H^2(X) of the classes rho(h2_model): its cols are their
-    # h2x coordinates, its relations ker H^2(rho_n), its cokernel kappa_n
-    h2_span: ClassSpan | None = None
-    ker_basis: list[TensorElem] | None = None
-    complete: bool = False
-    # I -> rho(zeta_I), filled by rho_push; rho is fixed once the stage
-    # is built.
-    rho_zeta: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, n: int, ring: RingSpec, gens: GeneratorSet,
+                 diff: Differential, target: DeltaSet,
+                 rho: dict[str, Cochain], h1_names: list[str],
+                 h2x: CohomologyData, h2_model: list[H2Gen] | None = None,
+                 h2_span: ClassSpan | None = None,
+                 ker_basis: list[TensorElem] | None = None,
+                 complete: bool = False, rho_zeta: dict | None = None):
+        self.n, self.ring, self.gens = n, ring, gens
+        self.diff, self.target, self.rho = diff, target, rho
+        self.h1_names, self.h2x, self.h2_model = h1_names, h2x, h2_model
+        # the span in H^2(X) of the classes rho(h2_model): its cols are their
+        # h2x coordinates, its relations ker H^2(rho_n), its cokernel kappa_n
+        self.h2_span = h2_span
+        self.ker_basis, self.complete = ker_basis, complete
+        # I -> rho(zeta_I), filled by rho_push; rho is fixed once the stage
+        # is built.
+        self.rho_zeta = {} if rho_zeta is None else rho_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +572,11 @@ def express_many_in_h2_basis(stage: "ModelStage", zs: list[TensorElem],
     return out
 
 
-@dataclass
 class PsiComparison:
-    p: int
-    names: list[str]
-    dims_model: dict[int, int]
-    dims_bar: dict[int, int]
-    iso: dict[int, bool]
+    def __init__(self, p: int, names: list[str], dims_model: dict[int, int],
+                 dims_bar: dict[int, int], iso: dict[int, bool]):
+        self.p, self.names = p, names
+        self.dims_model, self.dims_bar, self.iso = dims_model, dims_bar, iso
 
     @property
     def ok(self) -> bool:
@@ -594,6 +588,7 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
     """Check that psi: (T_{Z_p}(X), d_0) -> C*(B(Z_p^|X|); Z_p) induces
     isomorphisms on H^1 and H^2."""
     from .delta import delta_from_magma, psi_embed
+    from .magma import MagmaLaw
     if not ring.is_modular:
         raise PreconditionError("the comparison runs over Z_p")
     check_magma_size(ring.p, 3, power=len(names))
@@ -615,10 +610,18 @@ def psi_cohomology_comparison(names, ring: RingSpec) -> PsiComparison:
 # ---------------------------------------------------------------------------
 # kappa and comparison
 
-@dataclass
 class KappaInvariant:
-    n: int
-    cokernel: AbelianInvariants
+    def __init__(self, n: int, cokernel: AbelianInvariants):
+        self.n = n
+        self.cokernel = cokernel
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.cokernel) == (other.n, other.cokernel)
+
+    def __repr__(self):
+        return f"KappaInvariant(n={self.n!r}, cokernel={self.cokernel!r})"
 
     @property
     def torsion(self) -> AbelianInvariants:
@@ -643,12 +646,12 @@ def minimal_model(X: DeltaSet, ring: RingSpec, stages: int = 2,
     return out
 
 
-@dataclass
 class CompareVerdict:
-    distinguished: bool
-    left: KappaInvariant
-    right: KappaInvariant
-    forget_torsion: bool
+    def __init__(self, distinguished: bool, left: KappaInvariant,
+                 right: KappaInvariant, forget_torsion: bool):
+        self.distinguished = distinguished
+        self.left, self.right = left, right
+        self.forget_torsion = forget_torsion
 
     @property
     def verdict(self) -> str:
@@ -674,12 +677,11 @@ def n_step_compare(Xa: DeltaSet, Xb: DeltaSet, ring: RingSpec, n: int = 2,
 # ---------------------------------------------------------------------------
 # group realization
 
-@dataclass
 class GroupRealization:
-    law: MagmaLaw
-    law_rendered: dict[str, str]
-    tower: list[tuple[int, list[str]]]
-    audit: dict
+    def __init__(self, law: MagmaLaw, law_rendered: dict[str, str],
+                 tower: list[tuple[int, list[str]]], audit: dict):
+        self.law, self.law_rendered = law, law_rendered
+        self.tower, self.audit = tower, audit
 
 
 def check_group_size(stage: "ModelStage") -> None:
@@ -710,6 +712,7 @@ AUDIT_SAMPLES = 50
 
 
 def realize_group(stage: "ModelStage") -> GroupRealization:
+    from .magma import MagmaLaw, check_admissible
     ring = stage.ring
     law = MagmaLaw(stage.gens.names, stage.diff.tau, ring)
     rendered = {g: p.render() for g, p in law.law_polynomials().items()}
@@ -771,16 +774,16 @@ def realize_group(stage: "ModelStage") -> GroupRealization:
 # ---------------------------------------------------------------------------
 # homotopies between morphisms (T(X_1), d_0) -> C*(X; R)
 
-@dataclass
 class HomotopyWitness:
-    Phi: dict[str, CylEl]
-    c: dict[str, Cochain]
-    audit: dict
+    def __init__(self, Phi: dict[str, CylEl], c: dict[str, Cochain],
+                 audit: dict):
+        self.Phi, self.c, self.audit = Phi, c, audit
 
 
 def construct_homotopy(X: DeltaSet, ring: RingSpec, names: list[str],
                        phi0: dict[str, Cochain],
                        phi1: dict[str, Cochain]) -> HomotopyWitness:
+    from .interval import Cylinder, CylEl
     h1 = segment_cohomology(X, ring, 1)
     for g in names:
         for phi in (phi0, phi1):

@@ -14,26 +14,38 @@ relator carries a 2-cycle (its torus when the relator is a commutator).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .delta import Cochain, DeltaSet
-from .rings import RingSpec
+from .rings import PreconditionError, RingSpec
 
 
-@dataclass(frozen=True)
 class PresentedGroup:
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[str, int], ...], ...]  # ((gen, +-1), ...)
-
-    def __post_init__(self):
-        for rel in self.relators:
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[tuple[tuple[str, int], ...], ...]):
+        self.generators = generators
+        self.relators = relators  # ((gen, +-1), ...)
+        for rel in relators:
             if not rel:
-                raise ValueError("empty relator")
+                raise PreconditionError("empty relator")
             for name, e in rel:
-                if name not in self.generators:
-                    raise ValueError(f"relator uses unknown generator {name}")
+                if name not in generators:
+                    raise PreconditionError(
+                        f"relator uses unknown generator {name}")
                 if e not in (1, -1):
-                    raise ValueError("relator letters carry exponent +-1")
+                    raise PreconditionError(
+                        "relator letters carry exponent +-1")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.relators) == \
+            (other.generators, other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
+
+    def __repr__(self):
+        return (f"PresentedGroup(generators={self.generators!r}, "
+                f"relators={self.relators!r})")
 
     def exponent_sums(self, rel) -> dict[str, int]:
         out = {g: 0 for g in self.generators}
@@ -71,19 +83,20 @@ def power(w, n: int) -> tuple:
     return tuple(w) * n
 
 
-@dataclass
 class PresentationComplex:
-    group: PresentedGroup
-    delta: DeltaSet
-    dual_hints: dict[str, "CochainHint"]
-    relator_fan_cells: list[list[str]]
-    inverse_gadgets: dict[str, str]       # generator -> gadget cell id
-    bar_edges: dict[str, str]             # generator -> inverted edge id
+    def __init__(self, group: PresentedGroup, delta: DeltaSet,
+                 dual_hints: dict[str, CochainHint],
+                 relator_fan_cells: list[list[str]],
+                 inverse_gadgets: dict[str, str], bar_edges: dict[str, str]):
+        self.group, self.delta, self.dual_hints = group, delta, dual_hints
+        self.relator_fan_cells = relator_fan_cells
+        self.inverse_gadgets = inverse_gadgets  # generator -> gadget cell id
+        self.bar_edges = bar_edges              # generator -> inverted edge id
 
     def dual_cochain(self, gen: str, ring: RingSpec) -> Cochain:
         hint = self.dual_hints[gen]
         if not hint.is_cocycle:
-            raise ValueError(
+            raise PreconditionError(
                 f"dual of {gen} is not a cocycle (nonzero exponent sums)")
         return Cochain(1, ring, hint.values)
 
@@ -92,7 +105,8 @@ class PresentationComplex:
         rel = self.group.relators[i]
         sums = self.group.exponent_sums(rel)
         if any(sums.values()):
-            raise ValueError("relator cycle needs zero exponent sums")
+            raise PreconditionError(
+                "relator cycle needs zero exponent sums")
         chain = {c: 1 for c in self.relator_fan_cells[i]}
         inverted = {}
         for name, e in rel:
@@ -107,10 +121,9 @@ class PresentationComplex:
         return {c: m for c, m in chain.items() if m}
 
 
-@dataclass
 class CochainHint:
-    values: dict[str, int]
-    is_cocycle: bool
+    def __init__(self, values: dict[str, int], is_cocycle: bool):
+        self.values, self.is_cocycle = values, is_cocycle
 
 
 def presentation_complex(group: PresentedGroup) -> PresentationComplex:

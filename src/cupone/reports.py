@@ -7,13 +7,12 @@ are fixed by construction, so identical inputs give identical bytes.
 """
 from __future__ import annotations
 
-import json
-
 from .linalg import AbelianInvariants
 from .model import KappaInvariant, ModelStage
 
 
 def json_dumps(payload: dict) -> str:
+    import json
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 

@@ -8,7 +8,6 @@ most 3 terms of weight at most 3 each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .delta import (
     Cochain,
@@ -35,11 +34,10 @@ from .tensor import (
 Z = RingSpec.Z()
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str, cases: int, failures: list | None = None):
+        self.name, self.cases = name, cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

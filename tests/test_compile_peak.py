@@ -4,7 +4,7 @@ Where bytecode is not cached (PYTHONDONTWRITEBYTECODE), every process
 compiles src/ when it imports cupone, and the largest module's compile
 peak sets the peak RSS of a short run, such as the benchmark's
 z_invariants workload.  CPython 3.11 grows that peak in steps: linalg.py,
-at 2.66 MiB, jumps to 3.18 MiB about 28 lines of code later.  The peak
+at 2.59 MiB, jumps to 3.17 MiB about 28 lines of code later.  The peak
 is what tracemalloc sees around ``compile``; other versions allocate
 differently, so the test runs on CPython 3.11 only.
 """

@@ -14,8 +14,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cupone"
 
-TO_CLASSIFY = {"delta": 7, "tensor": 15, "rings": 13, "interval": 5,
-               "presentation": 5}
+TO_CLASSIFY = {"delta": 7, "tensor": 15, "rings": 13}
 
 
 def bare_value_errors(text: str, name: str) -> list[str]:

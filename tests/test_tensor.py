@@ -222,7 +222,7 @@ def test_circ_23_and_32_zero_differential():
 def test_circ_23_correction_term():
     # a1 = zeta_2(x) under d_0 decomposes as -x cup x; the correction
     # subtracts (p v1)(q v2)(a2 v3) for each decomposition pair.
-    from cupone.differential import GeneratorSet, apply_d, zero_differential
+    from cupone.differential import GeneratorSet, zero_differential
     d0 = zero_differential(GeneratorSet(["x", "y", "z", "w"]), Z)
     dp = d0.d_poly
     a = cup(zmono("x", 2), g("y"))

@@ -1,10 +1,12 @@
 """Every top-level import of a cupone module or test module is used by
-that module.
+that module, and every import inside a cupone function by that function.
 
 A stdlib-ast scan: a name bound by a module-level ``import`` or
 ``from ... import`` must occur as a name somewhere else in the module.
 ``__future__`` imports and the names a module lists in ``__all__`` are
-exempt.
+exempt.  With ``local=True`` the scan also takes each ``import`` inside a
+function, whose names must occur in that function (nested functions
+included).
 """
 import ast
 import pathlib
@@ -22,19 +24,38 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-def unused_imports(path: pathlib.Path) -> list[str]:
+def _names(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _local_imports(node, func=None):
+    """(function, import) for each import whose innermost enclosing
+    function is ``func`` or a function nested in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _local_imports(child, child)
+        elif func is not None and isinstance(child,
+                                             (ast.Import, ast.ImportFrom)):
+            yield func, child
+        else:
+            yield from _local_imports(child, func)
+
+
+def unused_imports(path: pathlib.Path, local: bool = False) -> list[str]:
     tree = ast.parse(path.read_text(), str(path))
     exempt = _exported(tree)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = _names(tree)
+    scopes = [(node, used) for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"]
+    if local:
+        scopes += [(node, _names(func))
+                   for func, node in _local_imports(tree)]
     out = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
+    for node, names in sorted(scopes, key=lambda s: s[0].lineno):
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in used and name not in exempt:
+            if name not in names and name not in exempt:
                 out.append(f"{path.name}:{node.lineno}: {name}")
     return out
 
@@ -42,6 +63,12 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 def test_src_has_no_unused_top_level_imports():
     found = [u for path in sorted(SRC.glob("*.py"))
              for u in unused_imports(path)]
+    assert found == []
+
+
+def test_src_functions_use_their_imports():
+    found = [u for path in sorted(SRC.glob("*.py"))
+             for u in unused_imports(path, local=True)]
     assert found == []
 
 
@@ -56,5 +83,10 @@ def test_scan_flags_an_unused_import(tmp_path):
     mod.write_text("from __future__ import annotations\n"
                    "import os\nfrom math import gcd, lcm\n"
                    "__all__ = ['lcm']\n\n"
-                   "def f(x):\n    return gcd(x, 4)\n")
+                   "def f(x):\n    return gcd(x, 4)\n\n"
+                   "def g(x):\n    import json, re\n"
+                   "    def h():\n        return re.escape(x)\n"
+                   "    return h\n")
     assert unused_imports(mod) == ["m.py:2: os"]
+    assert unused_imports(mod, local=True) == ["m.py:2: os",
+                                               "m.py:10: json"]
