@@ -620,9 +620,6 @@ class KappaInvariant:
             return NotImplemented
         return (self.n, self.cokernel) == (other.n, other.cokernel)
 
-    def __repr__(self):
-        return f"KappaInvariant(n={self.n!r}, cokernel={self.cokernel!r})"
-
     @property
     def torsion(self) -> AbelianInvariants:
         return self.cokernel.torsion_part()

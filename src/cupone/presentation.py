@@ -43,10 +43,6 @@ class PresentedGroup:
     def __hash__(self):
         return hash((self.generators, self.relators))
 
-    def __repr__(self):
-        return (f"PresentedGroup(generators={self.generators!r}, "
-                f"relators={self.relators!r})")
-
     def exponent_sums(self, rel) -> dict[str, int]:
         out = {g: 0 for g in self.generators}
         for name, e in rel:

@@ -103,14 +103,6 @@ def test_kappa_invariant_compares_by_value_and_stays_unhashable():
         hash(x)
 
 
-def test_value_records_keep_their_repr():
-    k = KappaInvariant(2, AbelianInvariants(1, (2,)))
-    assert repr(k) == ("KappaInvariant(n=2, cokernel=AbelianInvariants("
-                       "rank=1, torsion=(2,)))")
-    assert repr(PresentedGroup(("a",), ())) == \
-        "PresentedGroup(generators=('a',), relators=())"
-
-
 def test_presented_group_refuses_an_unknown_generator():
     with pytest.raises(PreconditionError) as e:
         PresentedGroup(("a",), ((("b", 1),),))

@@ -1,12 +1,11 @@
-"""Every top-level import of a cupone module or test module is used by
-that module, and every import inside a cupone function by that function.
+"""Every import of a cupone module or test module is used: a top-level
+import by its module, an import inside a function by that function.
 
 A stdlib-ast scan: a name bound by a module-level ``import`` or
 ``from ... import`` must occur as a name somewhere else in the module.
 ``__future__`` imports and the names a module lists in ``__all__`` are
-exempt.  With ``local=True`` the scan also takes each ``import`` inside a
-function, whose names must occur in that function (nested functions
-included).
+exempt.  An ``import`` inside a function binds names that must occur in
+that function (nested functions included).
 """
 import ast
 import pathlib
@@ -41,16 +40,14 @@ def _local_imports(node, func=None):
             yield from _local_imports(child, func)
 
 
-def unused_imports(path: pathlib.Path, local: bool = False) -> list[str]:
+def unused_imports(path: pathlib.Path) -> list[str]:
     tree = ast.parse(path.read_text(), str(path))
     exempt = _exported(tree)
     used = _names(tree)
     scopes = [(node, used) for node in tree.body
               if isinstance(node, (ast.Import, ast.ImportFrom))
               and getattr(node, "module", None) != "__future__"]
-    if local:
-        scopes += [(node, _names(func))
-                   for func, node in _local_imports(tree)]
+    scopes += [(node, _names(func)) for func, node in _local_imports(tree)]
     out = []
     for node, names in sorted(scopes, key=lambda s: s[0].lineno):
         for alias in node.names:
@@ -63,12 +60,6 @@ def unused_imports(path: pathlib.Path, local: bool = False) -> list[str]:
 def test_src_has_no_unused_top_level_imports():
     found = [u for path in sorted(SRC.glob("*.py"))
              for u in unused_imports(path)]
-    assert found == []
-
-
-def test_src_functions_use_their_imports():
-    found = [u for path in sorted(SRC.glob("*.py"))
-             for u in unused_imports(path, local=True)]
     assert found == []
 
 
@@ -87,6 +78,4 @@ def test_scan_flags_an_unused_import(tmp_path):
                    "def g(x):\n    import json, re\n"
                    "    def h():\n        return re.escape(x)\n"
                    "    return h\n")
-    assert unused_imports(mod) == ["m.py:2: os"]
-    assert unused_imports(mod, local=True) == ["m.py:2: os",
-                                               "m.py:10: json"]
+    assert unused_imports(mod) == ["m.py:2: os", "m.py:10: json"]
