@@ -30,7 +30,9 @@ tagged rows in tag slots above its columns, so one row operation updates
 both.  The format follows p alone: for p <= 13 one-hot bit masks, one
 Python int per nonzero value c holding the indices whose value is c (a
 single mask for p = 2), so a row operation is a few AND/OR/XOR passes;
-for p >= 17 dicts index -> value.
+for p >= 17 dicts index -> value.  The odd-p row operation
+(``rings.onehot_sub``) is written out for p = 3 and p = 5, and a loop
+over the values serves p = 7 to 13.
 
 The SNF pivot rule is smallest nonzero magnitude with ties broken by
 (row, col), which keeps entry growth tame on the matrix sizes produced
@@ -44,7 +46,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .rings import InternalError, PreconditionError, RingSpec
+from .rings import InternalError, PreconditionError, RingSpec, onehot_sub
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +461,14 @@ class ZpEliminator:
     holds the value c.  For p = 2 the row is its single mask and a row
     operation is XOR.  For odd p a row is a list whose entry c, for
     0 < c < p, is the mask of value c and whose entry 0 is the support,
-    the OR of the others; scaling permutes the masks and adding is
-    AND/OR/XOR (``_add``), so no value can spill into a neighbouring
-    column.  Dict rows stay above p = 13 because a one-hot row costs O(p)
-    masks.  Only the per-format helpers ``_pack``, ``_reduce``, ``_monic``,
-    ``_high`` and ``_columns`` read the format.  In both formats a column
-    outside 0..width-1 is a caller's defect and raises InternalError.
+    the OR of the others.  The step v - f row is AND/OR/XOR mask by mask
+    (``rings.onehot_sub``), so no value can spill into a neighbouring
+    column: written out for p = 3 and p = 5, a loop over the values for
+    p = 7 to 13.  Dict rows stay above p = 13 because a one-hot row costs
+    O(p) masks.  Only the per-format helpers ``_pack``, ``_reduce``,
+    ``_monic``, ``_high`` and ``_columns`` read the format.  In both
+    formats a column outside 0..width-1 is a caller's defect and raises
+    InternalError.
     """
 
     def __init__(self, p: int, width: int):
@@ -474,10 +478,8 @@ class ZpEliminator:
         self.packed = p <= PACKED_MAX_P
         self._slots: dict = {}  # tag -> slot
         self._tags: list = []
-        if self.packed:
-            # _scale[m][k]: the mask of a row that holds k in m * row
-            self._scale = [None] + [[k * pow(m, -1, p) % p for k in range(p)]
-                                    for m in range(1, p)]
+        if self.packed and p > 2:
+            self._sub = onehot_sub(p)  # (v, row, f) -> v - f row
 
     @property
     def rank(self) -> int:
@@ -594,7 +596,7 @@ class ZpEliminator:
                     raise ArithmeticError(
                         f"packed GF(2) reduction did not clear lead {lead}")
                 lead = nxt
-        add, scale = self._add, self._scale
+        sub = self._sub
         s = v[0]
         low = s & -s
         lead = low.bit_length() - 1
@@ -605,8 +607,7 @@ class ZpEliminator:
             f = 1
             while not v[f] & low:
                 f += 1
-            # v - f row = v + (p - f) row clears the lead
-            v = add(v, [hit[k] for k in scale[p - f]])
+            v = sub(v, hit, f)  # clears the lead
             s = v[0]
             low = s & -s
             nxt = low.bit_length() - 1
@@ -614,32 +615,6 @@ class ZpEliminator:
                 raise ArithmeticError(
                     f"packed GF({p}) reduction did not clear lead {lead}")
             lead = nxt
-
-    def _add(self, v: list, w: list) -> list:
-        """v + w on one-hot rows: mask k is (V_k | W_k) off the common
-        support, plus V_i & W_j for every i + j = k mod p on it.  And-not
-        is a ^ (a & b), since ~b on a wide int costs a two's-complement
-        pass over all of b."""
-        sv, sw = v[0], w[0]
-        both = sv & sw
-        if not both:
-            return [a | b for a, b in zip(v, w)]
-        out = [t ^ (t & both) for t in map(or_, v, w)]
-        p = self.p
-        gone = 0  # columns where v and w cancel
-        for i in range(1, p):
-            vi = v[i]
-            if vi & both:
-                for j in range(1, p):
-                    x = vi & w[j]
-                    if x:
-                        k = i + j - p if i + j >= p else i + j
-                        if k:
-                            out[k] |= x
-                        else:
-                            gone |= x
-        out[0] = (sv | sw) ^ gone
-        return out
 
     def _monic(self, row, lead: int):
         """row divided by its value at lead."""

@@ -26,8 +26,6 @@ invariants ride along, being themselves an n-step invariant).
 """
 from __future__ import annotations
 
-import random
-
 from .delta import (
     Cochain,
     DeltaSet,
@@ -709,6 +707,8 @@ AUDIT_SAMPLES = 50
 
 
 def realize_group(stage: "ModelStage") -> GroupRealization:
+    import random
+
     from .magma import MagmaLaw, check_admissible
     ring = stage.ring
     law = MagmaLaw(stage.gens.names, stage.diff.tau, ring)

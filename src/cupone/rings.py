@@ -9,10 +9,15 @@ Products of basis monomials are re-expanded in the basis using structure
 constants obtained by evaluation-interpolation on the integer grid
 0..m+n, which makes the multiplication self-verifying: the expansion is
 the unique one matching the product pointwise.
+
+The module ends with the row operation v - f h of one-hot rows over
+GF(p), p odd (``onehot_sub``), with which ``linalg.ZpEliminator``
+reduces.
 """
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import or_
 
 
 class InternalError(RuntimeError):
@@ -526,3 +531,92 @@ def zeta_add_expand(k: int, ring: RingSpec = ZZ) -> BinomialPoly:
             entries.append(("b", j))
         terms.append((MultiIndex(entries), 1))
     return BinomialPoly(ring, terms)
+
+
+# ---------------------------------------------------------------------------
+# one-hot rows over GF(p), p odd (the rows of linalg.ZpEliminator): entry c
+# of a row, 0 < c < p, is the mask of the columns that hold c, and entry 0
+# is the support, the OR of the others
+
+def onehot_sub(p: int):
+    """The row operation (v, h, f) -> v - f h on one-hot rows over GF(p).
+
+    For p = 3 and p = 5 it is written out: the masks of h are unpacked in
+    the order of -f h, with no permuted copy, and each result mask is a
+    fixed OR of the ANDs that ``_add_onehot`` finds by looping over the
+    values.  Larger p permute h and run that loop."""
+    if p == 3:
+        return _sub3
+    if p == 5:
+        return _sub5
+    # perm[f][k]: the mask of h that holds k in -f h
+    perm = [None] + [[k * pow(-f, -1, p) % p for k in range(p)]
+                     for f in range(1, p)]
+
+    def sub(v: list, h: list, f: int) -> list:
+        return _add_onehot(p, v, [h[k] for k in perm[f]])
+    return sub
+
+
+def _add_onehot(p: int, v: list, w: list) -> list:
+    """v + w: mask k is (V_k | W_k) off the common support, plus V_i & W_j
+    for every i + j = k mod p on it.  And-not is a ^ (a & b), since ~b on
+    a wide int costs a two's-complement pass over all of b."""
+    sv, sw = v[0], w[0]
+    both = sv & sw
+    if not both:
+        return [a | b for a, b in zip(v, w)]
+    out = [t ^ (t & both) for t in map(or_, v, w)]
+    gone = 0  # columns where v and w cancel
+    for i in range(1, p):
+        vi = v[i]
+        if vi & both:
+            for j in range(1, p):
+                x = vi & w[j]
+                if x:
+                    k = i + j - p if i + j >= p else i + j
+                    if k:
+                        out[k] |= x
+                    else:
+                        gone |= x
+    out[0] = (sv | sw) ^ gone
+    return out
+
+
+def _sub3(v: list, h: list, f: int) -> list:
+    """v - f h over GF(3): -h permutes the masks of h, -2h = h."""
+    s, v1, v2 = v
+    if f == 1:
+        t, w2, w1 = h
+    else:
+        t, w1, w2 = h
+    both = s & t
+    o1 = v1 | w1
+    o2 = v2 | w2
+    o1 = o1 ^ (o1 & both) | v2 & w2
+    o2 = o2 ^ (o2 & both) | v1 & w1
+    return [o1 | o2, o1, o2]
+
+
+def _sub5(v: list, h: list, f: int) -> list:
+    """v - f h over GF(5): w_k, the mask of -f h that holds k, is the
+    mask of h that holds -k / f."""
+    s, v1, v2, v3, v4 = v
+    if f == 1:
+        t, w4, w3, w2, w1 = h
+    elif f == 2:
+        t, w3, w1, w4, w2 = h
+    elif f == 3:
+        t, w2, w4, w1, w3 = h
+    else:
+        t, w1, w2, w3, w4 = h
+    both = s & t
+    o1 = v1 | w1
+    o2 = v2 | w2
+    o3 = v3 | w3
+    o4 = v4 | w4
+    o1 = o1 ^ (o1 & both) | v2 & w4 | v3 & w3 | v4 & w2
+    o2 = o2 ^ (o2 & both) | v1 & w1 | v3 & w4 | v4 & w3
+    o3 = o3 ^ (o3 & both) | v1 & w2 | v2 & w1 | v4 & w4
+    o4 = o4 ^ (o4 & both) | v1 & w3 | v2 & w2 | v3 & w1
+    return [o1 | o2 | o3 | o4, o1, o2, o3, o4]

@@ -4,9 +4,11 @@ Where bytecode is not cached (PYTHONDONTWRITEBYTECODE), every process
 compiles src/ when it imports cupone, and the largest module's compile
 peak sets the peak RSS of a short run, such as the benchmark's
 z_invariants workload.  CPython 3.11 grows that peak in steps: linalg.py,
-at 2.59 MiB, jumps to 3.17 MiB about 28 lines of code later.  The peak
-is what tracemalloc sees around ``compile``; other versions allocate
-differently, so the test runs on CPython 3.11 only.
+the largest module at 2.53 MiB, jumps to 3.10 MiB when a function of 54
+short statements is appended, which is why the one-hot GF(p) row
+operation lives in rings.py (1.68 MiB).  The peak is what tracemalloc
+sees around ``compile``; other versions allocate differently, so the
+test runs on CPython 3.11 only.
 """
 import platform
 import sys

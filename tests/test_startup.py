@@ -6,7 +6,8 @@ run waits for.  ``@dataclass`` runs generated code for each record at
 import time, so no module of src/cupone imports ``dataclasses``; the
 records write out their ``__init__``.  ``cupone.interval`` and
 ``cupone.magma`` are imported by the functions that use them, and
-``cupone.verify`` by the ``verify-axioms`` verb.
+``cupone.verify`` by the ``verify-axioms`` verb.  ``random`` is imported by
+``model.realize_group``, its one user among the modules the CLI loads.
 """
 import ast
 import os
@@ -53,3 +54,13 @@ def test_cli_import_leaves_rarely_used_modules_unloaded():
     r = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, timeout=120)
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
+def test_cli_import_leaves_random_unloaded():
+    # -S skips site-packages, whose .pth files may import random
+    # themselves; the check is about cupone's own imports.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, cupone.cli\nprint('random' in sys.modules)"
+    r = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
