@@ -59,12 +59,14 @@ class DeltaSet:
             for c in cells[d]:
                 fs = faces.get(c)
                 if fs is None or len(fs) != d + 1:
-                    raise ValueError(f"cell {c!r} needs {d + 1} faces")
+                    raise PreconditionError(
+                        f"cell {c!r} needs {d + 1} faces")
                 try:
                     rows.append(tuple(map(position, fs)))
                 except KeyError as e:
-                    raise ValueError(f"face {e.args[0]!r} of {c!r} is not "
-                                     f"a {d - 1}-cell") from None
+                    raise PreconditionError(
+                        f"face {e.args[0]!r} of {c!r} is not "
+                        f"a {d - 1}-cell") from None
             by_pos.append(rows)
         self._setup(cells, by_pos)
 
@@ -93,7 +95,7 @@ class DeltaSet:
             first: dict[str, int] = {}
             dup = next(c for i, c in enumerate(names)
                        if first.setdefault(c, i) != i)
-            raise ValueError(f"duplicate cell id {dup!r}")
+            raise PreconditionError(f"duplicate cell id {dup!r}")
 
     def _setup(self, cells, faces):
         self.cells = cells
@@ -117,8 +119,9 @@ class DeltaSet:
         for d in (1, 2, 3):
             top = self.faces[d]
             if len(top) != len(self.cells[d]):
-                raise ValueError(f"{len(self.cells[d])} {d}-cells but "
-                                 f"{len(top)} face tuples")
+                raise PreconditionError(
+                    f"{len(self.cells[d])} {d}-cells but "
+                    f"{len(top)} face tuples")
             if not (isinstance(top, _TripleFaces) and top.associative
                     and top.lower is self.faces[2]):
                 _check_faces(d, top, self.faces[d - 1],
@@ -373,7 +376,8 @@ class FiniteMagma:
         for a, row in zip(self.elements, self.prod):
             if None in row:
                 b = self.elements[row.index(None)]
-                raise ValueError(f"product {a}*{b} leaves the carrier")
+                raise PreconditionError(
+                    f"product {a}*{b} leaves the carrier")
 
     @classmethod
     def from_table(cls, elements, prod: list[list[int]], unit=None,
@@ -385,8 +389,9 @@ class FiniteMagma:
         inside = frozenset(range(n)).issuperset
         if len(prod) != n or not all(len(row) == n and inside(row)
                                      for row in prod):
-            raise ValueError(f"a product table on {n} elements needs {n} "
-                             f"rows of {n} positions in range({n})")
+            raise PreconditionError(
+                f"a product table on {n} elements needs {n} "
+                f"rows of {n} positions in range({n})")
         m.prod = prod
         return m
 
@@ -394,7 +399,7 @@ class FiniteMagma:
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
-            raise ValueError("duplicate carrier elements")
+            raise PreconditionError("duplicate carrier elements")
         self.unit = unit
         self.name_fn = name_fn or (lambda e: str(e))
 

@@ -26,6 +26,8 @@ invariants ride along, being themselves an n-step invariant).
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from .delta import (
     Cochain,
     DeltaSet,
@@ -137,8 +139,7 @@ def exterior_weight_cohomology(names, ring, w: int, degree: int) -> CohomologyDa
 
 
 def lambda2_basis(names) -> list[tuple[str, str]]:
-    return [(names[i], names[j]) for i in range(len(names))
-            for j in range(i + 1, len(names))]
+    return list(combinations(names, 2))
 
 
 def lambda2_coords(t: TensorElem, names) -> list[int]:
@@ -167,26 +168,19 @@ def lambda3_coords(t: TensorElem, names) -> list[int]:
     """Class coordinates of a weight-3 degree-3 element in the exterior
     basis [x_i (x) x_j (x) x_k], i < j < k (words with repeats die)."""
     pos = {n: i for i, n in enumerate(names)}
-    basis = [(names[i], names[j], names[k])
-             for i in range(len(names))
-             for j in range(i + 1, len(names))
-             for k in range(j + 1, len(names))]
-    slot = {tri: i for i, tri in enumerate(basis)}
-    out = [0] * len(basis)
+    slot = {tri: i for i, tri in enumerate(combinations(names, 3))}
+    out = [0] * len(slot)
     for word, c in t.terms.items():
         if len(word) != 3 or any(f.weight != 1 for f in word):
             raise InternalError("lambda3 coordinates need weight-3 words")
         letters = [f.entries[0][0] for f in word]
         if len(set(letters)) != 3:
             continue
-        order = sorted(letters, key=lambda n: pos[n])
-        # parity of the permutation taking letters to sorted order
-        perm = [order.index(l) for l in letters]
-        sign = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if perm[i] > perm[j]:
-                    sign = -sign
+        order = sorted(letters, key=pos.__getitem__)
+        # letters is an even permutation of order exactly when it is a
+        # rotation of it: order[1] follows order[0] cyclically (for three
+        # letters, index k - 2 is the one after k)
+        sign = 1 if letters[letters.index(order[0]) - 2] == order[1] else -1
         out[slot[tuple(order)]] += sign * c
     return out
 
@@ -326,6 +320,14 @@ def extend_stage(stage: "ModelStage", guard=None) -> "ModelStage":
 # ---------------------------------------------------------------------------
 # H^2 of stage models
 
+# (names, ring) -> the weight-3 layer of (T(X_1), d_0) in which
+# h2_stage2_Z completes E-elements: the length-2 words, the index of the
+# length-3 words and the Smith factor of d_0 between them.  A structure
+# constant of the free algebra on the names, built on first use and
+# shared read-only.
+_D0_TABLE = {}
+
+
 def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
     """H^2(M_2) = (Lambda^2(X_1)/K) + ker(e), with audited cocycle
     representatives (see the module docstring)."""
@@ -365,10 +367,13 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
             for i in range(nl3)]
     evecs = (smith_normal_form(rows, len(pair_cols)).kernel()
              if pair_cols else [])
-    # Completion in the weight-3 layer of (T(X_1), d_0).
-    src, dst, dmat = d0_weight_matrix(names, 3, 2, ring)
-    dst_index = {w: i for i, w in enumerate(dst)}
-    dfac = smith_normal_form(dmat, len(src)) if evecs else None
+    if evecs:
+        key = (tuple(names), ring)
+        if key not in _D0_TABLE:
+            src, dst, dmat = d0_weight_matrix(names, 3, 2, ring)
+            _D0_TABLE[key] = (src, {w: i for i, w in enumerate(dst)},
+                              smith_normal_form(dmat, len(src)))
+        src, dst_index, dfac = _D0_TABLE[key]
     for v in evecs:
         lead = next((x for x in v if x), 1)
         if lead < 0:
@@ -379,7 +384,7 @@ def h2_stage2_Z(stage: "ModelStage") -> list[H2Gen]:
                 z = z + TensorElem(ring, {
                     (MultiIndex.single(xi), MultiIndex.single(y)): coeff})
         dz = apply_d(stage.diff, z)
-        target = [0] * len(dst)
+        target = [0] * len(dst_index)
         for w, c in dz.terms.items():
             target[dst_index[w]] = -c
         sol = solve_Z(dfac, target)
@@ -620,7 +625,7 @@ class KappaInvariant:
 
     @property
     def torsion(self) -> AbelianInvariants:
-        return self.cokernel.torsion_part()
+        return AbelianInvariants(0, self.cokernel.torsion)
 
 
 def kappa(stage: "ModelStage") -> KappaInvariant:

@@ -564,8 +564,6 @@ def _add_onehot(p: int, v: list, w: list) -> list:
     a wide int costs a two's-complement pass over all of b."""
     sv, sw = v[0], w[0]
     both = sv & sw
-    if not both:
-        return [a | b for a, b in zip(v, w)]
     out = [t ^ (t & both) for t in map(or_, v, w)]
     gone = 0  # columns where v and w cancel
     for i in range(1, p):

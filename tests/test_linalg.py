@@ -475,6 +475,58 @@ def test_replays_match_dense_transforms():
         check_replays(m, c, rng)
 
 
+def replay_matrices():
+    """Seeded integer matrices whose factors take swaps, negations and
+    non-unit pivots, and the delta^1 of Borromean X(5) and X(7)."""
+    from cupone.presentation import borromean_presentation
+    rng = random.Random(3501)
+    for _ in range(150):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        lo = rng.choice((2, 5, 12))
+        yield [[0 if rng.random() < 0.3 else rng.choice((-1, 1))
+                * rng.randint(2, lo) for _ in range(c)]
+               for _ in range(r)], c
+    for n in (5, 7):
+        X = presentation_complex(borromean_presentation(n)).delta
+        yield coboundary_matrix(X, 1), len(X.cells[1])
+
+
+def test_block_replays_match_flat_replays():
+    # Every query of a factor replays its block logs; the oracle's flat
+    # logs, replayed one operation at a time, and the dense transforms
+    # must give the same answers.
+    from snf_oracle import flat_smith
+    rng = random.Random(3502)
+    seen = set()
+    for m, c in replay_matrices():
+        snf, flat = smith_normal_form(m, c), flat_smith(m, c)
+        r, rank = len(m), snf.rank
+        assert (snf.diag, rank) == (flat.diag, flat.rank)
+        U, V, Uinv, Vinv = dense(snf)
+        for b in [[rng.randint(-4, 4) for _ in range(r)] for _ in range(3)] \
+                + [mat_vec(m, [rng.randint(-2, 2) for _ in range(c)])]:
+            assert snf.u_times(b) == flat.u_times(b) == mat_vec(U, b)
+            assert snf.solve(b).solution == flat.solve(b)
+        for i in range(r):
+            assert snf.u_row(i) == flat.u_row(i) == U[i]
+            assert snf.uinv_column(i) == flat.uinv_column(i) \
+                == column(Uinv, i)
+        assert snf.kernel() == flat.kernel() \
+            == [column(V, j) for j in range(rank, c)]
+        for v in [[rng.randint(-3, 3) for _ in range(c)] for _ in range(3)] \
+                + snf.kernel():
+            w = mat_vec(Vinv, v)
+            assert snf.kernel_coords(v) == flat.kernel_coords(v) \
+                == (None if any(w[:rank]) else w[rank:])
+        kinds = {"swap" if i != t else "negation"
+                 for i, t, q in flat.row_ops if not q}
+        # the divisibility fix-up adds column i + 1 to column i
+        kinds |= {"fix-up" for t, j, q in flat.col_ops if q and t > j}
+        kinds |= {"non-unit pivot" for d in snf.diag if d > 1}
+        seen |= kinds
+    assert seen == {"swap", "negation", "fix-up", "non-unit pivot"}
+
+
 def test_delta1_is_factored_once_for_h1_and_h2(monkeypatch):
     from cupone.delta import segment_cohomology
     path = FIXTURES / "borromean_n2.pres"

@@ -179,6 +179,22 @@ def test_lambda3_coords():
     assert lambda3_coords(rep, names) == [0]
 
 
+def test_lambda3_coords_sign_every_order():
+    # The sign of x_a (x) x_b (x) x_c is that of the permutation sorting
+    # (a, b, c), counted here by inversions.
+    from itertools import combinations, permutations
+    names = ["x1", "x2", "x3", "x4"]
+    slots = list(combinations(names, 3))
+    for tri in slots:
+        for word in permutations(tri):
+            inversions = sum(names.index(a) > names.index(b)
+                             for a, b in combinations(word, 2))
+            t = TensorElem(Z, {tuple(map(MultiIndex.single, word)): 3})
+            want = [0] * len(slots)
+            want[slots.index(tri)] = 3 * (-1) ** inversions
+            assert lambda3_coords(t, names) == want
+
+
 # Only a stage's own d(y) reaches the exterior coordinates, so a word of
 # the wrong weight is a defect (exit 3), not a refusal.
 
@@ -775,3 +791,62 @@ def test_t2_word_limit(monkeypatch, k, p, refused):
     if refused:
         assert f"{k} generators over Z_{p} give T^1 of dimension " \
             f"n1 = {p ** k - 1:,}" in str(exc.value)
+
+
+def z_stage2_fixtures():
+    """(fixture, stage-2 model over Z) for every fixture that has one."""
+    import pathlib
+    from cupone.cli import LoadedInput
+    from cupone.rings import PreconditionError
+    out = []
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent
+                        / "fixtures").iterdir()):
+        inp = LoadedInput(str(path), "Z")
+        try:
+            stages = minimal_model(inp.delta, Z, 2, inp.h1_reps())
+        except PreconditionError:
+            continue
+        if stages[-1].n == 2:
+            out.append((path.name, stages[-1]))
+    return out
+
+
+def h2_answer(gens):
+    return [(g.order, g.rep.terms) for g in gens]
+
+
+def d0_table_snapshot():
+    """The d_0 table's entries, copied down to the immutable words and
+    operation pairs."""
+    from cupone.model import _D0_TABLE
+    return {key: (list(src), dict(index), list(fac.diag), fac.rank,
+                  fac.nrows, fac.ncols,
+                  [(t, list(a) if a.__class__ is list else a)
+                   for t, a in fac.row_ops],
+                  [(t, list(a) if a.__class__ is list else a)
+                   for t, a in fac.col_ops])
+            for key, (src, index, fac) in _D0_TABLE.items()}
+
+
+def test_d0_table_cold_and_warm_agree():
+    # h2_stage2_Z completes E-elements in the weight-3 layer of d_0 from a
+    # table shared by every call on the same names and ring: a call that
+    # builds its entry and a call that finds it give the same H^2, and no
+    # call changes a shared entry.
+    from cupone.model import _D0_TABLE
+    stages = z_stage2_fixtures()
+    assert len(stages) >= 9
+    cold = {}
+    for name, stage in stages:
+        _D0_TABLE.clear()
+        cold[name] = h2_answer(h2_stage2_Z(stage))
+    assert _D0_TABLE, "no fixture completes an E-element"
+    for name, stage in stages:
+        h2_stage2_Z(stage)
+    snapshot = d0_table_snapshot()
+    for name, stage in stages:
+        assert h2_answer(h2_stage2_Z(stage)) == cold[name], name
+    assert d0_table_snapshot() == snapshot
+    for names, ring in _D0_TABLE:
+        assert ring == Z
+        assert names == tuple(f"x{i + 1}" for i in range(len(names)))
